@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
     const FarFieldCounters before = FarFieldCounters::Snapshot();
     const obs::SampleStats gf_stats =
         report.Time("greedy_farfield_small", n_small,
-                    [&] { ff_greedy = sinr::FarFieldGreedyFeasible(ff, all); });
+                    [&] { ff_greedy = capacity::GreedyFeasible(ff, all); });
     const FarFieldCounters delta = FarFieldCounters::Snapshot().Delta(before);
     if (ff_greedy != dense_greedy) {
       std::printf("ERROR: certified far-field greedy diverged from the "
@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
     const FarFieldCounters before = FarFieldCounters::Snapshot();
     const obs::SampleStats gf_stats =
         report.Time("greedy_farfield_large", n_large,
-                    [&] { ff_greedy = sinr::FarFieldGreedyFeasible(ff, all); });
+                    [&] { ff_greedy = capacity::GreedyFeasible(ff, all); });
     const FarFieldCounters delta = FarFieldCounters::Snapshot().Delta(before);
     if (ff_greedy != dense_greedy) {
       std::printf("ERROR: certified far-field greedy diverged from the "
@@ -327,8 +327,9 @@ int main(int argc, char** argv) {
     std::vector<int> ff_greedy;
     const FarFieldCounters before = FarFieldCounters::Snapshot();
     const obs::SampleStats gf_stats =
-        report.Time("greedy_farfield_xl", n_xl,
-                    [&] { ff_greedy = sinr::FarFieldGreedyFeasible(ff); });
+        report.Time("greedy_farfield_xl", n_xl, [&] {
+          ff_greedy = capacity::GreedyFeasible(ff, sinr::AllLinks(ff));
+        });
     const FarFieldCounters delta = FarFieldCounters::Snapshot().Delta(before);
 
     std::printf("far-field build %s ms, greedy %s ms, |S| = %zu, kernel "

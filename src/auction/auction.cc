@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "core/check.h"
+#include "sinr/admission.h"
 #include "sinr/power.h"
 
 namespace decaylib::auction {
@@ -70,16 +71,13 @@ std::vector<int> DetermineWinners(const sinr::KernelCache& kernel,
   DL_CHECK(static_cast<int>(bids.size()) == kernel.NumLinks(),
            "one bid per link");
   // Admission through the accumulator decides exactly as the naive
-  // push-IsFeasible-pop loop (kernel.h): the candidate's in-affectance is
-  // the running raw sum and each member's new total is its running sum
-  // plus the candidate's row entry, associated in admission order.
-  sinr::AffectanceAccumulator admitted(kernel);
-  for (int v : BidOrder(bids)) {
-    if (bids[static_cast<std::size_t>(v)] <= 0.0) continue;
-    if (!kernel.CanOvercomeNoise(v)) continue;
-    if (admitted.CanAddFeasibly(v)) admitted.Add(v);
-  }
-  std::vector<int> winners = admitted.members();
+  // push-IsFeasible-pop loop (sinr/admission.h); non-positive bids never
+  // win.
+  std::vector<int> order = BidOrder(bids);
+  std::erase_if(order, [&](int v) {
+    return bids[static_cast<std::size_t>(v)] <= 0.0;
+  });
+  std::vector<int> winners = sinr::AdmitWhileFeasible(kernel, order);
   std::sort(winners.begin(), winners.end());
   return winners;
 }
@@ -119,7 +117,8 @@ double CriticalBid(const sinr::KernelCache& kernel,
   int known_win = -1;    // largest position with a winning verdict
   int known_lose = m + 1;  // smallest position with a losing verdict
 
-  // Replays DetermineWinners' loop body over others[from, to).
+  // Replays DetermineWinners' admission over others[from, to), resuming
+  // from the snapshot's accumulator.
   const auto advance = [&](sinr::AffectanceAccumulator& acc, int from, int to) {
     for (int i = from; i < to; ++i) {
       const int o = others[static_cast<std::size_t>(i)];

@@ -1,49 +1,24 @@
 #include "capacity/algorithm1.h"
 
-#include <algorithm>
-
 #include "core/check.h"
 #include "sinr/power.h"
 
 namespace decaylib::capacity {
 
-Algorithm1Result GreedyAdmission(const sinr::KernelCache& kernel, double zeta,
-                                 std::span<const int> order) {
-  DL_CHECK(zeta > 0.0, "zeta must be positive");
-  const sinr::SeparationOracle oracle(kernel, zeta / 2.0, zeta);
-  sinr::AffectanceAccumulator acc(kernel);
-  for (int v : order) {
-    // A candidate listed twice is admitted at most once (the naive
-    // reference would duplicate it in X on such degenerate input).
-    if (acc.Contains(v)) continue;
-    if (!kernel.CanOvercomeNoise(v)) continue;
-    if (!oracle.IsSeparatedFrom(v, acc.members())) continue;
-    // Out(v)/In(v) hold a_v(X) and a_X(v) summed in admission order -- the
-    // same order the naive path sums them in.
-    const double budget = acc.Out(v) + acc.In(v);
-    if (budget <= 0.5) acc.Add(v);
-  }
-  Algorithm1Result result;
-  result.admitted = acc.members();
-  for (int v : result.admitted) {
-    if (acc.In(v) <= 1.0) result.selected.push_back(v);
-  }
-  return result;
-}
-
 Algorithm1Result RunAlgorithm1(const sinr::KernelCache& kernel, double zeta,
                                std::span<const int> candidates) {
-  // Process candidates in order of increasing link decay f_vv.
-  std::vector<int> order(candidates.begin(), candidates.end());
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return kernel.LinkDecay(a) < kernel.LinkDecay(b);
-  });
-  return GreedyAdmission(kernel, zeta, order);
+  return sinr::HalfBudgetAdmission(
+      kernel, sinr::DecayOrder(kernel, candidates), zeta);
 }
 
 Algorithm1Result RunAlgorithm1(const sinr::KernelCache& kernel, double zeta) {
-  const std::vector<int> all = sinr::AllLinks(kernel.system());
-  return RunAlgorithm1(kernel, zeta, all);
+  return RunAlgorithm1(kernel, zeta, sinr::AllLinks(kernel));
+}
+
+Algorithm1Result RunAlgorithm1(const sinr::FarFieldKernel& kernel, double zeta,
+                               std::span<const int> candidates) {
+  return sinr::HalfBudgetAdmission(
+      kernel, sinr::DecayOrder(kernel, candidates), zeta);
 }
 
 Algorithm1Result RunAlgorithm1(const sinr::LinkSystem& system, double zeta,
@@ -62,11 +37,7 @@ Algorithm1Result RunAlgorithm1Naive(const sinr::LinkSystem& system,
                                     std::span<const int> candidates) {
   DL_CHECK(zeta > 0.0, "zeta must be positive");
   const sinr::PowerAssignment power = sinr::UniformPower(system);
-
-  std::vector<int> order(candidates.begin(), candidates.end());
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return system.LinkDecay(a) < system.LinkDecay(b);
-  });
+  const std::vector<int> order = sinr::DecayOrder(system, candidates);
 
   Algorithm1Result result;
   std::vector<int>& X = result.admitted;

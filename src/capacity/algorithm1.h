@@ -16,23 +16,26 @@
 // The default entry points run on the cached SINR kernel (sinr::KernelCache):
 // separation tests become decay-domain comparisons and the in/out-affectance
 // budgets incremental accumulator reads, so a run costs O(n^2) cache build
-// plus O(n |X|) admission work with no pow on the hot path.  The *Naive
-// variants recompute every kernel entry through the LinkSystem methods; they
-// are kept as the reference path that property tests compare against.
+// plus O(n |X|) admission work with no pow on the hot path.  The
+// FarFieldKernel overload runs the same loop (sinr/admission.h) against the
+// matrix-free kernel.  The *Naive variants recompute every kernel entry
+// through the LinkSystem methods; they are kept as the reference path that
+// property tests compare against.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "sinr/admission.h"
+#include "sinr/farfield.h"
 #include "sinr/kernel.h"
 #include "sinr/link_system.h"
 
 namespace decaylib::capacity {
 
-struct Algorithm1Result {
-  std::vector<int> selected;   // S, the returned feasible set
-  std::vector<int> admitted;   // X, before the final affectance filter
-};
+// selected = S, the returned feasible set; admitted = X, before the final
+// affectance filter.
+using Algorithm1Result = sinr::AdmissionResult;
 
 // Runs Algorithm 1 on the candidate links (defaults to all links) with the
 // given metricity zeta of the underlying space.  Uses uniform power 1.
@@ -49,11 +52,8 @@ Algorithm1Result RunAlgorithm1(const sinr::KernelCache& kernel, double zeta,
 
 Algorithm1Result RunAlgorithm1(const sinr::KernelCache& kernel, double zeta);
 
-// The admission loop + Markov filter over an explicit candidate order
-// (already sorted by the caller).  Shared by RunAlgorithm1 (decay order) and
-// WeightedAlgorithm1 (weight order).
-Algorithm1Result GreedyAdmission(const sinr::KernelCache& kernel, double zeta,
-                                 std::span<const int> order);
+Algorithm1Result RunAlgorithm1(const sinr::FarFieldKernel& kernel, double zeta,
+                               std::span<const int> candidates);
 
 // Reference implementation on the naive LinkSystem methods; recomputes every
 // affectance and separation from scratch.  Kept for property tests and

@@ -15,19 +15,23 @@
 // cached-kernel overload running on sinr::KernelCache (incremental
 // feasibility: O(|S|) per candidate instead of O(|S|^2) re-summation); the
 // LinkSystem overloads build the kernel internally and produce identical
-// results.
+// results.  GreedyFeasible also runs on the far-field kernel; every loop is
+// the shared one of sinr/admission.h.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "geom/rng.h"
+#include "sinr/farfield.h"
 #include "sinr/kernel.h"
 #include "sinr/link_system.h"
 
 namespace decaylib::capacity {
 
 std::vector<int> GreedyFeasible(const sinr::KernelCache& kernel,
+                                std::span<const int> candidates);
+std::vector<int> GreedyFeasible(const sinr::FarFieldKernel& kernel,
                                 std::span<const int> candidates);
 std::vector<int> GreedyFeasible(const sinr::LinkSystem& system,
                                 std::span<const int> candidates);

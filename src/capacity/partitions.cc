@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/check.h"
+#include "sinr/admission.h"
 #include "sinr/power.h"
 
 // (Lemma B.3's colouring is implemented directly below rather than through
@@ -43,12 +44,8 @@ std::vector<std::vector<int>> SignalStrengthen(const sinr::KernelCache& kernel,
   const double budget = 1.0 / (2.0 * q);
 
   // Pass A: increasing decay order; in-affectance from *shorter* links.
-  std::vector<int> increasing(S.begin(), S.end());
-  std::stable_sort(increasing.begin(), increasing.end(), [&](int a, int b) {
-    return kernel.LinkDecay(a) < kernel.LinkDecay(b);
-  });
   const std::vector<std::vector<int>> coarse =
-      FirstFitByInAffectance(kernel, increasing, budget);
+      FirstFitByInAffectance(kernel, sinr::DecayOrder(kernel, S), budget);
 
   // Pass B within each class: decreasing decay order; in-affectance from
   // *longer* links.  Each final class then has total in-affectance at most

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "capacity/algorithm1.h"
 #include "core/check.h"
+#include "sinr/admission.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
 
@@ -40,16 +40,12 @@ WeightedResult WeightedGreedy(const sinr::KernelCache& kernel,
            density[static_cast<std::size_t>(b)];
   });
 
-  // Admit while feasible, with the incremental accumulator standing in for
-  // the naive push-IsFeasible-pop re-summation (bit-identical decisions).
-  sinr::AffectanceAccumulator acc(kernel);
-  for (int v : order) {
-    if (weights[static_cast<std::size_t>(v)] <= 0.0) continue;
-    if (!kernel.CanOvercomeNoise(v)) continue;
-    if (acc.CanAddFeasibly(v)) acc.Add(v);
-  }
+  // Admit while feasible, skipping non-positive weights.
+  std::erase_if(order, [&](int v) {
+    return weights[static_cast<std::size_t>(v)] <= 0.0;
+  });
   WeightedResult result;
-  result.selected = acc.members();
+  result.selected = sinr::AdmitWhileFeasible(kernel, order);
   result.weight = TotalWeight(result.selected, weights);
   return result;
 }
@@ -79,9 +75,9 @@ WeightedResult WeightedAlgorithm1(const sinr::KernelCache& kernel,
     return weights[static_cast<std::size_t>(v)] <= 0.0;
   });
 
-  const Algorithm1Result admission = GreedyAdmission(kernel, zeta, order);
+  // Algorithm 1's admission loop in weight order instead of decay order.
   WeightedResult result;
-  result.selected = admission.selected;
+  result.selected = sinr::HalfBudgetAdmission(kernel, order, zeta).selected;
   result.weight = TotalWeight(result.selected, weights);
   return result;
 }

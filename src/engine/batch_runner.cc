@@ -217,130 +217,123 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   const std::vector<int> all = sinr::AllLinks(instance.system());
   const double zeta = instance.zeta();
 
-  // Algorithm 1's feasible set feeds the partition task too; run it at most
-  // once per instance.
+  // The tasks run once, against whichever kernel the instance built: the
+  // admission tasks (algorithm1, greedy, schedule) on `admission_kernel`,
+  // the rest on the dense kernel, which under kFarField is built on first
+  // use.  Algorithm 1's feasible set feeds the partition task too; run it at
+  // most once per instance.
   std::optional<capacity::Algorithm1Result> alg1;
-  const auto ensure_alg1 = [&] {
-    if (!alg1) alg1 = capacity::RunAlgorithm1(ensure_kernel(), zeta);
-  };
+  const auto run_tasks = [&](const auto& admission_kernel) {
+    const auto ensure_alg1 = [&] {
+      if (!alg1) alg1 = capacity::RunAlgorithm1(admission_kernel, zeta, all);
+    };
 
-  for (const TaskKind task : tasks) {
-    const std::size_t kind = static_cast<std::size_t>(task);
-    obs::Span task_span(std::string("task.") + TaskKindName(task),
-                        &EngineInstruments::Get().instance_task_ms, "task");
-    const auto kind_start = std::chrono::steady_clock::now();
-    switch (task) {
-      case TaskKind::kAlgorithm1: {
-        if (farfield) {
-          const sinr::FarFieldAlg1Result res =
-              sinr::FarFieldRunAlgorithm1(*farfield, zeta);
-          rec.alg1_size = static_cast<int>(res.selected.size());
-          rec.alg1_admitted = static_cast<int>(res.admitted.size());
-          rec.alg1_feasible = res.selected.size() <= 1 ||
-                              farfield->IsFeasibleCertified(res.selected);
-        } else {
+    for (const TaskKind task : tasks) {
+      const std::size_t kind = static_cast<std::size_t>(task);
+      obs::Span task_span(std::string("task.") + TaskKindName(task),
+                          &EngineInstruments::Get().instance_task_ms, "task");
+      const auto kind_start = std::chrono::steady_clock::now();
+      switch (task) {
+        case TaskKind::kAlgorithm1: {
           ensure_alg1();
           rec.alg1_size = static_cast<int>(alg1->selected.size());
           rec.alg1_admitted = static_cast<int>(alg1->admitted.size());
-          rec.alg1_feasible = alg1->selected.size() <= 1 ||
-                              ensure_kernel().IsFeasible(alg1->selected);
+          rec.alg1_feasible =
+              alg1->selected.size() <= 1 ||
+              sinr::IsFeasibleSet(admission_kernel, alg1->selected);
+          break;
         }
-        break;
-      }
-      case TaskKind::kGreedyBaseline: {
-        rec.greedy_size = static_cast<int>(
-            farfield ? sinr::FarFieldGreedyFeasible(*farfield).size()
-                     : capacity::GreedyFeasible(ensure_kernel(), all).size());
-        break;
-      }
-      case TaskKind::kWeighted: {
-        const std::vector<double> weights =
-            InstanceWeights(spec, index, rec.links);
-        const capacity::WeightedResult res =
-            capacity::WeightedAlgorithm1(ensure_kernel(), weights, zeta);
-        rec.weighted_value = res.weight;
-        rec.weighted_size = static_cast<int>(res.selected.size());
-        break;
-      }
-      case TaskKind::kPartitions: {
-        ensure_alg1();
-        rec.partition_classes = static_cast<int>(
-            capacity::Lemma41Partition(ensure_kernel(), alg1->selected, zeta)
-                .size());
-        break;
-      }
-      case TaskKind::kSchedule: {
-        if (farfield) {
-          const sinr::FarFieldSchedule schedule =
-              sinr::FarFieldScheduleLinks(*farfield, zeta);
-          rec.schedule_slots = static_cast<int>(schedule.slots.size());
-          rec.schedule_valid =
-              sinr::FarFieldValidateSchedule(*farfield, schedule, all);
-        } else {
-          const sinr::KernelCache& kernel = ensure_kernel();
+        case TaskKind::kGreedyBaseline: {
+          rec.greedy_size = static_cast<int>(
+              capacity::GreedyFeasible(admission_kernel, all).size());
+          break;
+        }
+        case TaskKind::kWeighted: {
+          const std::vector<double> weights =
+              InstanceWeights(spec, index, rec.links);
+          const capacity::WeightedResult res =
+              capacity::WeightedAlgorithm1(ensure_kernel(), weights, zeta);
+          rec.weighted_value = res.weight;
+          rec.weighted_size = static_cast<int>(res.selected.size());
+          break;
+        }
+        case TaskKind::kPartitions: {
+          ensure_alg1();
+          rec.partition_classes = static_cast<int>(
+              capacity::Lemma41Partition(ensure_kernel(), alg1->selected, zeta)
+                  .size());
+          break;
+        }
+        case TaskKind::kSchedule: {
           const scheduling::Schedule schedule = scheduling::ScheduleLinks(
-              kernel, zeta, scheduling::Extractor::kAlgorithm1, all);
+              admission_kernel, zeta, scheduling::Extractor::kAlgorithm1, all);
           rec.schedule_slots = schedule.Length();
           rec.schedule_valid =
-              scheduling::ValidateSchedule(kernel, schedule, all);
+              scheduling::ValidateSchedule(admission_kernel, schedule, all);
+          break;
         }
-        break;
+        case TaskKind::kPowerControl: {
+          const sinr::KernelCache& kernel = ensure_kernel();
+          rec.pc_greedy_size =
+              static_cast<int>(GreedyPowerControlFeasible(kernel).size());
+          rec.pc_all_feasible =
+              sinr::FeasibleWithPowerControl(kernel, all,
+                                             kPowerControlIterations,
+                                             kPowerControlTol)
+                      .feasible
+                  ? 1
+                  : 0;
+          rec.pc_obstructed = sinr::HasPairwiseObstruction(kernel, all) ? 1 : 0;
+          break;
+        }
+        case TaskKind::kQueue: {
+          dynamics::QueueConfig qc;
+          qc.arrival_rates.assign(static_cast<std::size_t>(rec.links),
+                                  spec.dynamics.lambda);
+          qc.scheduler = spec.dynamics.scheduler;
+          qc.slots = spec.dynamics.queue_slots;
+          qc.warmup = spec.dynamics.queue_slots / 10;
+          geom::Rng rng = TaskRng(spec, kQueueStreamSalt, index);
+          const dynamics::QueueStats stats =
+              dynamics::RunQueueSimulation(ensure_kernel(), qc, rng);
+          rec.queue_throughput = stats.throughput;
+          rec.queue_mean_queue = stats.mean_queue;
+          rec.queue_backlog_growth = stats.backlog_growth;
+          // Growth alone misfires on near-empty queues (the ratio of two tiny
+          // backlog sums is noise): flag unstable only when the backlog is
+          // also non-trivial -- more than one slot's worth of arrivals queued
+          // on time-average.
+          rec.queue_unstable =
+              stats.backlog_growth > dynamics::kUnstableGrowthThreshold &&
+                      stats.mean_queue > stats.offered_load
+                  ? 1
+                  : 0;
+          break;
+        }
+        case TaskKind::kRegret: {
+          distributed::RegretConfig rc;
+          rc.learning_rate = spec.dynamics.regret_learning_rate;
+          rc.failure_penalty = spec.dynamics.regret_penalty;
+          rc.rounds = spec.dynamics.regret_rounds;
+          rc.measure_tail = std::max(1, spec.dynamics.regret_rounds / 4);
+          geom::Rng rng = TaskRng(spec, kRegretStreamSalt, index);
+          const distributed::RegretResult res =
+              distributed::RunRegretGame(ensure_kernel(), rc, rng);
+          rec.regret_successes = res.average_successes;
+          rec.regret_transmit_rate = res.transmit_rate;
+          break;
+        }
       }
-      case TaskKind::kPowerControl: {
-        const sinr::KernelCache& kernel = ensure_kernel();
-        rec.pc_greedy_size =
-            static_cast<int>(GreedyPowerControlFeasible(kernel).size());
-        rec.pc_all_feasible =
-            sinr::FeasibleWithPowerControl(kernel, all, kPowerControlIterations,
-                                           kPowerControlTol)
-                    .feasible
-                ? 1
-                : 0;
-        rec.pc_obstructed = sinr::HasPairwiseObstruction(kernel, all) ? 1 : 0;
-        break;
-      }
-      case TaskKind::kQueue: {
-        dynamics::QueueConfig qc;
-        qc.arrival_rates.assign(static_cast<std::size_t>(rec.links),
-                                spec.dynamics.lambda);
-        qc.scheduler = spec.dynamics.scheduler;
-        qc.slots = spec.dynamics.queue_slots;
-        qc.warmup = spec.dynamics.queue_slots / 10;
-        geom::Rng rng = TaskRng(spec, kQueueStreamSalt, index);
-        const dynamics::QueueStats stats =
-            dynamics::RunQueueSimulation(ensure_kernel(), qc, rng);
-        rec.queue_throughput = stats.throughput;
-        rec.queue_mean_queue = stats.mean_queue;
-        rec.queue_backlog_growth = stats.backlog_growth;
-        // Growth alone misfires on near-empty queues (the ratio of two tiny
-        // backlog sums is noise): flag unstable only when the backlog is
-        // also non-trivial -- more than one slot's worth of arrivals queued
-        // on time-average.
-        rec.queue_unstable =
-            stats.backlog_growth > dynamics::kUnstableGrowthThreshold &&
-                    stats.mean_queue > stats.offered_load
-                ? 1
-                : 0;
-        break;
-      }
-      case TaskKind::kRegret: {
-        distributed::RegretConfig rc;
-        rc.learning_rate = spec.dynamics.regret_learning_rate;
-        rc.failure_penalty = spec.dynamics.regret_penalty;
-        rc.rounds = spec.dynamics.regret_rounds;
-        rc.measure_tail = std::max(1, spec.dynamics.regret_rounds / 4);
-        geom::Rng rng = TaskRng(spec, kRegretStreamSalt, index);
-        const distributed::RegretResult res =
-            distributed::RunRegretGame(ensure_kernel(), rc, rng);
-        rec.regret_successes = res.average_successes;
-        rec.regret_transmit_rate = res.transmit_rate;
-        break;
-      }
+      // A kind listed twice in the task set accumulates; -1 stays reserved
+      // for "never ran".
+      if (rec.task_kind_ms[kind] < 0.0) rec.task_kind_ms[kind] = 0.0;
+      rec.task_kind_ms[kind] += ElapsedMs(kind_start);
     }
-    // A kind listed twice in the task set accumulates; -1 stays reserved
-    // for "never ran".
-    if (rec.task_kind_ms[kind] < 0.0) rec.task_kind_ms[kind] = 0.0;
-    rec.task_kind_ms[kind] += ElapsedMs(kind_start);
+  };
+  if (farfield) {
+    run_tasks(*farfield);
+  } else {
+    run_tasks(ensure_kernel());
   }
   rec.task_ms = ElapsedMs(task_start);
   return rec;

@@ -12,6 +12,8 @@
 #include <span>
 #include <vector>
 
+#include "sinr/admission.h"
+#include "sinr/farfield.h"
 #include "sinr/kernel.h"
 #include "sinr/link_system.h"
 
@@ -22,19 +24,19 @@ enum class Extractor {
   kGreedyFeasible,  // general-metric greedy per slot
 };
 
-struct Schedule {
-  std::vector<std::vector<int>> slots;
-  int Length() const noexcept { return static_cast<int>(slots.size()); }
-};
+using Schedule = sinr::SlotSchedule;
 
 // Schedules all candidate links (uniform power).  `zeta` is the metricity of
 // the underlying space (used by Algorithm 1's separation test).  Guarantees
 // termination: if an extraction round returns an empty set while links
-// remain, the shortest remaining link is scheduled alone.  The KernelCache
-// overload reuses a prebuilt kernel (e.g. across the tasks of a batched
-// scenario run); the LinkSystem signatures build a uniform-power kernel
-// internally and produce identical schedules.
+// remain, the shortest remaining link is scheduled alone.  The kernel
+// overloads reuse a prebuilt kernel (e.g. across the tasks of a batched
+// scenario run) and run one loop (sinr/admission.h) over either backend;
+// the LinkSystem signatures build a uniform-power kernel internally and
+// produce identical schedules.
 Schedule ScheduleLinks(const sinr::KernelCache& kernel, double zeta,
+                       Extractor extractor, std::span<const int> candidates);
+Schedule ScheduleLinks(const sinr::FarFieldKernel& kernel, double zeta,
                        Extractor extractor, std::span<const int> candidates);
 
 Schedule ScheduleLinks(const sinr::LinkSystem& system, double zeta,
@@ -43,9 +45,13 @@ Schedule ScheduleLinks(const sinr::LinkSystem& system, double zeta,
 Schedule ScheduleLinks(const sinr::LinkSystem& system, double zeta,
                        Extractor extractor);
 
-// True iff every slot is feasible under uniform power and the slots
-// partition exactly the given candidate set.
+// True iff every slot is feasible under the kernel's power and the slots
+// partition exactly the given candidate set (the LinkSystem signature uses
+// uniform power; the far-field kernel certifies feasibility).
 bool ValidateSchedule(const sinr::KernelCache& kernel, const Schedule& schedule,
+                      std::span<const int> candidates);
+bool ValidateSchedule(const sinr::FarFieldKernel& kernel,
+                      const Schedule& schedule,
                       std::span<const int> candidates);
 bool ValidateSchedule(const sinr::LinkSystem& system, const Schedule& schedule,
                       std::span<const int> candidates);

@@ -27,10 +27,11 @@
 //     the guard adds at most ~3e-9 * upper of slack on top.
 //
 // Decision contract vs the dense path (what the engine's signature gate
-// relies on):
-//   * epsilon = 0: every query and admission loop below runs the exact
-//     expressions in the dense iteration order -- results are bit-identical
-//     to KernelCache / AffectanceAccumulator / RunAlgorithm1 / ScheduleLinks.
+// relies on; the admission loops of sinr/admission.h run unchanged over
+// either accumulator):
+//   * epsilon = 0: every query below runs the exact expressions in the
+//     dense iteration order -- results are bit-identical to KernelCache /
+//     AffectanceAccumulator, and so are RunAlgorithm1 / ScheduleLinks.
 //   * epsilon > 0: threshold *decisions* (feasibility vs 1, Algorithm 1's
 //     budget vs 0.5, separation) are taken from the certified interval only
 //     when it clears the threshold by an absolute 1e-9 band; inside the band
@@ -53,6 +54,7 @@
 
 #include "geom/grid.h"
 #include "geom/point.h"
+#include "sinr/admission.h"
 #include "sinr/link_system.h"
 
 namespace decaylib::sinr {
@@ -109,18 +111,10 @@ class FarFieldKernel {
   // expression (bit-identical to KernelCache::AffectanceRaw).
   double AffectanceExact(int w, int v) const;
 
-  // Certified interval for a_w(v): Lower <= AffectanceExact(w, v) <= Upper,
-  // with Upper - Lower <= epsilon * Lower (+ ~3e-9 * Upper of fp guard).
-  // Pairs whose pooled cell bound cannot meet the width target collapse to
-  // the exact value (both ends equal).
-  double AffectanceUpper(int w, int v) const;
-  double AffectanceLower(int w, int v) const;
-
   struct Interval {
     double lower = 0.0;
     double upper = 0.0;
   };
-  Interval AffectanceBounds(int w, int v) const;
 
   // Certified interval for the raw in-affectance sum_{w in S} a_w(v)
   // (entries equal to v contribute 0, as in the dense row).  Pools whole
@@ -137,10 +131,6 @@ class FarFieldKernel {
   // interval straddles the 1e-9 threshold band.  epsilon = 0 runs the exact
   // fold unconditionally and is bit-identical to KernelCache::IsFeasible.
   bool IsFeasibleCertified(std::span<const int> S) const;
-
-  // Link ids sorted by non-decreasing f_vv (ties by id), as OrderByDecay on
-  // the dense cache.
-  std::vector<int> OrderByDecay() const;
 
   long long MemoryBytes() const noexcept;
 
@@ -236,8 +226,9 @@ class FarFieldKernel {
   double receiver_near_ = 0.0;
 };
 
-// Running exact affectance sums over a growing admitted set, plus certified
-// candidate checks against the member set pooled by grid cell.  The member
+// Running exact in-affectance sums over a growing admitted set, plus
+// certified candidate checks against the member set pooled by grid cell --
+// the far-field side of the accumulator contract in admission.h.  The member
 // sums accumulate in insertion order with the dense entry expressions, so
 // for members they are bit-identical to AffectanceAccumulator's (a
 // non-member contributes +0.0 at its own Add in the dense version, which
@@ -249,9 +240,9 @@ class FarFieldAccumulator {
   explicit FarFieldAccumulator(const FarFieldKernel& kernel);
 
   // O(|members|) exact updates (one distance + pow per member and
-  // direction).  The caller must have checked kernel.CanOvercomeNoise(v).
+  // direction) in the exact modes; pooled brackets per cell otherwise.  The
+  // caller must have checked kernel.CanOvercomeNoise(v).
   void Add(int v);
-  void Clear();
 
   const std::vector<int>& members() const noexcept { return members_; }
   int size() const noexcept { return static_cast<int>(members_.size()); }
@@ -259,12 +250,9 @@ class FarFieldAccumulator {
     return in_set_[static_cast<std::size_t>(v)] != 0;
   }
 
-  // Member-only sums (DL_CHECKed): clamped and raw, bit-identical to the
-  // dense accumulator's for the same insertion sequence.
+  // Member-only clamped in-sum (DL_CHECKed), bit-identical to the dense
+  // accumulator's for the same insertion sequence.
   double In(int v) const;
-  double InRaw(int v) const;
-  double Out(int v) const;
-  double OutRaw(int v) const;
 
   // Dense AffectanceAccumulator::CanAddFeasibly decisions: candidate raw
   // in-sum vs 1, then every member's headroom vs the candidate's pressure.
@@ -273,8 +261,9 @@ class FarFieldAccumulator {
   // or non-uniform power).
   bool CanAddFeasibly(int v) const;
 
-  // Algorithm 1's admission budget Out(v) + In(v) <= 0.5, certified the
-  // same way (clamped sums pooled per cell with clamp-safe bounds).
+  // Algorithm 1's admission budget a_v(X) + a_X(v) <= 0.5 (the dense
+  // Out(v) + In(v)), certified the same way (clamped sums pooled per cell
+  // with clamp-safe bounds).
   bool BudgetWithinHalf(int v) const;
 
   // Dense SeparationOracle::IsSeparatedFrom(v, members()) decisions: cells
@@ -293,7 +282,7 @@ class FarFieldAccumulator {
   // the new member on Add and lazily from CanAddFeasibly when a member's
   // in-raw sum has outgrown its pass threshold's validity (pass_limit_).
   void RefreshHeadroom(std::size_t i) const;
-  // Extends member w's exact sums over the members appended since the
+  // Extends member w's exact in-sums over the members appended since the
   // last catch-up, replaying the same additions in the same order the
   // dense accumulator performs eagerly -- the folded values are
   // bit-identical.  No-op in the exact (non-pooled) modes, where Add
@@ -303,14 +292,15 @@ class FarFieldAccumulator {
   const FarFieldKernel* kernel_;
   std::vector<int> members_;
   std::vector<char> in_set_;
-  // Member sums, indexed by link id (valid only for members).  In the
-  // pooled mode they are lazily exact: each fold is current only through
-  // the first upto_[w] entries of members_, and CatchUp(w) extends it on
-  // demand (mutable for that reason).  The certified brackets
-  // in_lo_/in_hi_ of the raw in-sum ARE maintained eagerly -- cheaply,
-  // pooled per receiver cell with no libm -- so headroom thresholds and
-  // their staleness triggers never force an exact fold.
-  mutable std::vector<double> in_m_, in_raw_m_, out_m_, out_raw_m_;
+  // Member in-sums (clamped and raw), indexed by link id (valid only for
+  // members).  In the pooled mode they are lazily exact: each fold is
+  // current only through the first upto_[w] entries of members_, and
+  // CatchUp(w) extends it on demand (mutable for that reason).  The
+  // certified brackets in_lo_/in_hi_ of the raw in-sum ARE maintained
+  // eagerly -- cheaply, pooled per receiver cell with no libm -- so
+  // headroom thresholds and their staleness triggers never force an exact
+  // fold.
+  mutable std::vector<double> in_m_, in_raw_m_;
   mutable std::vector<int> upto_;
   mutable std::vector<double> in_lo_, in_hi_;
   // Members grouped by kernel cell, for pooled candidate bounds.
@@ -335,38 +325,49 @@ class FarFieldAccumulator {
   mutable std::vector<char> sep_mark_;
 };
 
-// Far-field ports of the admission pipelines.  Each replicates its dense
-// counterpart's control flow decision for decision; at epsilon = 0 the
-// outputs are bit-identical to the dense functions over the same geometry.
-struct FarFieldAlg1Result {
-  std::vector<int> admitted;  // X: links admitted by the 1/2-budget loop
-  std::vector<int> selected;  // S: admitted links with In(v) <= 1
+// The far-field backend of the admission loops (admission.h).
+template <>
+struct Backend<FarFieldKernel> {
+  using Accumulator = FarFieldAccumulator;
+  class Separation {
+   public:
+    Separation(const FarFieldKernel& /*kernel*/, double eta, double zeta)
+        : eta_(eta), zeta_(zeta) {}
+    bool FromMembers(const Accumulator& acc, int v) const {
+      return acc.IsSeparatedFromMembers(v, eta_, zeta_);
+    }
+
+   private:
+    double eta_;
+    double zeta_;
+  };
 };
 
-// capacity::RunAlgorithm1 (decay-ordered greedy with zeta/2-separation and
-// the 1/2 budget) against the far-field kernel.
-FarFieldAlg1Result FarFieldRunAlgorithm1(const FarFieldKernel& kernel,
-                                         double zeta,
-                                         std::span<const int> candidates);
+inline bool IsFeasibleSet(const FarFieldKernel& kernel,
+                          std::span<const int> S) {
+  return kernel.IsFeasibleCertified(S);
+}
+
+// There is one loop per algorithm (admission.h), run over either backend:
+// capacity::RunAlgorithm1, GreedyFeasible and scheduling::ScheduleLinks /
+// ValidateSchedule have FarFieldKernel overloads, and at epsilon = 0 their
+// outputs are bit-identical to the dense ones over the same geometry.
+// Under kernel_mode=farfield the engine runs algorithm1, greedy and
+// schedule on this kernel; the other task kinds build the dense kernel
+// lazily.  The all-links calls below are shorthands for those loops.
+using FarFieldAlg1Result = AdmissionResult;
+using FarFieldSchedule = SlotSchedule;
+
+// Algorithm 1 over every link.
 FarFieldAlg1Result FarFieldRunAlgorithm1(const FarFieldKernel& kernel,
                                          double zeta);
-
-// capacity::GreedyFeasible: decay-ordered admit-while-feasible.
-std::vector<int> FarFieldGreedyFeasible(const FarFieldKernel& kernel,
-                                        std::span<const int> candidates);
+// Decay-ordered admit-while-feasible over every link.
 std::vector<int> FarFieldGreedyFeasible(const FarFieldKernel& kernel);
-
-// scheduling::ScheduleLinks with the Algorithm 1 extractor.
-struct FarFieldSchedule {
-  std::vector<std::vector<int>> slots;
-};
-FarFieldSchedule FarFieldScheduleLinks(const FarFieldKernel& kernel,
-                                       double zeta,
-                                       std::span<const int> candidates);
+// Every link scheduled by repeated Algorithm 1 extraction.
 FarFieldSchedule FarFieldScheduleLinks(const FarFieldKernel& kernel,
                                        double zeta);
-// Multislot validity: every multi-link slot certified feasible and the slots
-// partition the candidates (multiset equality), as ValidateSchedule.
+// Every multi-link slot certified feasible, and the slots partition the
+// candidates (multiset equality).
 bool FarFieldValidateSchedule(const FarFieldKernel& kernel,
                               const FarFieldSchedule& schedule,
                               std::span<const int> candidates);

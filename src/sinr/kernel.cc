@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "core/check.h"
 #include "obs/registry.h"
@@ -381,12 +380,7 @@ bool KernelCache::IsSeparatedFrom(int v, std::span<const int> L, double eta,
 }
 
 std::vector<int> KernelCache::OrderByDecay() const {
-  std::vector<int> order(static_cast<std::size_t>(n_));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return LinkDecay(a) < LinkDecay(b);
-  });
-  return order;
+  return DecayOrder(*this, AllLinks(*this));
 }
 
 // --- AffectanceAccumulator -------------------------------------------------

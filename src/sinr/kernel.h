@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "core/status.h"
+#include "sinr/admission.h"
 #include "sinr/link_system.h"
 
 namespace decaylib::sinr {
@@ -257,6 +258,9 @@ class AffectanceAccumulator {
   // The caller must have checked kernel.CanOvercomeNoise(v).
   bool CanAddFeasibly(int v) const;
 
+  // Algorithm 1's admission budget a_v(X) + a_X(v) <= 1/2.
+  bool BudgetWithinHalf(int v) const { return Out(v) + In(v) <= 0.5; }
+
  private:
   const KernelCache* kernel_;
   std::vector<int> members_;
@@ -293,6 +297,27 @@ class SeparationOracle {
   double eta_pow_;  // eta^zeta
   static constexpr double kBand = 1e-9;
 };
+
+// The dense backend of the admission loops (admission.h).
+template <>
+struct Backend<KernelCache> {
+  using Accumulator = AffectanceAccumulator;
+  class Separation {
+   public:
+    Separation(const KernelCache& kernel, double eta, double zeta)
+        : oracle_(kernel, eta, zeta) {}
+    bool FromMembers(const Accumulator& acc, int v) const {
+      return oracle_.IsSeparatedFrom(v, acc.members());
+    }
+
+   private:
+    SeparationOracle oracle_;
+  };
+};
+
+inline bool IsFeasibleSet(const KernelCache& kernel, std::span<const int> S) {
+  return kernel.IsFeasible(S);
+}
 
 // Opt-in float32 copy of the dense affectance/distance kernels: half the
 // memory and bandwidth of the double cache for read-heavy consumers that

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "core/check.h"
+#include "sinr/admission.h"
 
 namespace decaylib::sinr {
 
@@ -148,12 +148,7 @@ bool LinkSystem::IsSeparatedSet(std::span<const int> L, double eta,
 }
 
 std::vector<int> LinkSystem::OrderByDecay() const {
-  std::vector<int> order(static_cast<std::size_t>(NumLinks()));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return LinkDecay(a) < LinkDecay(b);
-  });
-  return order;
+  return DecayOrder(*this, AllLinks(*this));
 }
 
 std::vector<Link> LinksFromPairs(std::span<const std::pair<int, int>> pairs) {
@@ -161,12 +156,6 @@ std::vector<Link> LinksFromPairs(std::span<const std::pair<int, int>> pairs) {
   links.reserve(pairs.size());
   for (const auto& [s, r] : pairs) links.push_back({s, r});
   return links;
-}
-
-std::vector<int> AllLinks(const LinkSystem& system) {
-  std::vector<int> ids(static_cast<std::size_t>(system.NumLinks()));
-  std::iota(ids.begin(), ids.end(), 0);
-  return ids;
 }
 
 }  // namespace decaylib::sinr

@@ -23,6 +23,7 @@
 // the partition lemmas.
 #pragma once
 
+#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -140,7 +141,12 @@ class LinkSystem {
   SinrConfig config_;
 };
 
-// All link ids of a system: {0, 1, ..., n-1}.
-std::vector<int> AllLinks(const LinkSystem& system);
+// All link ids of a system or kernel: {0, 1, ..., NumLinks() - 1}.
+template <class Links>
+std::vector<int> AllLinks(const Links& links) {
+  std::vector<int> ids(static_cast<std::size_t>(links.NumLinks()));
+  std::iota(ids.begin(), ids.end(), 0);
+  return ids;
+}
 
 }  // namespace decaylib::sinr

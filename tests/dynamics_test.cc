@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "core/decay_space.h"
+#include "death_test_util.h"
 #include "geom/point.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
@@ -153,6 +154,7 @@ TEST(QueueSystemTest, BacklogGrowthNeutralOnShortRuns) {
 // Out-of-range arrival rates must be rejected, not silently clamped inside
 // Rng::Chance (which would distort the Bernoulli process).
 TEST(QueueSystemDeathTest, ArrivalRatesOutsideUnitIntervalRejected) {
+  SKIP_IF_DL_CHECK_OFF();
   const SparseFixture fixture(3);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
   QueueConfig config;

@@ -2,13 +2,15 @@
 //
 // Three contracts under test:
 //  * the certificate itself -- for every queried in-affectance sum,
-//    AffectanceLower <= exact <= AffectanceUpper with relative width at
-//    most epsilon (plus the documented ~3e-9 fp guard), across topologies,
-//    seeds, decay exponents and subset shapes;
+//    CertifiedInAffectance's lower <= exact <= upper with relative width
+//    at most epsilon (plus the documented ~3e-9 fp guard), across
+//    topologies, seeds, decay exponents and subset shapes;
 //  * exactness anchoring -- the far-field exact expressions are
 //    bit-identical to the dense KernelCache entries over the same
-//    geometry (EXPECT_EQ on doubles, not EXPECT_NEAR), and at epsilon = 0
-//    every far-field pipeline reproduces its dense counterpart verbatim;
+//    geometry (EXPECT_EQ on doubles, not EXPECT_NEAR), and every admission
+//    loop run on the far-field kernel reproduces its dense run verbatim --
+//    at epsilon = 0, and at epsilon > 0 even on inputs built to drive the
+//    refinement, exact-fallback and separation knife-edge paths;
 //  * engine integration -- kernel_mode = kFarField at epsilon = 0 yields
 //    the dense batch signature bit-for-bit, and ValidateScenarioSpec
 //    rejects far-field specs whose decay is not a pure distance function.
@@ -16,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +31,9 @@
 #include "engine/batch_runner.h"
 #include "engine/scenario.h"
 #include "geom/rng.h"
+#include "obs/registry.h"
 #include "scheduling/scheduler.h"
+#include "sinr/admission.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
 
@@ -165,7 +171,7 @@ TEST(FarFieldPipelineTest, EpsilonZeroBitIdenticalToDense) {
                    " alpha=" + std::to_string(alpha));
 
       const std::vector<int> all = AllLinks(n);
-      EXPECT_EQ(FarFieldGreedyFeasible(ff, all),
+      EXPECT_EQ(capacity::GreedyFeasible(ff, all),
                 capacity::GreedyFeasible(dense, all));
 
       const double zeta = 3.0;
@@ -180,6 +186,12 @@ TEST(FarFieldPipelineTest, EpsilonZeroBitIdenticalToDense) {
       const FarFieldSchedule ff_sched = FarFieldScheduleLinks(ff, zeta);
       EXPECT_EQ(ff_sched.slots, dense_sched.slots);
       EXPECT_TRUE(FarFieldValidateSchedule(ff, ff_sched, all));
+      EXPECT_EQ(scheduling::ScheduleLinks(
+                    ff, zeta, scheduling::Extractor::kGreedyFeasible, all)
+                    .slots,
+                scheduling::ScheduleLinks(
+                    dense, zeta, scheduling::Extractor::kGreedyFeasible, all)
+                    .slots);
     }
   }
 }
@@ -201,7 +213,7 @@ TEST(FarFieldPipelineTest, CertifiedDecisionsMatchDenseAtPositiveEpsilon) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
 
     const std::vector<int> all = AllLinks(n);
-    EXPECT_EQ(FarFieldGreedyFeasible(ff, all),
+    EXPECT_EQ(capacity::GreedyFeasible(ff, all),
               capacity::GreedyFeasible(dense, all));
     const FarFieldAlg1Result ff_alg1 = FarFieldRunAlgorithm1(ff, 3.0);
     const capacity::Algorithm1Result alg1 = capacity::RunAlgorithm1(dense, 3.0);
@@ -213,6 +225,165 @@ TEST(FarFieldPipelineTest, CertifiedDecisionsMatchDenseAtPositiveEpsilon) {
       const std::vector<int> S = RandomSubset(n, 0.4, sets);
       EXPECT_EQ(ff.IsFeasibleCertified(S), dense.IsFeasible(S));
     }
+  }
+}
+
+// The certified paths a random instance never reaches: adaptive refinement,
+// the exact fallbacks inside the 1e-9 decision band, and the separation
+// knife edge.  Each input is built to land on its path, the path is shown
+// to fire (counter delta or an on-the-edge precondition), and the far-field
+// run must still equal the dense run.
+class FarFieldFallbackTest : public ::testing::Test {
+ protected:
+  void SetUp() override { obs::SetEnabled(true); }
+  void TearDown() override { obs::SetEnabled(false); }
+
+  static long long Count(const char* name) {
+    return obs::Registry::Global().GetCounter(name).value();
+  }
+};
+
+TEST_F(FarFieldFallbackTest, ThresholdSetsFallBackToExactAndMatchDense) {
+  // Noise 0 makes every affectance beta * f_vv / f_wv, so rescaling beta
+  // moves a set's in-affectance (or a budget) onto its threshold within a
+  // few ulps -- deep inside the 1e-9 band where only the exact fold decides.
+  geom::Rng rng(61);
+  const int n = 48;
+  const double alpha = 3.0;
+  const Deployment dep = MakeDeployment(n, 28.0, false, rng);
+  const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, alpha);
+  const LinkSystem unit(space, dep.links, {1.0, 0.0});
+  const KernelCache unit_dense(unit, UniformPower(unit));
+  const std::vector<int> all = AllLinks(n);
+  const auto run_at = [&](double beta, const auto& check) {
+    const SinrConfig config{beta, 0.0};
+    const LinkSystem system(space, dep.links, config);
+    const KernelCache dense(system, UniformPower(system));
+    const FarFieldKernel ff(dep.points, dep.links, alpha, config,
+                            UniformPower(system), {1e-3, 4});
+    check(dense, ff);
+  };
+  const char* kFallbacks = "sinr.farfield_exact_fallbacks";
+
+  // A feasible set, its most affected member last: at beta = 1 / (that
+  // member's in-affectance) the set sits on the feasibility threshold.
+  std::vector<int> T = capacity::GreedyFeasible(unit_dense, all);
+  ASSERT_GE(T.size(), 3u);
+  const auto in_sum = [&](int v) {
+    double total = 0.0;
+    for (int w : T) total += unit_dense.AffectanceRaw(w, v);
+    return total;
+  };
+  std::iter_swap(std::max_element(T.begin(), T.end(),
+                                  [&](int a, int b) {
+                                    return in_sum(a) < in_sum(b);
+                                  }),
+                 T.end() - 1);
+  run_at(1.0 / in_sum(T.back()),
+         [&](const KernelCache& dense, const FarFieldKernel& ff) {
+           long long before = Count(kFallbacks);
+           EXPECT_EQ(ff.IsFeasibleCertified(T), dense.IsFeasible(T));
+           EXPECT_GT(Count(kFallbacks) - before, 0);
+           // The last candidate's in-sum from the rest is the same value.
+           before = Count(kFallbacks);
+           EXPECT_EQ(AdmitWhileFeasible(ff, T), AdmitWhileFeasible(dense, T));
+           EXPECT_GT(Count(kFallbacks) - before, 0);
+         });
+
+  // The half-budget loop's admitted set in admission order; at
+  // beta = 0.5 / (largest budget any member met), that member's budget sits
+  // on the 1/2 threshold.
+  const std::vector<int> X =
+      HalfBudgetAdmission(unit_dense, DecayOrder(unit_dense, all),
+                          std::nullopt)
+          .admitted;
+  ASSERT_GE(X.size(), 3u);
+  double max_budget = 0.0;
+  for (std::size_t i = 0; i < X.size(); ++i) {
+    double out = 0.0;
+    double in = 0.0;
+    for (std::size_t j = 0; j < i; ++j) {
+      out += unit_dense.Affectance(X[i], X[j]);
+      in += unit_dense.Affectance(X[j], X[i]);
+    }
+    max_budget = std::max(max_budget, out + in);
+  }
+  run_at(0.5 / max_budget,
+         [&](const KernelCache& dense, const FarFieldKernel& ff) {
+           const long long before = Count(kFallbacks);
+           const AdmissionResult far = HalfBudgetAdmission(ff, X, std::nullopt);
+           EXPECT_GT(Count(kFallbacks) - before, 0);
+           const AdmissionResult near =
+               HalfBudgetAdmission(dense, X, std::nullopt);
+           EXPECT_EQ(far.admitted, near.admitted);
+           EXPECT_EQ(far.selected, near.selected);
+         });
+}
+
+TEST_F(FarFieldFallbackTest, TinyEpsilonRefinesPooledCellsAndMatchesDense) {
+  // One link per grid cell over a wide box leaves most sender cells beyond
+  // the exact near ring; an epsilon below the fp guard's own width forces
+  // CertifiedInAffectance to refine every pooled cell.
+  geom::Rng rng(71);
+  const int n = 200;
+  const double alpha = 3.0;
+  const Deployment dep = MakeDeployment(n, 60.0, false, rng);
+  const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, alpha);
+  const SinrConfig config{1.0, 0.0};
+  const LinkSystem system(space, dep.links, config);
+  const KernelCache dense(system, UniformPower(system));
+  const FarFieldKernel ff(dep.points, dep.links, alpha, config,
+                          UniformPower(system), {1e-12, 1});
+  const std::vector<int> all = AllLinks(n);
+
+  const scheduling::Schedule dense_sched = scheduling::ScheduleLinks(
+      dense, 3.0, scheduling::Extractor::kAlgorithm1, all);
+  const scheduling::Schedule ff_sched = scheduling::ScheduleLinks(
+      ff, 3.0, scheduling::Extractor::kAlgorithm1, all);
+  EXPECT_EQ(ff_sched.slots, dense_sched.slots);
+  const long long before = Count("sinr.farfield_refined_cells");
+  EXPECT_TRUE(scheduling::ValidateSchedule(ff, ff_sched, all));
+  EXPECT_GT(Count("sinr.farfield_refined_cells") - before, 0);
+}
+
+TEST_F(FarFieldFallbackTest, SeparationKnifeEdgeMatchesDense) {
+  // Two parallel unit links 3 apart: m = MinPairDecay(v, w) = 27 and
+  // f_vv = 1.  Solving (zeta/2)^zeta = m / f_vv (1 -/+ 1e-11) puts the
+  // pair just on either side of the zeta/2-separation threshold, inside
+  // both backends' 1e-9 guard bands, where the decision is the exact pow
+  // comparison.
+  const std::vector<geom::Vec2> points{{0, 0}, {1, 0}, {0, 3}, {1, 3}};
+  const std::vector<Link> links{{0, 1}, {2, 3}};
+  const double alpha = 3.0;
+  const core::DecaySpace space = core::DecaySpace::Geometric(points, alpha);
+  const SinrConfig config{1.0, 0.0};
+  const LinkSystem system(space, links, config);
+  const KernelCache dense(system, UniformPower(system));
+  const FarFieldKernel ff(points, links, alpha, config, UniformPower(system),
+                          {1e-3, 4});
+  const int w = 0;
+  const int v = 1;
+  const std::vector<int> order{w, v};
+  const double ratio = dense.MinPairDecay(v, w) / dense.LinkDecay(v);
+  const auto zeta_for = [](double target) {
+    double lo = 2.0;  // (zeta/2)^zeta increases from 1 here
+    double hi = 64.0;
+    for (int i = 0; i < 200; ++i) {
+      const double mid = 0.5 * (lo + hi);
+      (std::pow(mid / 2.0, mid) < target ? lo : hi) = mid;
+    }
+    return lo;
+  };
+  for (const bool separated : {true, false}) {
+    const double zeta =
+        zeta_for(ratio * (separated ? 1.0 - 1e-11 : 1.0 + 1e-11));
+    SCOPED_TRACE("separated=" + std::to_string(separated));
+    const double edge = std::pow(zeta / 2.0, zeta) / ratio;
+    ASSERT_LT(std::abs(edge - 1.0), 1e-9);  // inside the guard band
+    const AdmissionResult far = HalfBudgetAdmission(ff, order, zeta);
+    const AdmissionResult near = HalfBudgetAdmission(dense, order, zeta);
+    EXPECT_EQ(far.admitted, near.admitted);
+    EXPECT_EQ(far.admitted.size(), separated ? 2u : 1u);
   }
 }
 
@@ -229,7 +400,7 @@ TEST(FarFieldPipelineTest, NonUniformPowerFallsBackToExactPaths) {
                           {1e-3, 4});
   EXPECT_FALSE(ff.HasUniformPower());
   const std::vector<int> all = AllLinks(n);
-  EXPECT_EQ(FarFieldGreedyFeasible(ff, all),
+  EXPECT_EQ(capacity::GreedyFeasible(ff, all),
             capacity::GreedyFeasible(dense, all));
   for (int v = 0; v < n; ++v) {
     for (int w = 0; w < n; ++w) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/status.h"
+#include "death_test_util.h"
 #include "engine/batch_runner.h"
 #include "engine/report.h"
 #include "sweep/checkpoint.h"
@@ -309,6 +310,7 @@ TEST(FaultToleranceTest, AggregateHealthFlagsNonFinitePopulatedMetrics) {
 // Contract violations stay aborts: the recoverable layer must not soften
 // programmer errors into per-cell failures.
 TEST(FaultToleranceDeathTest, ProgrammerErrorsStillAbort) {
+  SKIP_IF_DL_CHECK_OFF();
   // ExpandGrid requires a validated spec; an unknown axis field is API
   // misuse at that layer (ValidateSweepSpec is the input gate).
   SweepSpec bogus = TinyGrid();

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/decay_space.h"
 #include "core/metricity.h"
 #include "geom/rng.h"
+#include "sinr/farfield.h"
 #include "sinr/power.h"
 
 namespace decaylib::scheduling {
@@ -42,6 +44,45 @@ TEST_P(SchedulerTest, ValidCompleteSchedule) {
   EXPECT_TRUE(ValidateSchedule(system, schedule, all));
   EXPECT_GE(schedule.Length(), 1);
   EXPECT_LE(schedule.Length(), system.NumLinks());
+}
+
+TEST_P(SchedulerTest, NoiseBoundLinkGetsAFallbackSlotOnBothBackends) {
+  // Ten short links plus one 40 long that cannot overcome the noise: no
+  // extraction ever admits it, so once it is the last link left the
+  // extractor comes back empty and the fallback gives it a slot alone.
+  geom::Rng rng(6);
+  std::vector<geom::Vec2> pts;
+  std::vector<sinr::Link> links;
+  for (int i = 0; i < 10; ++i) {
+    const geom::Vec2 s{rng.Uniform(0.0, 12.0), rng.Uniform(0.0, 12.0)};
+    pts.push_back(s);
+    pts.push_back(s + geom::Vec2{rng.Uniform(0.5, 1.5), 0.0}.Rotated(
+                          rng.Uniform(0.0, 2.0 * M_PI)));
+    links.push_back({2 * i, 2 * i + 1});
+  }
+  pts.push_back({0.0, 0.0});
+  pts.push_back({40.0, 0.0});
+  links.push_back({20, 21});
+  const int lone = 10;
+  const double alpha = 3.0;
+  const core::DecaySpace space = core::DecaySpace::Geometric(pts, alpha);
+  const sinr::SinrConfig config{1.0, 1e-3};
+  const sinr::LinkSystem system(space, links, config);
+  const sinr::KernelCache dense(system, sinr::UniformPower(system));
+  const sinr::FarFieldKernel ff(pts, links, alpha, config,
+                                sinr::UniformPower(system), {1e-3, 4});
+  ASSERT_FALSE(dense.CanOvercomeNoise(lone));
+  const auto all = sinr::AllLinks(system);
+
+  const Schedule dense_schedule = ScheduleLinks(dense, 3.0, GetParam(), all);
+  const Schedule ff_schedule = ScheduleLinks(ff, 3.0, GetParam(), all);
+  EXPECT_EQ(ff_schedule.slots, dense_schedule.slots);
+  EXPECT_TRUE(ValidateSchedule(dense, dense_schedule, all));
+  EXPECT_TRUE(ValidateSchedule(ff, ff_schedule, all));
+  const std::vector<int> alone{lone};
+  EXPECT_NE(std::find(dense_schedule.slots.begin(),
+                      dense_schedule.slots.end(), alone),
+            dense_schedule.slots.end());
 }
 
 INSTANTIATE_TEST_SUITE_P(Extractors, SchedulerTest,

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "death_test_util.h"
 #include "io/json.h"
 
 namespace decaylib {
@@ -88,6 +89,7 @@ TEST(StatusOrTest, ArrowAndMutableAccess) {
 }
 
 TEST(StatusOrDeathTest, ValueOnFailureIsProgrammerError) {
+  SKIP_IF_DL_CHECK_OFF();
   const core::StatusOr<int> failed = core::Status::IoError("gone");
   EXPECT_DEATH((void)failed.value(), "failed result");
 }
@@ -170,6 +172,7 @@ TEST(JsonTest, DumpParseRoundTripIsExact) {
 }
 
 TEST(JsonDeathTest, NonFiniteNumbersAreProgrammerError) {
+  SKIP_IF_DL_CHECK_OFF();
   io::Json v = io::Json::Number(std::numeric_limits<double>::infinity());
   EXPECT_DEATH((void)v.Dump(), "finite");
 }

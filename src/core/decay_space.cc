@@ -3,10 +3,43 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/check.h"
+#include "obs/registry.h"
 
 namespace decaylib::core {
+
+namespace {
+
+// Fills of lazy geometric spaces, process-wide (docs/observability.md).
+obs::Counter& FillCounter() {
+  static obs::Counter& counter =
+      obs::Registry::Global().GetCounter("core.decay_space_fills");
+  return counter;
+}
+
+// True iff some pair fails Distance > 0: two equal points, or a NaN
+// coordinate (every distance to it is NaN).  Sorting a copy makes this
+// O(n log n) instead of the O(n^2) pair scan.
+bool HasCoincidentPoints(std::span<const geom::Vec2> points) {
+  for (const geom::Vec2 p : points) {
+    if (std::isnan(p.x) || std::isnan(p.y)) return true;
+  }
+  std::vector<geom::Vec2> sorted(points.begin(), points.end());
+  const auto less = [](geom::Vec2 a, geom::Vec2 b) {
+    return a.x < b.x || (a.x == b.x && a.y < b.y);
+  };
+  std::sort(sorted.begin(), sorted.end(), less);
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i - 1].x == sorted[i].x && sorted[i - 1].y == sorted[i].y) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 DecaySpace::DecaySpace(int n, double fill) : n_(n) {
   DL_CHECK(n >= 1, "decay space needs at least one node");
@@ -33,23 +66,92 @@ DecaySpace DecaySpace::FromMatrix(const std::vector<std::vector<double>>& m) {
   return space;
 }
 
+DecaySpace::DecaySpace(const DecaySpace& other)
+    : n_(other.n_), points_(other.points_), alpha_(other.alpha_) {
+  // The source may be filling concurrently: its matrix is only read once
+  // its flag says the fill is complete, otherwise this copy stays lazy.
+  const bool filled = other.filled_.load();
+  if (filled) f_ = other.f_;
+  filled_.store(filled);
+}
+
+DecaySpace::DecaySpace(DecaySpace&& other) noexcept
+    : n_(other.n_),
+      points_(std::move(other.points_)),
+      alpha_(other.alpha_),
+      f_(std::move(other.f_)) {
+  filled_.store(other.filled_.load());
+}
+
+DecaySpace& DecaySpace::operator=(const DecaySpace& other) {
+  if (this != &other) *this = DecaySpace(other);
+  return *this;
+}
+
+DecaySpace& DecaySpace::operator=(DecaySpace&& other) noexcept {
+  n_ = other.n_;
+  points_ = std::move(other.points_);
+  alpha_ = other.alpha_;
+  f_ = std::move(other.f_);
+  filled_.store(other.filled_.load());
+  return *this;
+}
+
 DecaySpace DecaySpace::Geometric(std::span<const geom::Vec2> points,
                                  double alpha) {
   const int n = static_cast<int>(points.size());
   DL_CHECK(n >= 1, "no points");
   DL_CHECK(alpha > 0.0, "path loss exponent must be positive");
-  DecaySpace space(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const geom::Vec2 pi = points[static_cast<std::size_t>(i)];
-      const geom::Vec2 pj = points[static_cast<std::size_t>(j)];
-      DL_CHECK(geom::Distance(pi, pj) > 0.0,
-               "coincident points make an invalid decay space");
-      space.Set(i, j, geom::GeometricDecay(pi, pj, alpha));
+  DL_CHECK(!HasCoincidentPoints(points),
+           "coincident points make an invalid decay space");
+  return DecaySpace(std::vector<geom::Vec2>(points.begin(), points.end()),
+                    alpha);
+}
+
+DecaySpace::DecaySpace(std::vector<geom::Vec2> points, double alpha)
+    : n_(static_cast<int>(points.size())),
+      points_(std::move(points)),
+      alpha_(alpha),
+      filled_(false) {}
+
+void DecaySpace::Materialize() const { (void)Matrix(); }
+
+void DecaySpace::Fill() const {
+  const std::lock_guard<std::mutex> lock(fill_mutex_);
+  if (filled_.load()) return;
+  const std::size_t n = static_cast<std::size_t>(n_);
+  std::vector<double> f(n * n, 0.0);
+  // One GeometricDecay per unordered pair, mirrored: Distance is
+  // hypot(a - b), b - a is exactly -(a - b) and hypot ignores sign, so
+  // f(j, i) has the same bits as f(i, j).  Square tiles keep the mirrored
+  // (column) writes cache-resident.
+  constexpr std::size_t kTile = 64;
+  for (std::size_t i0 = 0; i0 < n; i0 += kTile) {
+    const std::size_t i1 = std::min(i0 + kTile, n);
+    for (std::size_t j0 = i0; j0 < n; j0 += kTile) {
+      const std::size_t j1 = std::min(j0 + kTile, n);
+      for (std::size_t i = i0; i < i1; ++i) {
+        const geom::Vec2 pi = points_[i];
+        for (std::size_t j = std::max(j0, i + 1); j < j1; ++j) {
+          const double v = geom::GeometricDecay(pi, points_[j], alpha_);
+          DL_CHECK(v > 0.0, "decay between distinct nodes must be positive");
+          f[i * n + j] = v;
+          f[j * n + i] = v;
+        }
+      }
     }
   }
-  return space;
+  f_ = std::move(f);
+  filled_.store(true);
+  FillCounter().Add();
+}
+
+long long DecaySpace::MemoryBytes() const noexcept {
+  std::size_t bytes = points_.capacity() * sizeof(geom::Vec2);
+  if (filled_.load()) {
+    bytes += f_.capacity() * sizeof(double);
+  }
+  return static_cast<long long>(bytes);
 }
 
 DecaySpace DecaySpace::FromDistancePower(
@@ -75,6 +177,7 @@ void DecaySpace::Set(int p, int q, double value) {
   DL_CHECK(p >= 0 && p < n_ && q >= 0 && q < n_, "node id out of range");
   DL_CHECK(p != q, "diagonal decays are fixed at 0");
   DL_CHECK(value > 0.0, "decay between distinct nodes must be positive");
+  Materialize();
   f_[static_cast<std::size_t>(p) * static_cast<std::size_t>(n_) +
      static_cast<std::size_t>(q)] = value;
 }
@@ -84,7 +187,7 @@ void DecaySpace::SetSymmetric(int p, int q, double value) {
   Set(q, p, value);
 }
 
-bool DecaySpace::IsSymmetric(double tol) const noexcept {
+bool DecaySpace::IsSymmetric(double tol) const {
   for (int i = 0; i < n_; ++i) {
     for (int j = i + 1; j < n_; ++j) {
       const double a = (*this)(i, j);
@@ -95,7 +198,7 @@ bool DecaySpace::IsSymmetric(double tol) const noexcept {
   return true;
 }
 
-double DecaySpace::MinDecay() const noexcept {
+double DecaySpace::MinDecay() const {
   double best = std::numeric_limits<double>::infinity();
   for (int i = 0; i < n_; ++i) {
     for (int j = 0; j < n_; ++j) {
@@ -105,7 +208,7 @@ double DecaySpace::MinDecay() const noexcept {
   return best;
 }
 
-double DecaySpace::MaxDecay() const noexcept {
+double DecaySpace::MaxDecay() const {
   double best = 0.0;
   for (int i = 0; i < n_; ++i) {
     for (int j = 0; j < n_; ++j) {
@@ -115,7 +218,7 @@ double DecaySpace::MaxDecay() const noexcept {
   return best;
 }
 
-double DecaySpace::DecaySpread() const noexcept {
+double DecaySpace::DecaySpread() const {
   return MaxDecay() / MinDecay();
 }
 
@@ -198,7 +301,7 @@ QuasiMetric::QuasiMetric(const DecaySpace& space, double zeta)
   DL_CHECK(zeta > 0.0, "zeta must be positive");
 }
 
-double QuasiMetric::operator()(int p, int q) const noexcept {
+double QuasiMetric::operator()(int p, int q) const {
   if (p == q) return 0.0;
   return std::pow((*space_)(p, q), 1.0 / zeta_);
 }
@@ -219,7 +322,7 @@ std::vector<std::vector<double>> QuasiMetric::Matrix() const {
   return d;
 }
 
-double QuasiMetric::MaxTriangleViolation() const noexcept {
+double QuasiMetric::MaxTriangleViolation() const {
   const int n = size();
   double worst = 0.0;
   for (int x = 0; x < n; ++x) {

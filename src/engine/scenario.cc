@@ -129,9 +129,11 @@ TopologyGenerator FindTopology(const std::string& name) {
 
 // Orientation shared by both pairing paths: along the weaker-decay
 // direction (ties keep the lower id as sender), so the link's own decay
-// f_vv is the pair's best case.
-sinr::Link OrientPair(const core::DecaySpace& space, int i, int j) {
-  if (space(i, j) <= space(j, i)) return {i, j};
+// f_vv is the pair's best case.  `decay(p, q)` is f(p, q): the space itself
+// on the sort path, the points' GeometricDecay on the grid path.
+template <typename Decay>
+sinr::Link OrientPair(const Decay& decay, int i, int j) {
+  if (decay(i, j) <= decay(j, i)) return {i, j};
   return {j, i};
 }
 
@@ -289,13 +291,16 @@ std::vector<sinr::Link> PairLinksByDecay(const core::DecaySpace& space) {
 }
 
 std::vector<sinr::Link> PairLinksByDecayGrid(
-    const core::DecaySpace& space, std::span<const geom::Vec2> points,
-    double alpha) {
-  const int n = space.size();
+    std::span<const geom::Vec2> points, double alpha) {
+  const int n = static_cast<int>(points.size());
   DL_CHECK(n >= 2 && n % 2 == 0, "pairing needs an even number of nodes");
-  DL_CHECK(static_cast<int>(points.size()) == n,
-           "grid pairing needs one point per node");
   DL_CHECK(alpha > 0.0, "grid pairing needs a positive decay exponent");
+  // DecaySpace::Geometric(points, alpha)'s entries, computed on demand, so
+  // pairing never fills the space's matrix.
+  const auto decay = [&](int p, int q) {
+    return geom::GeometricDecay(points[static_cast<std::size_t>(p)],
+                                points[static_cast<std::size_t>(q)], alpha);
+  };
 
   std::vector<int> alive(static_cast<std::size_t>(n));
   std::iota(alive.begin(), alive.end(), 0);
@@ -312,7 +317,7 @@ std::vector<sinr::Link> PairLinksByDecayGrid(
 
     // Phase 1: every alive node's best alive partner under the greedy's
     // strict total order on pairs, (weight, lo id, hi id).  Weights are the
-    // decay-matrix entries themselves; the expanding ring search stops once
+    // decay-matrix entries' values; the expanding ring search stops once
     // the ring's distance bound proves -- via pow's weak monotonicity --
     // that no unvisited candidate can match the incumbent's weight, so ties
     // at equal weight (however the ids fall) are always still in play.
@@ -331,7 +336,7 @@ std::vector<sinr::Link> PairLinksByDecayGrid(
         }
         const bool any_cell = grid.VisitRing(p, ring, [&](int j) {
           if (j == i) return;
-          const double w = std::min(space(i, j), space(j, i));
+          const double w = std::min(decay(i, j), decay(j, i));
           if (best_j < 0 || w < best_w) {
             best_w = w;
             best_j = j;
@@ -353,7 +358,7 @@ std::vector<sinr::Link> PairLinksByDecayGrid(
     for (const int i : alive) {
       const int j = best[static_cast<std::size_t>(i)];
       if (j > i && best[static_cast<std::size_t>(j)] == i) {
-        matched.emplace_back(std::min(space(i, j), space(j, i)), i, j);
+        matched.emplace_back(std::min(decay(i, j), decay(j, i)), i, j);
         used[static_cast<std::size_t>(i)] = 1;
         used[static_cast<std::size_t>(j)] = 1;
       }
@@ -365,7 +370,9 @@ std::vector<sinr::Link> PairLinksByDecayGrid(
   std::sort(matched.begin(), matched.end());
   std::vector<sinr::Link> links;
   links.reserve(matched.size());
-  for (const auto& [w, i, j] : matched) links.push_back(OrientPair(space, i, j));
+  for (const auto& [w, i, j] : matched) {
+    links.push_back(OrientPair(decay, i, j));
+  }
   return links;
 }
 
@@ -398,6 +405,10 @@ ScenarioGeometry BuildGeometry(const ScenarioSpec& spec, int index,
   geometry.space = std::make_shared<const core::DecaySpace>(
       std::move(sampled.space));
   geometry.points = std::move(sampled.points);
+  // Dense specs pay the O(n^2) matrix here, as they always have.  A
+  // far-field spec's tasks read the points, so its (lazy, geometric) space
+  // fills only if something reads an entry (DecaySpace header comment).
+  if (spec.kernel_mode != KernelMode::kFarField) geometry.space->Materialize();
 
   // Grid/MNN pairing requires decay to be a monotone function of point
   // distance, which shadowing destroys (the matrix is then arbitrary even
@@ -406,7 +417,7 @@ ScenarioGeometry BuildGeometry(const ScenarioSpec& spec, int index,
       !geometry.points.empty() && spec.sigma_db == 0.0;
   geometry.links =
       (pairing == PairingMode::kAuto && monotone_geometry)
-          ? PairLinksByDecayGrid(*geometry.space, geometry.points, spec.alpha)
+          ? PairLinksByDecayGrid(geometry.points, spec.alpha)
           : PairLinksByDecay(*geometry.space);
   return geometry;
 }

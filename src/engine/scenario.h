@@ -89,7 +89,10 @@ struct DynamicsSpec {
 //     are bit-identical to dense.  Requires a coordinate-backed,
 //     shadowing-free spec with uniform base power (sigma_db == 0,
 //     power_tau == 0; ValidateScenarioSpec rejects the rest).  Tasks
-//     without a far-field path still build the dense kernel lazily.
+//     without a far-field path still build the dense kernel lazily, and
+//     the geometry's decay matrix is filled only when something reads it
+//     (BuildGeometry), so an instance whose tasks all run far-field stays
+//     O(n) end to end.
 enum class KernelMode { kDense, kFarField };
 
 // Stable name of a kernel mode ("dense" / "farfield"), and its inverse for
@@ -228,6 +231,12 @@ core::Status ValidateScenarioSpec(const ScenarioSpec& spec);
 // Samples the geometry of instance `index`: decay space (+ points), link
 // pairing.  Deterministic in (GeometryKeyOf(spec), index, pairing is
 // result-invisible).  Does NOT measure metricity; see EnsureMeasuredZeta.
+// The space's matrix is filled here unless spec.kernel_mode is kFarField;
+// then a geometric space stays lazy (points only) until its first entry
+// read -- measured zeta, sort pairing, noise rescaling, a dense kernel or
+// an exact re-check -- which fills it once, whoever reads it.  The spec's
+// kernel_mode is not part of GeometryKey: the entries are the same either
+// way.
 ScenarioGeometry BuildGeometry(const ScenarioSpec& spec, int index,
                                PairingMode pairing = PairingMode::kAuto);
 
@@ -262,13 +271,14 @@ std::vector<sinr::Link> PairLinksByDecay(const core::DecaySpace& space);
 // best under the strict total order (weight, lo id, hi id) is matched by
 // the sorted greedy before anything else touches its endpoints, so matching
 // all mutual-best pairs and recursing on the remainder reproduces the
-// greedy matching exactly; candidate weights are read from the decay
-// matrix itself and the grid only *prunes* via pow's weak monotonicity
-// (decay >= pow(ring distance bound, alpha)).  Requires space ==
-// DecaySpace::Geometric(points, alpha) -- i.e. symmetric, shadowing-free
-// decays; BuildGeometry dispatches here exactly when that holds.
-std::vector<sinr::Link> PairLinksByDecayGrid(const core::DecaySpace& space,
-                                             std::span<const geom::Vec2> points,
+// greedy matching exactly; candidate weights are the decay-matrix entries
+// geom::GeometricDecay(points[i], points[j], alpha), computed from the
+// points (so pairing never fills a lazy space), and the grid only *prunes*
+// via pow's weak monotonicity (decay >= pow(ring distance bound, alpha)).
+// Equals PairLinksByDecay(DecaySpace::Geometric(points, alpha)) -- i.e.
+// symmetric, shadowing-free decays; BuildGeometry dispatches here exactly
+// when the space is that.
+std::vector<sinr::Link> PairLinksByDecayGrid(std::span<const geom::Vec2> points,
                                              double alpha);
 
 // Warm geometries, kept per GeometryKey *generation*: within a generation,

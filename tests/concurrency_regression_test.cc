@@ -18,16 +18,24 @@
 //     while siblings keep stealing; the rethrown error must be the lowest
 //     failed index regardless of schedule (thread-count-deterministic
 //     errors are part of the robustness contract).
+//   * core::DecaySpace lazy fill -- N threads make the first entry reads of
+//     one shared, unfilled geometric space; exactly one fill may run and
+//     every reader must see the same, complete matrix.
 #include <barrier>
+#include <cstddef>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/decay_space.h"
 #include "core/status.h"
 #include "engine/batch_runner.h"
 #include "engine/scenario.h"
+#include "geom/point.h"
+#include "geom/rng.h"
 #include "obs/registry.h"
 
 namespace decaylib {
@@ -137,6 +145,63 @@ TEST_F(ConcurrencyRegressionTest, GeometryCacheColdAcquireFillsSlotsRaceFree) {
   for (std::thread& t : pool2) t.join();
   EXPECT_EQ(cache.builds(), kThreads);
   EXPECT_EQ(cache.reuses(), kThreads);
+}
+
+TEST_F(ConcurrencyRegressionTest, LazyDecaySpaceFillsOnceUnderRacingReads) {
+  obs::SetEnabled(true);
+  constexpr int kNodes = 300;
+  constexpr double kAlpha = 3.0;
+  geom::Rng rng(31);
+  std::vector<geom::Vec2> pts;
+  for (int i = 0; i < kNodes; ++i) {
+    pts.push_back({rng.Uniform(-20.0, 20.0), rng.Uniform(-20.0, 20.0)});
+  }
+  obs::Counter& fills =
+      obs::Registry::Global().GetCounter("core.decay_space_fills");
+  const long long fills_before = fills.value();
+
+  const core::DecaySpace space = core::DecaySpace::Geometric(pts, kAlpha);
+  std::barrier gate(kThreads);
+  std::vector<std::vector<double>> seen(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      std::vector<double>& out = seen[static_cast<std::size_t>(t)];
+      gate.arrive_and_wait();
+      // Half the racers enter through operator(), half through Raw(); all
+      // poll MemoryBytes, which must be safe against the concurrent fill.
+      (void)space.MemoryBytes();
+      if (t % 2 == 0) {
+        for (int i = 0; i < kNodes; ++i) {
+          for (int j = 0; j < kNodes; ++j) out.push_back(space(i, j));
+        }
+      } else {
+        const std::span<const double> raw = space.Raw();
+        out.assign(raw.begin(), raw.end());
+      }
+      (void)space.MemoryBytes();
+    });
+  }
+  for (std::thread& t : pool) t.join();
+
+  EXPECT_EQ(fills.value() - fills_before, 1)
+      << "racing first reads must share one fill";
+  ASSERT_EQ(seen[0].size(), static_cast<std::size_t>(kNodes) * kNodes);
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]) << "thread " << t;
+  }
+  for (int i = 0; i < kNodes; ++i) {
+    for (int j = 0; j < kNodes; ++j) {
+      const double expected =
+          i == j ? 0.0
+                 : geom::GeometricDecay(pts[static_cast<std::size_t>(i)],
+                                        pts[static_cast<std::size_t>(j)],
+                                        kAlpha);
+      ASSERT_EQ(seen[0][static_cast<std::size_t>(i) * kNodes +
+                        static_cast<std::size_t>(j)],
+                expected);
+    }
+  }
 }
 
 TEST_F(ConcurrencyRegressionTest, PooledErrorCaptureIsScheduleDeterministic) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/metricity.h"
 #include "geom/point.h"
+#include "geom/rng.h"
 
 namespace decaylib::core {
 namespace {
@@ -109,6 +113,135 @@ TEST(DecaySpaceTest, IsSymmetricWithTolerance) {
   space.Set(1, 0, 1.0 + 1e-12);
   EXPECT_FALSE(space.IsSymmetric(0.0));
   EXPECT_TRUE(space.IsSymmetric(1e-9));
+}
+
+// Lazy geometric spaces: every entry, however it is reached, equals the
+// per-entry oracle below bit for bit.  150 points span three fill tiles;
+// the box straddles the origin so coordinate differences take both signs.
+class LazyGeometricTest : public ::testing::Test {
+ protected:
+  static constexpr int kN = 150;
+  static constexpr double kAlpha = 2.7;
+
+  void SetUp() override {
+    geom::Rng rng(2024);
+    for (int i = 0; i < kN; ++i) {
+      pts_.push_back({rng.Uniform(-40.0, 40.0), rng.Uniform(-40.0, 40.0)});
+    }
+  }
+
+  double Oracle(int p, int q) const {
+    if (p == q) return 0.0;
+    return geom::GeometricDecay(pts_[static_cast<std::size_t>(p)],
+                                pts_[static_cast<std::size_t>(q)], kAlpha);
+  }
+
+  // Exact (EXPECT_EQ) comparison of every entry against `expected`.
+  template <typename Expected>
+  static void ExpectEntries(const DecaySpace& space, int n,
+                            const Expected& expected, const char* what) {
+    ASSERT_EQ(space.size(), n) << what;
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        ASSERT_EQ(space(i, j), expected(i, j))
+            << what << " entry (" << i << ", " << j << ")";
+      }
+    }
+  }
+
+  static constexpr long long kMatrixBytes = 8LL * kN * kN;
+  static constexpr long long kLazyBytesBound = 32LL * kN;  // O(n)
+
+  std::vector<geom::Vec2> pts_;
+};
+
+TEST_F(LazyGeometricTest, EntriesMatchOracleBeforeAndAfterFill) {
+  const auto oracle = [&](int p, int q) { return Oracle(p, q); };
+  const DecaySpace space = DecaySpace::Geometric(pts_, kAlpha);
+  EXPECT_LE(space.MemoryBytes(), kLazyBytesBound);
+  EXPECT_EQ(space.size(), kN);  // size needs no fill
+
+  const DecaySpace lazy_copy = space;  // copied before any fill
+  EXPECT_LE(lazy_copy.MemoryBytes(), kLazyBytesBound);
+
+  // The first read fills; reads after it see the same entries.
+  EXPECT_EQ(space(3, 141), Oracle(3, 141));
+  EXPECT_GE(space.MemoryBytes(), kMatrixBytes);
+  ExpectEntries(space, kN, oracle, "filled");
+  const std::span<const double> raw = space.Raw();
+  ASSERT_EQ(raw.size(), static_cast<std::size_t>(kN) * kN);
+  for (int i = 0; i < kN; ++i) {
+    for (int j = 0; j < kN; ++j) {
+      const std::size_t at = static_cast<std::size_t>(i * kN + j);
+      ASSERT_EQ(raw[at], Oracle(i, j));
+    }
+  }
+  EXPECT_TRUE(space.IsSymmetric());
+
+  // The lazy copy is independent: still points-only until its own read.
+  EXPECT_LE(lazy_copy.MemoryBytes(), kLazyBytesBound);
+  ExpectEntries(lazy_copy, kN, oracle, "lazy copy");
+  EXPECT_GE(lazy_copy.MemoryBytes(), kMatrixBytes);
+
+  const DecaySpace filled_copy = space;  // copied after the fill
+  EXPECT_GE(filled_copy.MemoryBytes(), kMatrixBytes);
+  ExpectEntries(filled_copy, kN, oracle, "filled copy");
+
+  DecaySpace assigned(2);
+  assigned = DecaySpace::Geometric(pts_, kAlpha);  // move-assigned, lazy
+  EXPECT_LE(assigned.MemoryBytes(), kLazyBytesBound);
+  const DecaySpace moved_lazy = std::move(assigned);
+  EXPECT_LE(moved_lazy.MemoryBytes(), kLazyBytesBound);
+  ExpectEntries(moved_lazy, kN, oracle, "moved lazy");
+
+  DecaySpace copy_assigned(2);
+  copy_assigned = filled_copy;
+  const DecaySpace moved_filled = std::move(copy_assigned);
+  ExpectEntries(moved_filled, kN, oracle, "moved filled");
+}
+
+TEST_F(LazyGeometricTest, DerivedSpacesMatchOracle) {
+  // Each derived space starts from a fresh, unfilled source.
+  const DecaySpace scaled = DecaySpace::Geometric(pts_, kAlpha).Scaled(3.5);
+  ExpectEntries(scaled, kN,
+                [&](int p, int q) { return Oracle(p, q) * 3.5; }, "scaled");
+
+  const std::vector<int> nodes{149, 0, 77, 64, 63, 5, 128};
+  const DecaySpace sub = DecaySpace::Geometric(pts_, kAlpha).Subspace(nodes);
+  ExpectEntries(
+      sub, static_cast<int>(nodes.size()),
+      [&](int p, int q) {
+        return Oracle(nodes[static_cast<std::size_t>(p)],
+                      nodes[static_cast<std::size_t>(q)]);
+      },
+      "subspace");
+
+  // Geometric decay is bit-symmetric, so min-symmetrising changes nothing.
+  const DecaySpace sym = DecaySpace::Geometric(pts_, kAlpha).SymmetrizedMin();
+  ExpectEntries(sym, kN, [&](int p, int q) { return Oracle(p, q); },
+                "symmetrized min");
+}
+
+TEST_F(LazyGeometricTest, MaterializeAndSetFillOnce) {
+  DecaySpace space = DecaySpace::Geometric(pts_, kAlpha);
+  space.Materialize();
+  EXPECT_GE(space.MemoryBytes(), kMatrixBytes);
+  space.Materialize();  // no-op
+  ExpectEntries(space, kN, [&](int p, int q) { return Oracle(p, q); },
+                "materialized");
+
+  // Writing into a lazy space fills it first, then overrides one entry.
+  DecaySpace edited = DecaySpace::Geometric(pts_, kAlpha);
+  edited.Set(4, 9, 123.0);
+  ExpectEntries(
+      edited, kN,
+      [&](int p, int q) { return p == 4 && q == 9 ? 123.0 : Oracle(p, q); },
+      "edited");
+}
+
+TEST(DecaySpaceTest, MatrixSpacesReportTheirMatrixBytes) {
+  const DecaySpace space(5);
+  EXPECT_GE(space.MemoryBytes(), 8 * 25);
 }
 
 TEST(QuasiMetricTest, GeometricSpaceRecoversDistances) {

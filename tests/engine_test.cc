@@ -109,8 +109,7 @@ TEST(ScenarioPairingTest, GridPairingEqualsSortGreedyAcrossTopologies) {
         EXPECT_EQ(sorted.links, gridded.links)
             << topology << " links=" << links << " seed=" << seed;
         // The standalone pairing functions agree too (same space/points).
-        EXPECT_EQ(PairLinksByDecayGrid(*sorted.space, sorted.points,
-                                       spec.alpha),
+        EXPECT_EQ(PairLinksByDecayGrid(sorted.points, spec.alpha),
                   PairLinksByDecay(*sorted.space))
             << topology << " links=" << links << " seed=" << seed;
       }

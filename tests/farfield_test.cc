@@ -12,7 +12,8 @@
 //    at epsilon = 0, and at epsilon > 0 even on inputs built to drive the
 //    refinement, exact-fallback and separation knife-edge paths;
 //  * engine integration -- kernel_mode = kFarField at epsilon = 0 yields
-//    the dense batch signature bit-for-bit, and ValidateScenarioSpec
+//    the dense batch signature bit-for-bit, a far-field-only task set
+//    never fills the geometry's decay matrix, and ValidateScenarioSpec
 //    rejects far-field specs whose decay is not a pure distance function.
 #include "sinr/farfield.h"
 
@@ -409,6 +410,13 @@ TEST(FarFieldPipelineTest, NonUniformPowerFallsBackToExactPaths) {
   }
 }
 
+// The tasks that run on the far-field kernel; a batch of only these never
+// needs the dense decay matrix.
+std::vector<engine::TaskKind> FarFieldTasks() {
+  return {engine::TaskKind::kAlgorithm1, engine::TaskKind::kGreedyBaseline,
+          engine::TaskKind::kSchedule};
+}
+
 TEST(FarFieldEngineTest, FarFieldModeAtEpsilonZeroMatchesDenseSignature) {
   engine::ScenarioSpec spec;
   spec.name = "farfield_engine";
@@ -416,7 +424,6 @@ TEST(FarFieldEngineTest, FarFieldModeAtEpsilonZeroMatchesDenseSignature) {
   spec.links = 16;
   spec.instances = 2;
   spec.seed = 777;
-  const engine::BatchRunner runner({.threads = 2});
 
   engine::ScenarioSpec dense_spec = spec;
   dense_spec.kernel_mode = engine::KernelMode::kDense;
@@ -424,12 +431,77 @@ TEST(FarFieldEngineTest, FarFieldModeAtEpsilonZeroMatchesDenseSignature) {
   ff_spec.kernel_mode = engine::KernelMode::kFarField;
   ff_spec.farfield_epsilon = 0.0;
 
-  const std::vector<engine::ScenarioResult> dense =
-      runner.Run(std::vector<engine::ScenarioSpec>{dense_spec});
-  const std::vector<engine::ScenarioResult> farfield =
-      runner.Run(std::vector<engine::ScenarioSpec>{ff_spec});
-  EXPECT_EQ(engine::AggregateSignature(farfield),
-            engine::AggregateSignature(dense));
+  // Every task (the dense-only ones fill the matrix and build the dense
+  // kernel on first use), then the far-field set alone.
+  for (const std::vector<engine::TaskKind>& tasks :
+       {engine::AllTasks(), FarFieldTasks()}) {
+    SCOPED_TRACE("tasks=" + std::to_string(tasks.size()));
+    const engine::BatchRunner dense_runner({.threads = 2, .tasks = tasks});
+    engine::GeometryCache cache;  // keeps the far-field geometries to inspect
+    const engine::BatchRunner ff_runner(
+        {.threads = 2, .tasks = tasks, .geometry = &cache});
+
+    const std::vector<engine::ScenarioResult> dense =
+        dense_runner.Run(std::vector<engine::ScenarioSpec>{dense_spec});
+    const std::vector<engine::ScenarioResult> farfield =
+        ff_runner.Run(std::vector<engine::ScenarioSpec>{ff_spec});
+    EXPECT_EQ(engine::AggregateSignature(farfield),
+              engine::AggregateSignature(dense));
+
+    if (tasks == FarFieldTasks()) {
+      // Nothing read an entry: each space is still its points, O(n).
+      const long long nodes = 2LL * spec.links;
+      cache.Prepare(ff_spec);
+      for (int i = 0; i < spec.instances; ++i) {
+        const engine::ScenarioGeometry& geometry = cache.Acquire(ff_spec, i);
+        EXPECT_LE(geometry.space->MemoryBytes(), 32 * nodes)
+            << "instance " << i;
+      }
+    }
+  }
+}
+
+TEST(FarFieldEngineTest, DenseBatchFillsACachedFarFieldGeometryOnce) {
+  engine::ScenarioSpec spec;
+  spec.name = "farfield_then_dense";
+  spec.topology = "uniform";
+  spec.links = 16;
+  spec.instances = 2;
+  spec.seed = 779;
+  engine::ScenarioSpec ff_spec = spec;
+  ff_spec.kernel_mode = engine::KernelMode::kFarField;
+  ff_spec.farfield_epsilon = 0.0;
+  engine::ScenarioSpec dense_spec = spec;
+  dense_spec.kernel_mode = engine::KernelMode::kDense;
+  ASSERT_TRUE(engine::GeometryKeyOf(ff_spec) ==
+              engine::GeometryKeyOf(dense_spec));
+
+  obs::SetEnabled(true);
+  obs::Counter& fills =
+      obs::Registry::Global().GetCounter("core.decay_space_fills");
+  const long long fills_before = fills.value();
+
+  engine::GeometryCache cache;
+  const engine::BatchRunner ff_runner(
+      {.threads = 2, .tasks = FarFieldTasks(), .geometry = &cache});
+  (void)ff_runner.Run(std::vector<engine::ScenarioSpec>{ff_spec});
+  EXPECT_EQ(fills.value() - fills_before, 0);
+
+  // The dense batch reuses the lazy slots and fills each matrix on its
+  // first read -- once per slot, not once per reader.
+  const engine::BatchRunner cached_runner({.threads = 2, .geometry = &cache});
+  const std::vector<engine::ScenarioResult> cached =
+      cached_runner.Run(std::vector<engine::ScenarioSpec>{dense_spec});
+  EXPECT_EQ(cache.builds(), spec.instances);
+  EXPECT_EQ(cache.reuses(), spec.instances);
+  EXPECT_EQ(fills.value() - fills_before, spec.instances);
+  obs::SetEnabled(false);
+
+  const std::vector<engine::ScenarioResult> fresh =
+      engine::BatchRunner({.threads = 2})
+          .Run(std::vector<engine::ScenarioSpec>{dense_spec});
+  EXPECT_EQ(engine::AggregateSignature(cached),
+            engine::AggregateSignature(fresh));
 }
 
 TEST(FarFieldEngineTest, CertifiedModeAggregatesStayWithinEpsilon) {

@@ -5,9 +5,8 @@
 // (docs/performance.md, "scaling past dense"):
 //   (a) n ~ 1k: dense KernelCache built through the scalar reference path
 //       vs the fused tiled path (bit-identical entries, asserted over every
-//       matrix), the float32 variant behind its exactness gate, the
-//       far-field kernel build, and the greedy admission workload dense vs
-//       far-field (identical admitted sets, asserted);
+//       matrix), the far-field kernel build, and the greedy admission
+//       workload dense vs far-field (identical admitted sets, asserted);
 //   (b) n ~ 4k: the headline speedups -- dense tiled build vs far-field
 //       build, dense greedy vs certified far-field greedy;
 //   (c) n ~ 16k: far-field only; the dense matrices would need ~8.6 GB
@@ -137,7 +136,7 @@ int main(int argc, char** argv) {
 
   // ---- (a) small tier: every path, every exactness assertion ----
   {
-    std::printf("\n(a) n = %d: tiled vs scalar vs float32 vs far-field\n\n",
+    std::printf("\n(a) n = %d: tiled vs scalar vs far-field\n\n",
                 n_small);
     geom::Rng rng(61);
     const double box = 4.0 * std::sqrt(static_cast<double>(n_small));
@@ -166,30 +165,8 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    core::StatusOr<sinr::Float32Kernel> f32 =
-        sinr::Float32Kernel::FromDouble(tiled, 1e-5);
-    const obs::SampleStats f32_stats =
-        report.Time("float32_gate_small", n_small, [&] {
-          f32 = sinr::Float32Kernel::FromDouble(tiled, 1e-5);
-        });
-    if (!f32.ok()) {
-      std::printf("ERROR: float32 gate rejected a well-conditioned "
-                  "instance: %s\n",
-                  f32.status().message().c_str());
-      return 1;
-    }
     std::vector<int> all(static_cast<std::size_t>(n_small));
     std::iota(all.begin(), all.end(), 0);
-    for (int v = 0; v < n_small; v += n_small / 8 + 1) {
-      double dbl = 0.0;
-      for (int w : all) dbl += tiled.AffectanceRaw(w, v);
-      const double flt = f32->InAffectanceRaw(all, v);
-      if (std::abs(flt - dbl) > 1e-4 * std::max(1.0, std::abs(dbl))) {
-        std::printf("ERROR: float32 aggregate drifted beyond the gate's "
-                    "tolerance at v=%d\n", v);
-        return 1;
-      }
-    }
 
     sinr::FarFieldKernel ff(dep.points, dep.links, kAlpha, kConfig,
                             sinr::UniformPower(system), ff_config);
@@ -223,17 +200,14 @@ int main(int argc, char** argv) {
     table.AddRow({"dense build (tiled)", bench::Fmt(tiled_stats.min_ms, 2),
                   bench::Fmt(scalar_stats.min_ms / tiled_stats.min_ms, 2),
                   bench::Fmt(static_cast<double>(tiled.MemoryBytes()) * mb, 1)});
-    table.AddRow({"float32 gate + convert", bench::Fmt(f32_stats.min_ms, 2), "",
-                  bench::Fmt(static_cast<double>(f32->MemoryBytes()) * mb, 1)});
     table.AddRow({"far-field build", bench::Fmt(ff_stats.min_ms, 2),
                   bench::Fmt(scalar_stats.min_ms / ff_stats.min_ms, 2),
                   bench::Fmt(static_cast<double>(ff.MemoryBytes()) * mb, 1)});
     table.Print();
     std::printf("greedy: dense %s ms, far-field %s ms (|S| = %zu, "
-                "identical sets), float32 max rel err %.2e\n",
+                "identical sets)\n",
                 bench::Fmt(gd_stats.min_ms, 2).c_str(),
-                bench::Fmt(gf_stats.min_ms, 2).c_str(), dense_greedy.size(),
-                f32->MaxRelativeError());
+                bench::Fmt(gf_stats.min_ms, 2).c_str(), dense_greedy.size());
     PrintHitRates("hit rates", delta);
   }
 

@@ -1,5 +1,7 @@
 #include "graph/graph.h"
 
+#include <algorithm>
+
 #include "core/check.h"
 
 namespace decaylib::graph {
@@ -52,6 +54,35 @@ Graph Graph::Complement() const {
     }
   }
   return comp;
+}
+
+DegeneracyResult DegeneracyOrder(const Graph& g) {
+  const int n = g.size();
+  std::vector<int> degree(static_cast<std::size_t>(n), 0);
+  std::vector<char> removed(static_cast<std::size_t>(n), 0);
+  for (int v = 0; v < n; ++v) degree[static_cast<std::size_t>(v)] = g.Degree(v);
+  DegeneracyResult result;
+  result.order.reserve(static_cast<std::size_t>(n));
+  for (int step = 0; step < n; ++step) {
+    int best = -1;
+    for (int v = 0; v < n; ++v) {
+      if (removed[static_cast<std::size_t>(v)]) continue;
+      if (best == -1 || degree[static_cast<std::size_t>(v)] <
+                            degree[static_cast<std::size_t>(best)]) {
+        best = v;
+      }
+    }
+    result.degeneracy =
+        std::max(result.degeneracy, degree[static_cast<std::size_t>(best)]);
+    result.order.push_back(best);
+    removed[static_cast<std::size_t>(best)] = 1;
+    for (int u : g.Neighbors(best)) {
+      if (!removed[static_cast<std::size_t>(u)]) {
+        --degree[static_cast<std::size_t>(u)];
+      }
+    }
+  }
+  return result;
 }
 
 }  // namespace decaylib::graph

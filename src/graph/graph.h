@@ -1,9 +1,7 @@
 // Simple undirected graph on dense vertex ids 0..n-1.
 //
 // Used by the hardness constructions of Theorems 3 and 6 (reductions between
-// MAX INDEPENDENT SET and CAPACITY) and by the separation-partitioning
-// machinery (Lemma B.3 colours a conflict graph first-fit along an inductive
-// ordering).
+// MAX INDEPENDENT SET and CAPACITY).
 #pragma once
 
 #include <span>
@@ -46,5 +44,16 @@ class Graph {
   std::vector<char> adj_;  // dense n x n adjacency (char avoids bitset proxy)
   std::vector<std::vector<int>> neighbors_;
 };
+
+struct DegeneracyResult {
+  std::vector<int> order;  // vertices in removal order
+  int degeneracy = 0;      // max back-degree along the ordering
+};
+
+// Smallest-last (degeneracy) ordering: repeatedly remove a minimum-degree
+// vertex.  The returned `order` lists vertices so that each has at most
+// `degeneracy` neighbours *later* in the order -- the rho-inductive ordering
+// of Lemma B.3.
+DegeneracyResult DegeneracyOrder(const Graph& g);
 
 }  // namespace decaylib::graph

@@ -502,82 +502,6 @@ bool SeparationOracle::ConflictMaxLength(int v, int w) const {
   return std::pow(m, inv_zeta_) < needed;
 }
 
-// --- Float32Kernel -----------------------------------------------------------
-
-core::StatusOr<Float32Kernel> Float32Kernel::FromDouble(
-    const KernelCache& kernel, double tol) {
-  if (!(tol >= 0.0) || !std::isfinite(tol)) {
-    return core::Status::InvalidArgument(
-        "float32 kernel tolerance must be finite and >= 0");
-  }
-  Float32Kernel out;
-  out.n_ = kernel.NumLinks();
-  const std::size_t n = static_cast<std::size_t>(out.n_);
-  const std::size_t nn = n * n;
-  out.aff_raw_.resize(nn);
-  out.aff_raw_t_.resize(nn);
-  out.min_pair_.resize(nn);
-
-  // Per-entry exactness gate.  A nonzero double that leaves float's range
-  // (overflow to inf, or underflow so far it rounds to 0) destroys the
-  // entry outright -- decay spreads beyond ~2^276 produce exactly this, and
-  // those ill-conditioned instances are what the gate must refuse.  Inside
-  // the range, the round-trip float(double) must sit within `tol` relative
-  // error; with tol >= 2^-24 (float epsilon/2) every in-range instance
-  // passes, so the knob only matters for stricter demands.
-  const auto convert = [&](const double* src, std::vector<float>& dst,
-                           const char* what) -> core::Status {
-    for (std::size_t i = 0; i < nn; ++i) {
-      const double d = src[i];
-      const float f = static_cast<float>(d);
-      if (d == 0.0) {
-        dst[i] = f;
-        continue;
-      }
-      const double rt = static_cast<double>(f);
-      if (!std::isfinite(rt) || rt == 0.0) {
-        return core::Status::NumericError(
-            std::string("float32 kernel gate: ") + what +
-            " entry leaves float range");
-      }
-      const double rel = std::abs(rt - d) / std::abs(d);
-      if (rel > tol) {
-        return core::Status::NumericError(
-            std::string("float32 kernel gate: ") + what +
-            " entry deviates beyond tolerance");
-      }
-      out.max_rel_error_ = std::max(out.max_rel_error_, rel);
-      dst[i] = f;
-    }
-    return core::Status();
-  };
-
-  if (core::Status s = convert(kernel.aff_raw_.data(), out.aff_raw_, "aff_raw");
-      !s.ok()) {
-    return s;
-  }
-  if (core::Status s =
-          convert(kernel.aff_raw_t_.data(), out.aff_raw_t_, "aff_raw_t");
-      !s.ok()) {
-    return s;
-  }
-  if (core::Status s =
-          convert(kernel.min_pair_decay_.data(), out.min_pair_, "min_pair");
-      !s.ok()) {
-    return s;
-  }
-  return out;
-}
-
-double Float32Kernel::InAffectanceRaw(std::span<const int> S, int v) const {
-  // Transpose row read; accumulate in double so the sum adds no error on
-  // top of the per-entry rounding FromDouble certified.
-  const float* row = aff_raw_t_.data() + Idx(v, 0, n_);
-  double total = 0.0;
-  for (int w : S) total += static_cast<double>(row[static_cast<std::size_t>(w)]);
-  return total;
-}
-
 long long KernelCache::MemoryBytes() const noexcept {
   const std::size_t doubles = aff_raw_.capacity() + aff_raw_t_.capacity() +
                               min_pair_decay_.capacity() +
@@ -585,12 +509,6 @@ long long KernelCache::MemoryBytes() const noexcept {
                               noise_factor_.capacity();
   return static_cast<long long>(doubles * sizeof(double) +
                                 can_overcome_.capacity() * sizeof(char));
-}
-
-long long Float32Kernel::MemoryBytes() const noexcept {
-  return static_cast<long long>((aff_raw_.capacity() + aff_raw_t_.capacity() +
-                                 min_pair_.capacity()) *
-                                sizeof(float));
 }
 
 }  // namespace decaylib::sinr

@@ -39,7 +39,6 @@
 #include <span>
 #include <vector>
 
-#include "core/status.h"
 #include "sinr/admission.h"
 #include "sinr/link_system.h"
 
@@ -162,7 +161,6 @@ class KernelCache {
  private:
   friend class AffectanceAccumulator;
   friend class KernelArena;
-  friend class Float32Kernel;
 
   // Empty cache (n = 0, no system): every query but NumLinks would
   // dereference the null system, so only KernelArena -- which always
@@ -318,49 +316,5 @@ struct Backend<KernelCache> {
 inline bool IsFeasibleSet(const KernelCache& kernel, std::span<const int> S) {
   return kernel.IsFeasible(S);
 }
-
-// Opt-in float32 copy of the dense affectance/distance kernels: half the
-// memory and bandwidth of the double cache for read-heavy consumers that
-// can tolerate a certified precision loss.  FromDouble is the exactness
-// gate: it rejects the conversion (StatusOr error, no partial kernel)
-// unless EVERY entry of both matrices round-trips within `tol` relative
-// error -- in particular any overflow to inf or underflow of a nonzero
-// entry to 0 (decay spreads beyond float range are exactly the
-// ill-conditioned instances the gate exists for).  Aggregate queries
-// accumulate in double, so the only loss is the per-entry rounding the
-// gate just certified.
-class Float32Kernel {
- public:
-  static core::StatusOr<Float32Kernel> FromDouble(const KernelCache& kernel,
-                                                  double tol);
-
-  int NumLinks() const noexcept { return n_; }
-  // Largest relative per-entry deviation the conversion actually incurred
-  // (always <= the tol it was gated at).
-  double MaxRelativeError() const noexcept { return max_rel_error_; }
-
-  float AffectanceRaw(int w, int v) const {
-    return aff_raw_[static_cast<std::size_t>(w) * static_cast<std::size_t>(n_) +
-                    static_cast<std::size_t>(v)];
-  }
-  float MinPairDecay(int v, int w) const {
-    return min_pair_[static_cast<std::size_t>(v) * static_cast<std::size_t>(n_) +
-                     static_cast<std::size_t>(w)];
-  }
-
-  // Raw in-affectance over S (transpose row read, double accumulation).
-  double InAffectanceRaw(std::span<const int> S, int v) const;
-
-  long long MemoryBytes() const noexcept;
-
- private:
-  Float32Kernel() = default;
-
-  int n_ = 0;
-  double max_rel_error_ = 0.0;
-  std::vector<float> aff_raw_;    // [w*n + v]
-  std::vector<float> aff_raw_t_;  // [v*n + w]
-  std::vector<float> min_pair_;   // [v*n + w]
-};
 
 }  // namespace decaylib::sinr

@@ -12,7 +12,8 @@
 //    at epsilon = 0, and at epsilon > 0 even on inputs built to drive the
 //    refinement, exact-fallback and separation knife-edge paths;
 //  * engine integration -- kernel_mode = kFarField at epsilon = 0 yields
-//    the dense batch signature bit-for-bit, a far-field-only task set
+//    the dense batch and sweep signatures bit-for-bit, at epsilon > 0 every
+//    aggregate stays within epsilon of dense, a far-field-only task set
 //    never fills the geometry's decay matrix, and ValidateScenarioSpec
 //    rejects far-field specs whose decay is not a pure distance function.
 #include "sinr/farfield.h"
@@ -30,6 +31,7 @@
 #include "capacity/baselines.h"
 #include "core/decay_space.h"
 #include "engine/batch_runner.h"
+#include "engine/report.h"
 #include "engine/scenario.h"
 #include "geom/rng.h"
 #include "obs/registry.h"
@@ -37,6 +39,8 @@
 #include "sinr/admission.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
+#include "sweep/sweep.h"
+#include "sweep/sweep_runner.h"
 
 namespace decaylib::sinr {
 namespace {
@@ -417,6 +421,30 @@ std::vector<engine::TaskKind> FarFieldTasks() {
           engine::TaskKind::kSchedule};
 }
 
+// A links x alpha grid of the far-field tasks for the sweep layer: the
+// links axis re-grows the per-worker kernel arenas mid-grid and every cell
+// goes through the geometry cache.
+sweep::SweepSpec FarFieldGrid(engine::KernelMode mode, double epsilon) {
+  sweep::SweepSpec grid;
+  grid.name = "farfield_grid";
+  grid.base.name = "farfield_grid";
+  grid.base.topology = "uniform";
+  grid.base.links = 12;
+  grid.base.instances = 2;
+  grid.base.seed = 9904;
+  grid.base.kernel_mode = mode;
+  grid.base.farfield_epsilon = epsilon;
+  grid.axes = {{"links", {10, 14}}, {"alpha", {2.5, 3.0}}};
+  grid.tasks = FarFieldTasks();
+  return grid;
+}
+
+sweep::SweepResult RunPooled(const sweep::SweepSpec& grid) {
+  sweep::SweepConfig config;
+  config.threads = 4;
+  return sweep::SweepRunner(config).Run(grid);
+}
+
 TEST(FarFieldEngineTest, FarFieldModeAtEpsilonZeroMatchesDenseSignature) {
   engine::ScenarioSpec spec;
   spec.name = "farfield_engine";
@@ -459,6 +487,12 @@ TEST(FarFieldEngineTest, FarFieldModeAtEpsilonZeroMatchesDenseSignature) {
       }
     }
   }
+
+  // The same equality through the sweep layer.
+  EXPECT_EQ(sweep::SweepSignature(
+                RunPooled(FarFieldGrid(engine::KernelMode::kFarField, 0.0))),
+            sweep::SweepSignature(
+                RunPooled(FarFieldGrid(engine::KernelMode::kDense, 0.0))));
 }
 
 TEST(FarFieldEngineTest, DenseBatchFillsACachedFarFieldGeometryOnce) {
@@ -504,7 +538,35 @@ TEST(FarFieldEngineTest, DenseBatchFillsACachedFarFieldGeometryOnce) {
             engine::AggregateSignature(fresh));
 }
 
+// |x - y| within `tol` relative to the larger magnitude (absolute 1e-12
+// floor for zeros; equal values cover the +-inf sentinels of empty
+// summaries).
+bool WithinRelative(double x, double y, double tol) {
+  return x == y ||
+         std::abs(x - y) <= tol * std::max(std::abs(x), std::abs(y)) + 1e-12;
+}
+
+// Every aggregate of `farfield` has the dense count, and its sum, min and
+// max agree with dense within the certified `eps`.
+void ExpectAggregatesWithinEpsilon(const engine::ScenarioResult& dense,
+                                   const engine::ScenarioResult& farfield,
+                                   double eps) {
+  ASSERT_EQ(dense.aggregate.size(), farfield.aggregate.size());
+  for (std::size_t i = 0; i < dense.aggregate.size(); ++i) {
+    const auto& [name, ds] = dense.aggregate[i];
+    const auto& [fname, fs] = farfield.aggregate[i];
+    EXPECT_EQ(name, fname);
+    EXPECT_EQ(ds.count, fs.count) << name;
+    EXPECT_NEAR(ds.sum, fs.sum, eps * std::max(std::abs(ds.sum), 1.0))
+        << name;
+    EXPECT_TRUE(WithinRelative(ds.sum, fs.sum, eps)) << name;
+    EXPECT_TRUE(WithinRelative(ds.min, fs.min, eps)) << name;
+    EXPECT_TRUE(WithinRelative(ds.max, fs.max, eps)) << name;
+  }
+}
+
 TEST(FarFieldEngineTest, CertifiedModeAggregatesStayWithinEpsilon) {
+  constexpr double kEps = 1e-3;
   engine::ScenarioSpec spec;
   spec.name = "farfield_engine_eps";
   spec.topology = "uniform";
@@ -515,22 +577,29 @@ TEST(FarFieldEngineTest, CertifiedModeAggregatesStayWithinEpsilon) {
 
   engine::ScenarioSpec ff_spec = spec;
   ff_spec.kernel_mode = engine::KernelMode::kFarField;
-  ff_spec.farfield_epsilon = 1e-3;
+  ff_spec.farfield_epsilon = kEps;
 
   const std::vector<engine::ScenarioResult> dense =
       runner.Run(std::vector<engine::ScenarioSpec>{spec});
   const std::vector<engine::ScenarioResult> farfield =
       runner.Run(std::vector<engine::ScenarioSpec>{ff_spec});
   ASSERT_EQ(dense.size(), farfield.size());
-  ASSERT_EQ(dense[0].aggregate.size(), farfield[0].aggregate.size());
-  for (std::size_t i = 0; i < dense[0].aggregate.size(); ++i) {
-    const auto& [name, ds] = dense[0].aggregate[i];
-    const auto& [fname, fs] = farfield[0].aggregate[i];
-    EXPECT_EQ(name, fname);
-    EXPECT_EQ(ds.count, fs.count) << name;
-    EXPECT_NEAR(ds.sum, fs.sum,
-                1e-3 * std::max(std::abs(ds.sum), 1.0))
-        << name;
+  EXPECT_EQ(engine::ViolationCount(dense), 0);
+  EXPECT_EQ(engine::ViolationCount(farfield), 0);
+  ExpectAggregatesWithinEpsilon(dense[0], farfield[0], kEps);
+
+  // The same bound through the sweep layer, cell by cell.
+  const sweep::SweepResult dense_grid =
+      RunPooled(FarFieldGrid(engine::KernelMode::kDense, 0.0));
+  const sweep::SweepResult ff_grid =
+      RunPooled(FarFieldGrid(engine::KernelMode::kFarField, kEps));
+  EXPECT_EQ(sweep::SweepViolationCount(dense_grid), 0);
+  EXPECT_EQ(sweep::SweepViolationCount(ff_grid), 0);
+  ASSERT_EQ(dense_grid.cells.size(), ff_grid.cells.size());
+  for (std::size_t c = 0; c < dense_grid.cells.size(); ++c) {
+    SCOPED_TRACE(dense_grid.cells[c].cell.spec.name);
+    ExpectAggregatesWithinEpsilon(dense_grid.cells[c].result,
+                                  ff_grid.cells[c].result, kEps);
   }
 }
 

@@ -246,9 +246,10 @@ TEST(SweepRunnerTest, SignatureInvariantAcrossGeometryCacheAndPairing) {
 }
 
 // A dynamics grid (lambda x regret_penalty, both non-geometric) keeps the
-// sweep contract: thread-count-invariant signatures, one geometry
-// generation serving every cell, and the queue/regret metrics present in
-// every cell's aggregate and in the CSV export.
+// sweep contract: signatures invariant under the thread count and the
+// geometry cache, one geometry generation serving every cell, and the
+// queue/regret metrics present in every cell's aggregate and in the CSV
+// export.
 TEST(SweepRunnerTest, DynamicsAxesShareGeometryAndStayDeterministic) {
   SweepSpec spec = TinySweep();
   spec.base.links = 10;
@@ -261,11 +262,16 @@ TEST(SweepRunnerTest, DynamicsAxesShareGeometryAndStayDeterministic) {
   serial.threads = 1;
   SweepConfig pooled;
   pooled.threads = 4;
+  SweepConfig uncached = pooled;
+  uncached.reuse_geometry = false;
 
   const SweepResult a = SweepRunner(serial).Run(spec);
   const SweepResult b = SweepRunner(pooled).Run(spec);
+  const SweepResult c = SweepRunner(uncached).Run(spec);
   ASSERT_EQ(a.cells.size(), 4u);
   EXPECT_EQ(SweepSignature(a), SweepSignature(b));
+  EXPECT_EQ(SweepSignature(a), SweepSignature(c));
+  EXPECT_EQ(c.geometry_builds, 0);
   // Both axes are non-geometric: the first cell samples each instance once
   // and every other cell reuses them.
   EXPECT_EQ(a.geometry_builds, 2);

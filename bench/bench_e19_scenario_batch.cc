@@ -143,22 +143,8 @@ int main(int argc, char** argv) {
 
   // Phases per scenario (batch wall / geometry / kernel build / task time,
   // the longitudinal throughput record), plus the deterministic aggregates
-  // as the "scenarios" extra member.  kernel_build is the worker-summed
-  // kernel construction alone (dense KernelCache plus any far-field
-  // kernel); geometry is sampling, pairing and ConfigureInstance.
-  for (const engine::ScenarioResult& r : results) {
-    double geometry_ms = 0.0;
-    double kernel_ms = 0.0;
-    for (const engine::InstanceRecord& rec : r.instances) {
-      geometry_ms += rec.geometry_ms;
-      if (rec.kernel_built) kernel_ms += rec.kernel_ms;
-      if (rec.farfield_ms >= 0.0) kernel_ms += rec.farfield_ms;
-    }
-    report.Record(r.spec.name + ".batch", r.spec.links, r.batch_wall_ms);
-    report.Record(r.spec.name + ".geometry", r.spec.links, geometry_ms);
-    report.Record(r.spec.name + ".kernel_build", r.spec.links, kernel_ms);
-    report.Record(r.spec.name + ".tasks", r.spec.links, r.task_ms_total);
-  }
+  // as the "scenarios" extra member.
+  engine::RecordScenarioPhases(report, results);
   report.SetExtra("scenarios", engine::ScenariosJson(results));
   return report.Close();
 }

@@ -1,12 +1,11 @@
 // E22 -- scaling the kernel layer past dense O(n^2): tiled builds and
 // certified far-field affectance aggregation.
 //
-// A/B of the three kernel tiers on constant-density planar deployments
+// A/B of the two kernel tiers on constant-density planar deployments
 // (docs/performance.md, "scaling past dense"):
-//   (a) n ~ 1k: dense KernelCache built through the scalar reference path
-//       vs the fused tiled path (bit-identical entries, asserted over every
-//       matrix), the far-field kernel build, and the greedy admission
-//       workload dense vs far-field (identical admitted sets, asserted);
+//   (a) n ~ 1k: the dense (tiled) KernelCache build vs the far-field kernel
+//       build, and the greedy admission workload dense vs far-field
+//       (identical admitted sets, asserted);
 //   (b) n ~ 4k: the headline speedups -- dense tiled build vs far-field
 //       build, dense greedy vs certified far-field greedy;
 //   (c) n ~ 16k: far-field only; the dense matrices would need ~8.6 GB
@@ -71,24 +70,6 @@ struct FarFieldCounters {
   }
 };
 
-// Every dense matrix entry bitwise-equal between two builds of the same
-// system (the tiled/scalar contract).
-bool BitIdenticalKernels(const sinr::KernelCache& a,
-                         const sinr::KernelCache& b) {
-  const int n = a.NumLinks();
-  if (b.NumLinks() != n) return false;
-  for (int w = 0; w < n; ++w) {
-    for (int v = 0; v < n; ++v) {
-      if (a.AffectanceRaw(w, v) != b.AffectanceRaw(w, v) ||
-          a.CrossDecay(w, v) != b.CrossDecay(w, v) ||
-          a.MinPairDecay(v, w) != b.MinPairDecay(v, w)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 void PrintHitRates(const char* tag, const FarFieldCounters& d) {
   const double denom = d.checks > 0 ? static_cast<double>(d.checks) : 1.0;
   std::printf(
@@ -136,8 +117,7 @@ int main(int argc, char** argv) {
 
   // ---- (a) small tier: every path, every exactness assertion ----
   {
-    std::printf("\n(a) n = %d: tiled vs scalar vs far-field\n\n",
-                n_small);
+    std::printf("\n(a) n = %d: dense vs far-field\n\n", n_small);
     geom::Rng rng(61);
     const double box = 4.0 * std::sqrt(static_cast<double>(n_small));
     bench::PlanarDeployment dep(n_small, box, 0.5, 1.5, rng);
@@ -145,25 +125,11 @@ int main(int argc, char** argv) {
         core::DecaySpace::Geometric(dep.points, kAlpha);
     const sinr::LinkSystem system(space, dep.links, kConfig);
 
-    sinr::KernelCache scalar(system, sinr::UniformPower(system),
-                             sinr::KernelBuildPath::kScalar);
-    const obs::SampleStats scalar_stats =
-        report.Time("build_scalar_small", n_small, [&] {
-          scalar = sinr::KernelCache(system, sinr::UniformPower(system),
-                                     sinr::KernelBuildPath::kScalar);
-        });
-
     sinr::KernelCache tiled(system, sinr::UniformPower(system));
     const obs::SampleStats tiled_stats =
         report.Time("build_tiled_small", n_small, [&] {
-          tiled = sinr::KernelCache(system, sinr::UniformPower(system),
-                                    sinr::KernelBuildPath::kTiled);
+          tiled = sinr::KernelCache(system, sinr::UniformPower(system));
         });
-    if (!BitIdenticalKernels(scalar, tiled)) {
-      std::printf("ERROR: tiled kernel build diverged from the scalar "
-                  "reference\n");
-      return 1;
-    }
 
     std::vector<int> all(static_cast<std::size_t>(n_small));
     std::iota(all.begin(), all.end(), 0);
@@ -192,16 +158,13 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    bench::Table table({"path", "wall ms", "speedup vs scalar", "memory MB"});
+    bench::Table table({"path", "wall ms", "speedup vs dense", "memory MB"});
     const double mb = 1.0 / (1024.0 * 1024.0);
-    table.AddRow({"dense build (scalar)", bench::Fmt(scalar_stats.min_ms, 2),
+    table.AddRow({"dense build (tiled)", bench::Fmt(tiled_stats.min_ms, 2),
                   "1.00",
                   bench::Fmt(static_cast<double>(tiled.MemoryBytes()) * mb, 1)});
-    table.AddRow({"dense build (tiled)", bench::Fmt(tiled_stats.min_ms, 2),
-                  bench::Fmt(scalar_stats.min_ms / tiled_stats.min_ms, 2),
-                  bench::Fmt(static_cast<double>(tiled.MemoryBytes()) * mb, 1)});
     table.AddRow({"far-field build", bench::Fmt(ff_stats.min_ms, 2),
-                  bench::Fmt(scalar_stats.min_ms / ff_stats.min_ms, 2),
+                  bench::Fmt(tiled_stats.min_ms / ff_stats.min_ms, 2),
                   bench::Fmt(static_cast<double>(ff.MemoryBytes()) * mb, 1)});
     table.Print();
     std::printf("greedy: dense %s ms, far-field %s ms (|S| = %zu, "
@@ -225,8 +188,7 @@ int main(int argc, char** argv) {
     sinr::KernelCache dense(system, sinr::UniformPower(system));
     const obs::SampleStats dense_stats =
         report.Time("build_tiled_large", n_large, [&] {
-          dense = sinr::KernelCache(system, sinr::UniformPower(system),
-                                    sinr::KernelBuildPath::kTiled);
+          dense = sinr::KernelCache(system, sinr::UniformPower(system));
         });
 
     sinr::FarFieldKernel ff(dep.points, dep.links, kAlpha, kConfig,

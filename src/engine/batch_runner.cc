@@ -1,14 +1,7 @@
 #include "engine/batch_runner.h"
 
-// decay-lint: allowlist-file(clock-read) -- the engine's timing surfaces
-// (geometry_ms/kernel_ms/task_kind_ms/build_ms, PR 7) are measured here as
-// plain clocks by design.  Every reading flows only into *_ms report fields
-// and StageStats; none may feed signatures, task logic, or retry decisions
-// (the determinism gates in engine_test would catch it if one did).
-
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <optional>
@@ -34,9 +27,8 @@ namespace decaylib::engine {
 namespace {
 
 // Registry handles of the engine layer, resolved once.  Counters/histograms
-// only tick when obs::Enabled(); the stage breakdown in ScenarioResult is
-// populated always (it is plain wall clock, like build_ms/task_ms).
-// Metric name catalogue: docs/observability.md.
+// only tick when obs::Enabled(); the stage breakdown the same spans feed is
+// populated always.  Metric name catalogue: docs/observability.md.
 struct EngineInstruments {
   obs::Counter& instances;
   obs::Counter& geometry_builds;
@@ -64,12 +56,6 @@ struct EngineInstruments {
     return *instruments;
   }
 };
-
-double ElapsedMs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
 
 // Per-task rng streams: independent of the instance builder's stream and of
 // each other (distinct salts), deterministic in (spec.seed, index) -- a
@@ -142,13 +128,12 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   }
   InstanceRecord rec;
   rec.index = index;
+  EngineInstruments& ins = EngineInstruments::Get();
 
-  // The record's stage timers (geometry_ms / kernel_ms / task_kind_ms) are
-  // plain clocks, measured always -- they feed the StageStats breakdown the
-  // reports show.  The obs::Spans alongside them are the opt-in layer:
-  // trace events + registry histograms, inert and near-free when disabled.
+  // Every stage is one obs::Span with the record's StageStats as its sink:
+  // the breakdown is measured always, while the trace events and registry
+  // histograms of the same spans stay opt-in (obs::Enabled()).
   obs::Span instance_span("instance");
-  const auto build_start = std::chrono::steady_clock::now();
   // The geometry is kept alive alongside the configured instance: the
   // far-field kernel is built from its planar points (matrix-free), which
   // ConfigureInstance does not carry over.
@@ -156,11 +141,10 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   const ScenarioGeometry* geom_ptr = nullptr;
   std::optional<ScenarioInstance> built;
   {
-    obs::Span span("geometry", &EngineInstruments::Get().geometry_ms);
+    obs::Span span("geometry_build", &ins.geometry_ms, "stage", &rec.stages);
+    bool sampled = true;
     if (geometry != nullptr) {
-      bool sampled = true;
       geom_ptr = &geometry->Acquire(spec, index, pairing, &sampled);
-      rec.geometry_reused = !sampled;
     } else {
       // Exactly BuildInstance's route, with the geometry retained.
       local_geom.emplace(BuildGeometry(spec, index, pairing));
@@ -168,28 +152,30 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
       geom_ptr = &*local_geom;
     }
     built.emplace(ConfigureInstance(spec, *geom_ptr));
-    rec.geometry_ms = ElapsedMs(build_start);
+    if (sampled) {
+      ins.geometry_builds.Add();
+    } else {
+      span.Rename("geometry_reuse");
+      ins.geometry_reuses.Add();
+    }
   }
   const ScenarioInstance& instance = *built;
 
-  // The dense kernel: built eagerly under kDense (the historical layout --
-  // build_ms covers it), lazily under kFarField (only a task without a
-  // far-field path pays the O(n^2) slabs; its wall time then lands in that
-  // task's bucket).
+  // The dense kernel: built eagerly under kDense, lazily under kFarField
+  // (only a task without a far-field path pays the O(n^2) slabs; its span
+  // then nests inside that task's).
   std::optional<sinr::KernelCache> local;
   const sinr::KernelCache* kernel_ptr = nullptr;
   const auto ensure_kernel = [&]() -> const sinr::KernelCache& {
     if (kernel_ptr == nullptr) {
-      obs::Span span("kernel_build", &EngineInstruments::Get().kernel_build_ms);
-      const auto kernel_start = std::chrono::steady_clock::now();
+      obs::Span span("kernel_build", &ins.kernel_build_ms, "stage",
+                     &rec.stages);
       if (arena != nullptr) {
         kernel_ptr = &arena->Rebuild(instance.system(), instance.power());
       } else {
         local.emplace(instance.system(), instance.power());
         kernel_ptr = &*local;
       }
-      rec.kernel_ms = ElapsedMs(kernel_start);
-      rec.kernel_built = true;
     }
     return *kernel_ptr;
   };
@@ -198,22 +184,18 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   if (spec.kernel_mode == KernelMode::kFarField) {
     DL_CHECK(!geom_ptr->points.empty(),
              "kernel_mode=farfield needs a coordinate-backed topology");
-    obs::Span span("farfield_build",
-                   &EngineInstruments::Get().farfield_build_ms);
-    const auto ff_start = std::chrono::steady_clock::now();
+    obs::Span span("farfield_build", &ins.farfield_build_ms, "stage",
+                   &rec.stages);
     sinr::FarFieldConfig fc;
     fc.epsilon = spec.farfield_epsilon;
     farfield.emplace(geom_ptr->points, instance.system().links(), spec.alpha,
                      instance.system().config(), instance.power(), fc);
-    rec.farfield_ms = ElapsedMs(ff_start);
   } else {
     ensure_kernel();
   }
-  rec.build_ms = ElapsedMs(build_start);
   rec.links = instance.NumLinks();
   rec.zeta = instance.zeta();
 
-  const auto task_start = std::chrono::steady_clock::now();
   const std::vector<int> all = sinr::AllLinks(instance.system());
   const double zeta = instance.zeta();
 
@@ -229,10 +211,8 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
     };
 
     for (const TaskKind task : tasks) {
-      const std::size_t kind = static_cast<std::size_t>(task);
       obs::Span task_span(std::string("task.") + TaskKindName(task),
-                          &EngineInstruments::Get().instance_task_ms, "task");
-      const auto kind_start = std::chrono::steady_clock::now();
+                          &ins.instance_task_ms, "task", &rec.stages);
       switch (task) {
         case TaskKind::kAlgorithm1: {
           ensure_alg1();
@@ -324,10 +304,6 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
           break;
         }
       }
-      // A kind listed twice in the task set accumulates; -1 stays reserved
-      // for "never ran".
-      if (rec.task_kind_ms[kind] < 0.0) rec.task_kind_ms[kind] = 0.0;
-      rec.task_kind_ms[kind] += ElapsedMs(kind_start);
     }
   };
   if (farfield) {
@@ -335,37 +311,7 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   } else {
     run_tasks(ensure_kernel());
   }
-  rec.task_ms = ElapsedMs(task_start);
   return rec;
-}
-
-// Folds the per-instance stage timers into the result's StageStats (always)
-// and the process-wide registry (when enabled).  Runs in the sequential
-// post-pool reduction, so no synchronisation is needed.
-void AggregateStages(ScenarioResult& result) {
-  EngineInstruments& ins = EngineInstruments::Get();
-  ins.instances.Add(static_cast<long long>(result.instances.size()));
-  for (const InstanceRecord& rec : result.instances) {
-    if (rec.geometry_reused) {
-      result.stage_stats.Record("geometry_reuse", rec.geometry_ms);
-      ins.geometry_reuses.Add();
-    } else {
-      result.stage_stats.Record("geometry_build", rec.geometry_ms);
-      ins.geometry_builds.Add();
-    }
-    if (rec.kernel_built) {
-      result.stage_stats.Record("kernel_build", rec.kernel_ms);
-    }
-    if (rec.farfield_ms >= 0.0) {
-      result.stage_stats.Record("farfield_build", rec.farfield_ms);
-    }
-    for (int k = 0; k < kNumTaskKinds; ++k) {
-      const double ms = rec.task_kind_ms[static_cast<std::size_t>(k)];
-      if (ms < 0.0) continue;
-      result.stage_stats.Record(
-          std::string("task.") + TaskKindName(static_cast<TaskKind>(k)), ms);
-    }
-  }
 }
 
 // Sequential, instance-ordered reduction of the deterministic metrics.
@@ -461,6 +407,20 @@ std::vector<TaskKind> AllTasks() {
           TaskKind::kQueue,      TaskKind::kRegret};
 }
 
+StageGroups GroupStages(const obs::StageStats& stats) {
+  StageGroups groups;
+  for (const obs::StageStats::Stage& s : stats.stages) {
+    if (s.name == "geometry_build" || s.name == "geometry_reuse") {
+      groups.geometry_ms += s.total_ms;
+    } else if (s.name == "kernel_build" || s.name == "farfield_build") {
+      groups.kernel_ms += s.total_ms;
+    } else if (s.name.starts_with("task.")) {
+      groups.task_ms += s.total_ms;
+    }
+  }
+  return groups;
+}
+
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;
   const unsigned hc = std::thread::hardware_concurrency();
@@ -507,7 +467,6 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
 
   EngineInstruments::Get().threads.Set(threads);
   obs::Span batch_span("batch." + spec.name, nullptr, "batch");
-  const auto batch_start = std::chrono::steady_clock::now();
   // Work stealing over instance indices; records land in their own slot, so
   // nothing about the interleaving survives into the results.  A worker
   // that throws records the failure in its instance's slot and keeps
@@ -543,7 +502,7 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
     for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
     for (std::thread& t : pool) t.join();
   }
-  result.batch_wall_ms = ElapsedMs(batch_start);
+  result.batch_wall_ms = batch_span.Finish();
 
   for (int i = 0; i < spec.instances; ++i) {
     if (failed[static_cast<std::size_t>(i)]) {
@@ -553,11 +512,10 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
     }
   }
 
+  EngineInstruments::Get().instances.Add(spec.instances);
   for (const InstanceRecord& rec : result.instances) {
-    result.build_ms_total += rec.build_ms;
-    result.task_ms_total += rec.task_ms;
+    result.stage_stats.Merge(rec.stages);
   }
-  AggregateStages(result);
   Aggregate(result);
   return result;
 }

@@ -150,16 +150,24 @@ io::Json ScenariosJson(std::span<const ScenarioResult> results) {
   return scenarios;
 }
 
+void RecordScenarioPhases(obs::BenchHarness& harness,
+                          std::span<const ScenarioResult> results) {
+  for (const ScenarioResult& r : results) {
+    const StageGroups groups = GroupStages(r.stage_stats);
+    harness.Record(r.spec.name + ".batch", r.spec.links, r.batch_wall_ms);
+    harness.Record(r.spec.name + ".geometry", r.spec.links,
+                   groups.geometry_ms);
+    harness.Record(r.spec.name + ".kernel_build", r.spec.links,
+                   groups.kernel_ms);
+    harness.Record(r.spec.name + ".tasks", r.spec.links, groups.task_ms);
+  }
+}
+
 bool WriteJsonReport(const std::string& id,
                      std::span<const ScenarioResult> results) {
   obs::BenchHarness harness(
       id, obs::BenchHarness::Options{.write_json = true});
-  for (const ScenarioResult& r : results) {
-    harness.Record(r.spec.name + ".batch", r.spec.links, r.batch_wall_ms);
-    harness.Record(r.spec.name + ".kernel_build", r.spec.links,
-                   r.build_ms_total);
-    harness.Record(r.spec.name + ".tasks", r.spec.links, r.task_ms_total);
-  }
+  RecordScenarioPhases(harness, results);
   harness.SetExtra("scenarios", ScenariosJson(results));
   return harness.Close() == 0;
 }

@@ -2,11 +2,10 @@
 // and a machine-readable BENCH_<id>.json record in the schema-v2 format of
 // obs/bench_harness.h.
 //
-// The record carries one phase per scenario for batch wall / kernel build /
-// task time (each phase keeps the v1 "name"/"n"/"wall_ms" keys old parsers
-// read), a provenance block, and a "scenarios" extra member with the
-// deterministic aggregates -- an extra key schema-v2 parsers ignore, the
-// same way v1 parsers ignore the v2 keys.
+// The record carries the RecordScenarioPhases phases (each keeps the v1
+// "name"/"n"/"wall_ms" keys old parsers read), a provenance block, and a
+// "scenarios" extra member with the deterministic aggregates -- an extra
+// key schema-v2 parsers ignore, the same way v1 parsers ignore the v2 keys.
 #pragma once
 
 #include <span>
@@ -15,6 +14,10 @@
 
 #include "engine/batch_runner.h"
 #include "io/json.h"
+
+namespace decaylib::obs {
+class BenchHarness;
+}  // namespace decaylib::obs
 
 namespace decaylib::engine {
 
@@ -44,6 +47,12 @@ long long ViolationCount(std::span<const ScenarioResult> results);
 // stage wall-time totals per scenario.  Attached to the BENCH record as the
 // "scenarios" member; also usable standalone.
 io::Json ScenariosJson(std::span<const ScenarioResult> results);
+
+// Records four phases per scenario into `harness`: <name>.batch (batch
+// wall time) and the GroupStages layers <name>.geometry,
+// <name>.kernel_build and <name>.tasks (worker-summed stage totals).
+void RecordScenarioPhases(obs::BenchHarness& harness,
+                          std::span<const ScenarioResult> results);
 
 // Writes BENCH_<id>.json (schema v2, re-parse-validated through io::Json)
 // in the working directory.  Returns false (and prints to stderr) when the

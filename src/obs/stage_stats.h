@@ -2,14 +2,16 @@
 //
 // A StageStats is the result-local sibling of the global registry: where
 // Registry aggregates over the whole process, a StageStats rides inside one
-// ScenarioResult / SweepResult and answers "where did *this* batch's time
-// go" -- count / total / min / max milliseconds per named stage (geometry
-// build vs reuse, kernel build, each TaskKind, checkpoint writes).  It is
-// built by the sequential post-pool reduction from per-instance wall-clock
-// fields, so it needs no synchronisation and -- like every *_ms field --
-// is explicitly non-deterministic: it never enters AggregateSignature or
-// SweepSignature, and populating it cannot perturb any result
-// (the observability-inertness contract, gated in tests/sweep_test.cc).
+// InstanceRecord / ScenarioResult / SweepResult and answers "where did
+// *this* run's time go" -- count / total / min / max milliseconds per named
+// stage (geometry build vs reuse, kernel build, each TaskKind, checkpoint
+// writes).  It is fed only by obs::Span sinks (obs/trace.h), so a stage's
+// name here is its trace span name too.  Each instance record owns one, and
+// the sequential post-pool reduction merges them in instance order, so it
+// needs no synchronisation.  Like every *_ms field it is explicitly
+// non-deterministic: it never enters AggregateSignature or SweepSignature,
+// and populating it cannot perturb any result (the observability-inertness
+// contract, gated in tests/sweep_test.cc).
 //
 // Stage totals are *worker-summed* CPU-side wall time: under a T-thread
 // pool they can legitimately exceed the batch's wall clock by up to T; on

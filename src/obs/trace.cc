@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "obs/registry.h"
+#include "obs/stage_stats.h"
 
 namespace decaylib::obs {
 
@@ -97,20 +98,23 @@ core::Status TraceSink::WriteFile(const std::string& path) const {
   return core::Status::Ok();
 }
 
-Span::Span(std::string name, Histogram* histogram, const char* category)
+Span::Span(std::string name, Histogram* histogram, const char* category,
+           StageStats* stages)
     : name_(std::move(name)),
       histogram_(histogram),
       category_(category),
-      armed_(Enabled()) {
-  if (armed_) start_ = std::chrono::steady_clock::now();
-}
+      stages_(stages),
+      emit_(Enabled()),
+      start_(std::chrono::steady_clock::now()) {}
 
 double Span::Finish() {
-  if (!armed_) return 0.0;
-  armed_ = false;
+  if (!open_) return 0.0;
+  open_ = false;
   const auto end = std::chrono::steady_clock::now();
   const double dur_ms =
       std::chrono::duration<double, std::milli>(end - start_).count();
+  if (stages_ != nullptr) stages_->Record(name_, dur_ms);
+  if (!emit_) return dur_ms;
   if (histogram_ != nullptr) histogram_->Observe(dur_ms);
   TraceSink& sink = TraceSink::Global();
   if (sink.active()) {

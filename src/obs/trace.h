@@ -1,21 +1,26 @@
 // Scoped stage timers emitting Chrome trace_event JSON, viewable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
-// obs::Span is an RAII timer: construction snapshots the steady clock,
-// destruction (or Finish) computes the duration and
+// obs::Span is an RAII timer and the one clock of the engine and sweep
+// layers: construction snapshots the steady clock, destruction (or Finish)
+// computes the duration once and
+//   * records (name, ms) into an optional obs::StageStats -- the per-stage
+//     breakdown results carry, so a stage's report total, trace slice and
+//     BENCH phase share one reading and one name,
+//   * observes the duration (in ms) into an optional obs::Histogram, and
 //   * appends one complete ("ph": "X") trace event -- name, ts/dur in
 //     microseconds since the process trace epoch, pid, and a small stable
-//     per-thread tid -- to the global TraceSink when a trace is active, and
-//   * observes the duration (in ms) into an optional obs::Histogram.
+//     per-thread tid -- to the global TraceSink when a trace is active.
 // Same-thread spans nest by construction order, so Perfetto renders the
 // engine's geometry -> kernel -> task stack as nested slices per worker.
 //
-// Cost model: when obs::Enabled() is false at construction the span takes
-// no clock snapshot and its destructor is a dead branch; when enabled but
-// no trace is active, it costs two clock reads and a histogram update.
-// Event capture takes one mutex acquisition per span *end* -- span
-// granularity in this library is per instance / per cell, so the lock is
-// far off any inner loop.
+// Cost model: every span reads the clock once at each end, whatever the
+// obs flag -- Finish() returns the measured duration and the StageStats
+// sink is always fed.  The histogram and the trace event are gated by
+// obs::Enabled() at construction: disabled, they cost one branch.  Event
+// capture takes one mutex acquisition per span *end* -- span granularity
+// in this library is per stage / per cell, so the clock reads and the lock
+// are far off any inner loop.
 //
 // The exported document is {"traceEvents": [...], "displayTimeUnit": "ms"},
 // serialised via io::Json so tests (and the CLI itself) can re-parse what
@@ -35,6 +40,7 @@
 namespace decaylib::obs {
 
 class Histogram;
+struct StageStats;
 
 // Small stable id of the calling thread (1-based, assigned on first use).
 int CurrentThreadId();
@@ -82,21 +88,27 @@ class TraceSink {
 class Span {
  public:
   explicit Span(std::string name, Histogram* histogram = nullptr,
-                const char* category = "stage");
+                const char* category = "stage", StageStats* stages = nullptr);
   ~Span() { Finish(); }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  // Ends the span early (idempotent); returns the measured duration in ms
-  // (0 when the span was constructed disabled).
+  // Renames the span before it ends, for stage keys decided by the work
+  // inside it (a geometry acquire is a build or a cache reuse).
+  void Rename(std::string name) { name_ = std::move(name); }
+
+  // Ends the span and returns its duration in ms; idempotent (later calls
+  // record nothing and return 0).
   double Finish();
 
  private:
   std::string name_;
   Histogram* histogram_;
   const char* category_;
-  bool armed_;
+  StageStats* stages_;
+  bool emit_;  // obs::Enabled() at construction
+  bool open_ = true;
   std::chrono::steady_clock::time_point start_;
 };
 

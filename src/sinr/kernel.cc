@@ -45,14 +45,13 @@ obs::Counter& AdmissionCheckCounter() {
 
 }  // namespace
 
-KernelCache::KernelCache(const LinkSystem& system, PowerAssignment power,
-                         KernelBuildPath path) {
+KernelCache::KernelCache(const LinkSystem& system, PowerAssignment power) {
   std::vector<double> scratch;
-  Build(system, std::move(power), scratch, path);
+  Build(system, std::move(power), scratch);
 }
 
 void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
-                        std::vector<double>& scratch, KernelBuildPath path) {
+                        std::vector<double>& scratch) {
   KernelBuildCounter().Add();
   system_ = &system;
   power_ = std::move(power);
@@ -105,17 +104,15 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
   // transpose into the arena scratch.  The cross matrix is kept as a member:
   // it backs the CrossDecay query and the power-control kernels below.
   //
-  // Both build paths write the same entries from the same expressions in the
-  // same order within each entry, so the resulting matrices are
-  // bit-identical; the paths differ only in how many sweeps over the n x n
-  // slabs they take.  Entries are bit-identical to LinkSystem::AffectanceRaw
-  // -- same expression, with c_v and f_vv hoisted.  Under uniform power the
-  // P_w / P_v factor equals exactly 1.0 (IEEE x / x == 1.0), so the two
-  // extra ops can be skipped without changing the rounded result.  Every
-  // n x n matrix writes its zero entries explicitly instead of pre-clearing
-  // with assign: on a warm arena slab the resize is then a no-op, saving one
-  // full memset pass per matrix per rebuild (a fresh vector still
-  // zero-initialises, so the cold path is unchanged).
+  // Entries are bit-identical to LinkSystem::AffectanceRaw / CrossDecay and
+  // to the min over the four endpoint decays -- same expressions, with c_v
+  // and f_vv hoisted (tests/kernel_test.cc checks every entry).  Under
+  // uniform power the P_w / P_v factor equals exactly 1.0 (IEEE
+  // x / x == 1.0), so the two extra ops can be skipped without changing the
+  // rounded result.  Every n x n matrix writes its zero entries explicitly
+  // instead of pre-clearing with assign: on a warm arena slab the resize is
+  // then a no-op, saving one full memset pass per matrix per rebuild (a
+  // fresh vector still zero-initialises, so the cold path is unchanged).
   cross_decay_.resize(n * n);
   aff_raw_.resize(n * n);
   aff_raw_t_.resize(n * n);
@@ -124,116 +121,9 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
   double* cross = cross_decay_.data();
   double* cross_t = scratch.data();
 
-  const auto transpose_cross = [&] {
-    constexpr std::size_t kTile = 32;
-    for (std::size_t wb = 0; wb < n; wb += kTile) {
-      for (std::size_t vb = 0; vb < n; vb += kTile) {
-        const std::size_t we = std::min(n, wb + kTile);
-        const std::size_t ve = std::min(n, vb + kTile);
-        for (std::size_t w = wb; w < we; ++w) {
-          for (std::size_t v = vb; v < ve; ++v) {
-            cross_t[v * n + w] = cross[w * n + v];
-          }
-        }
-      }
-    }
-  };
-
-  if (path == KernelBuildPath::kScalar) {
-    // Reference structure: one matrix per sweep.  Kept as the bit-identity
-    // oracle the fused path is tested against (tests/kernel_test.cc).
-    for (int w = 0; w < n_; ++w) {
-      double* out = cross + static_cast<std::size_t>(w) * n;
-      const double* row_sw =
-          fd + static_cast<std::size_t>(snd[static_cast<std::size_t>(w)]) * sm;
-      for (int v = 0; v < n_; ++v) {
-        out[v] =
-            row_sw[static_cast<std::size_t>(rcv[static_cast<std::size_t>(v)])];
-      }
-    }
-    transpose_cross();
-
-    // Raw affectance matrices: aff_raw_ row w = a_w(.), filled w-major (the
-    // factors depending on the *target* v are O(n) arrays); the transpose
-    // row v = a_.(v), filled v-major from cross_t.
-    for (int w = 0; w < n_; ++w) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      double* out = aff_raw_.data() + sw * n;
-      const double* cross_w = cross + sw * n;
-      const double pw = power_[sw];
-      for (int v = 0; v < n_; ++v) {
-        const std::size_t sv = static_cast<std::size_t>(v);
-        if (v == w || !can_overcome_[sv]) {
-          out[sv] = 0.0;
-        } else if (uniform_power_) {
-          out[sv] = noise_factor_[sv] * (link_decay_[sv] / cross_w[sv]);
-        } else {
-          out[sv] = noise_factor_[sv] *
-                    (pw / power_[sv] * link_decay_[sv] / cross_w[sv]);
-        }
-      }
-    }
-    for (int v = 0; v < n_; ++v) {
-      const std::size_t sv = static_cast<std::size_t>(v);
-      double* out = aff_raw_t_.data() + sv * n;
-      if (!can_overcome_[sv]) {
-        std::fill(out, out + n, 0.0);
-        continue;
-      }
-      const double* cross_v = cross_t + sv * n;
-      const double cv = noise_factor_[sv];
-      const double fvv = link_decay_[sv];
-      const double pv = power_[sv];
-      for (int w = 0; w < n_; ++w) {
-        const std::size_t sw = static_cast<std::size_t>(w);
-        if (w == v) {
-          out[sw] = 0.0;
-        } else if (uniform_power_) {
-          out[sw] = cv * (fvv / cross_v[sw]);
-        } else {
-          out[sw] = cv * (power_[sw] / pv * fvv / cross_v[sw]);
-        }
-      }
-    }
-
-    // Min-endpoint-decay matrix (zeta-independent part of the link
-    // quasi-distance).  The decay matrix stores 0 on the diagonal, which is
-    // exactly the naive d(p, p) = 0 special case, so no branch is needed.
-    // The matrix is stored for ordered (v, w): in an asymmetric space the
-    // sender-sender and receiver-receiver legs are ordered pairs, so
-    // d(l_v, l_w) need not equal d(l_w, l_v).
-    for (int v = 0; v < n_; ++v) {
-      const std::size_t sv = static_cast<std::size_t>(v);
-      double* out = min_pair_decay_.data() + sv * n;
-      const double* row_sv = fd + static_cast<std::size_t>(snd[sv]) * sm;
-      const double* row_rv = fd + static_cast<std::size_t>(rcv[sv]) * sm;
-      const double* cross_v = cross_t + sv * n;  // f(s_w, r_v) over w
-      for (int w = 0; w < n_; ++w) {
-        if (w == v) {
-          out[static_cast<std::size_t>(w)] = 0.0;
-          continue;
-        }
-        const std::size_t w_snd =
-            static_cast<std::size_t>(snd[static_cast<std::size_t>(w)]);
-        const std::size_t w_rcv =
-            static_cast<std::size_t>(rcv[static_cast<std::size_t>(w)]);
-        const double sv_rw = row_sv[w_rcv];                        // f(s_v, r_w)
-        const double sw_rv = cross_v[static_cast<std::size_t>(w)];  // f(s_w, r_v)
-        const double sv_sw = row_sv[w_snd];                        // f(s_v, s_w)
-        const double rv_rw = row_rv[w_rcv];                        // f(r_v, r_w)
-        out[static_cast<std::size_t>(w)] =
-            std::min(std::min(sv_rw, sw_rv), std::min(sv_sw, rv_rw));
-      }
-    }
-    return;
-  }
-
-  // Fused tiled path (default).  Pass 1 (w-major) derives the aff_raw row
-  // from the cross row while the freshly written cross values are still in
-  // registers/L1 -- at n = 16k each n x n slab is 2 GB, so a second sweep
-  // re-reads it all from DRAM.  Pass 2 (v-major, after the blocked
-  // transpose) fills aff_raw_t and min_pair_decay from one read of the
-  // cross_t row.
+  // Pass 1 (w-major) derives the aff_raw row from the cross row while the
+  // freshly written cross values are still in registers/L1 -- at n = 16k
+  // each n x n slab is 2 GB, so a second sweep re-reads it all from DRAM.
   for (int w = 0; w < n_; ++w) {
     const std::size_t sw = static_cast<std::size_t>(w);
     double* out_cross = cross + sw * n;
@@ -256,7 +146,26 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
       }
     }
   }
-  transpose_cross();
+
+  // Blocked transpose of the cross matrix.
+  constexpr std::size_t kTile = 32;
+  for (std::size_t wb = 0; wb < n; wb += kTile) {
+    for (std::size_t vb = 0; vb < n; vb += kTile) {
+      const std::size_t we = std::min(n, wb + kTile);
+      const std::size_t ve = std::min(n, vb + kTile);
+      for (std::size_t w = wb; w < we; ++w) {
+        for (std::size_t v = vb; v < ve; ++v) {
+          cross_t[v * n + w] = cross[w * n + v];
+        }
+      }
+    }
+  }
+
+  // Pass 2 (v-major) fills aff_raw_t and the min-endpoint-decay matrix (the
+  // zeta-independent part of the link quasi-distance) from one read of the
+  // cross_t row.  The min matrix is stored for ordered (v, w): in an
+  // asymmetric space the sender-sender and receiver-receiver legs are
+  // ordered pairs, so d(l_v, l_w) need not equal d(l_w, l_v).
   for (int v = 0; v < n_; ++v) {
     const std::size_t sv = static_cast<std::size_t>(v);
     double* out_t = aff_raw_t_.data() + sv * n;
@@ -296,13 +205,12 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
 // --- KernelArena -------------------------------------------------------------
 
 const KernelCache& KernelArena::Rebuild(const LinkSystem& system,
-                                        PowerAssignment power,
-                                        KernelBuildPath path) {
+                                        PowerAssignment power) {
   // Warm iff the slot already holds matrices of this link count: every
   // resize inside Build is then a no-op and no allocation happens.
   const bool warm =
       slot_.system_ != nullptr && slot_.n_ == system.NumLinks();
-  slot_.Build(system, std::move(power), scratch_, path);
+  slot_.Build(system, std::move(power), scratch_);
   ++rebuilds_;
   if (warm) ++warm_skips_;
   ArenaRebuildCounter().Add();
@@ -412,24 +320,6 @@ void AffectanceAccumulator::Add(int v) {
   }
   members_.push_back(v);
   in_set_[static_cast<std::size_t>(v)] = 1;
-}
-
-void AffectanceAccumulator::Remove(int v) {
-  DL_CHECK(Contains(v), "link not in the accumulator");
-  const int n = kernel_->NumLinks();
-  const double* from_v = kernel_->aff_raw_.data() + Idx(v, 0, n);
-  const double* into_v = kernel_->aff_raw_t_.data() + Idx(v, 0, n);
-  for (int u = 0; u < n; ++u) {
-    const std::size_t su = static_cast<std::size_t>(u);
-    const double av_u = from_v[su];
-    const double au_v = into_v[su];
-    in_raw_[su] -= av_u;
-    in_[su] -= av_u < 1.0 ? av_u : 1.0;
-    out_raw_[su] -= au_v;
-    out_[su] -= au_v < 1.0 ? au_v : 1.0;
-  }
-  members_.erase(std::find(members_.begin(), members_.end(), v));
-  in_set_[static_cast<std::size_t>(v)] = 0;
 }
 
 bool AffectanceAccumulator::CanAddFeasibly(int v) const {

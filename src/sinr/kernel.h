@@ -44,24 +44,12 @@
 
 namespace decaylib::sinr {
 
-// How KernelCache::Build sweeps the matrices.  Entry expressions are
-// identical either way -- the paths are bit-identical and differ only in
-// how many times each cache line is re-fetched:
-//   * kTiled (default): fused sweeps -- the w-major pass derives the
-//     aff_raw row from the cross row while it is still in cache, and the
-//     v-major pass fills aff_raw_t and min_pair_decay from one cross_t
-//     row read; the transpose itself is blocked 32x32.
-//   * kScalar: one matrix per sweep, the original reference structure,
-//     kept as the oracle the tiled path is tested against.
-enum class KernelBuildPath { kTiled, kScalar };
-
 // Precomputed affectance/distance kernels for one (LinkSystem, power) pair.
 // Holds a reference to the system; the system (and its decay space) must
 // outlive the cache.  Construction costs O(n^2) time and memory.
 class KernelCache {
  public:
-  KernelCache(const LinkSystem& system, PowerAssignment power,
-              KernelBuildPath path = KernelBuildPath::kTiled);
+  KernelCache(const LinkSystem& system, PowerAssignment power);
 
   int NumLinks() const noexcept { return n_; }
   const LinkSystem& system() const noexcept { return *system_; }
@@ -167,11 +155,13 @@ class KernelCache {
   // Rebuilds before handing the cache out -- may construct one.
   KernelCache() = default;
 
-  // (Re)builds every matrix for (system, power); `scratch` provides the
-  // transpose workspace so arena rebuilds allocate nothing once warm.
+  // (Re)builds every matrix for (system, power) in two fused sweeps: the
+  // w-major pass derives the aff_raw row from the cross row while it is
+  // still in cache, and the v-major pass fills aff_raw_t and min_pair_decay
+  // from one read of the (blocked 32x32) transposed cross row.  `scratch`
+  // holds that transpose, so arena rebuilds allocate nothing once warm.
   void Build(const LinkSystem& system, PowerAssignment power,
-             std::vector<double>& scratch,
-             KernelBuildPath path = KernelBuildPath::kTiled);
+             std::vector<double>& scratch);
 
   const LinkSystem* system_ = nullptr;
   PowerAssignment power_;
@@ -201,8 +191,7 @@ class KernelArena {
   // beyond the system's lifetime (there is deliberately no accessor for
   // the last-built cache: it would dangle once the batch's instances are
   // destroyed).
-  const KernelCache& Rebuild(const LinkSystem& system, PowerAssignment power,
-                             KernelBuildPath path = KernelBuildPath::kTiled);
+  const KernelCache& Rebuild(const LinkSystem& system, PowerAssignment power);
 
   long long rebuilds() const noexcept { return rebuilds_; }
   // Rebuilds whose link count matched the warm slot's, so every matrix
@@ -219,21 +208,17 @@ class KernelArena {
   long long warm_skips_ = 0;
 };
 
-// Running in/out-affectance sums over a growing (or shrinking) set of links.
-// Add/Remove are O(n); queries are O(1).  Sums accumulate in insertion
-// order, so after Add(s_1), ..., Add(s_k):
+// Running in/out-affectance sums over a growing set of links.  Add is
+// O(n); queries are O(1).  Sums accumulate in insertion order, so after
+// Add(s_1), ..., Add(s_k):
 //     In(v)  == system.InAffectance({s_1..s_k}, v, power)   bit-for-bit,
 //     Out(v) == system.OutAffectance(v, {s_1..s_k}, power)  bit-for-bit,
-// and likewise for the unclamped Raw variants.  Remove subtracts the entry
-// that Add added; note that floating-point subtraction does not perfectly
-// undo earlier absorption, so heavy add/remove churn can drift by ulps from
-// a from-scratch sum (the greedy admission loops only ever Add).
+// and likewise for the unclamped Raw variants.
 class AffectanceAccumulator {
  public:
   explicit AffectanceAccumulator(const KernelCache& kernel);
 
   void Add(int v);
-  void Remove(int v);
   void Clear();
 
   const std::vector<int>& members() const noexcept { return members_; }

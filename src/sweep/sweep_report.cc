@@ -87,9 +87,14 @@ void PrintSweepReport(const SweepResult& result) {
     }
     std::printf("\n");
   }
-  if (result.checkpoint_write_ms > 0.0 || result.resume_restore_ms > 0.0) {
+  const obs::StageStats::Stage* writes =
+      result.stage_stats.Find("checkpoint_write");
+  const obs::StageStats::Stage* restore =
+      result.stage_stats.Find("resume_restore");
+  if (writes != nullptr || restore != nullptr) {
     std::printf("checkpointing: %.1f ms writing, %.1f ms restoring\n",
-                result.checkpoint_write_ms, result.resume_restore_ms);
+                writes != nullptr ? writes->total_ms : 0.0,
+                restore != nullptr ? restore->total_ms : 0.0);
   }
   std::printf("\n");
 
@@ -133,22 +138,13 @@ void PrintSweepReport(const SweepResult& result) {
     if (!cell.outcome.ok || cell.outcome.resumed) continue;
     const obs::StageStats& stats = cell.result.stage_stats;
     if (stats.empty()) continue;
-    double geometry_ms = 0.0, kernel_ms = 0.0, task_ms = 0.0;
-    for (const obs::StageStats::Stage& s : stats.stages) {
-      if (s.name == "geometry_build" || s.name == "geometry_reuse") {
-        geometry_ms += s.total_ms;
-      } else if (s.name == "kernel_build" || s.name == "farfield_build") {
-        kernel_ms += s.total_ms;
-      } else if (s.name.rfind("task.", 0) == 0) {
-        task_ms += s.total_ms;
-      }
-    }
+    const engine::StageGroups groups = engine::GroupStages(stats);
     timing_rows.push_back(
         {std::to_string(cell.cell.index), std::to_string(cell.outcome.attempts),
          FmtFixed(cell.outcome.attempt_ms, 1),
-         FmtFixed(cell.outcome.total_attempt_ms, 1), FmtFixed(geometry_ms, 1),
-         FmtFixed(kernel_ms, 1), FmtFixed(task_ms, 1),
-         FmtFixed(stats.TotalMs(), 1)});
+         FmtFixed(cell.outcome.total_attempt_ms, 1),
+         FmtFixed(groups.geometry_ms, 1), FmtFixed(groups.kernel_ms, 1),
+         FmtFixed(groups.task_ms, 1), FmtFixed(stats.TotalMs(), 1)});
   }
   if (!timing_rows.empty()) {
     std::printf("\nper-cell timing (final attempt; stage totals worker-summed)\n");

@@ -137,10 +137,9 @@ struct SweepResult {
   long long geometry_reuses = 0; // instance geometries served from cache
   long long geometry_generation_hits = 0;  // Prepares served by a warm key
   long long geometry_evictions = 0;        // generations dropped by LRU
-  double checkpoint_write_ms = 0.0;  // total time in SaveCheckpoint
-  double resume_restore_ms = 0.0;    // time loading/verifying the sidecar
-  // Per-stage breakdown merged from every ok cell's batch (plus the
-  // sweep-level checkpoint_write / resume_restore stages).  Wall clock;
+  // Per-stage breakdown merged from every ok cell's batch, plus the
+  // sweep-level stages checkpoint_write (each SaveCheckpoint) and
+  // resume_restore (loading and verifying the sidecar).  Wall clock;
   // never enters SweepSignature.
   obs::StageStats stage_stats;
 

@@ -4,13 +4,18 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <initializer_list>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/status.h"
 #include "engine/report.h"
 #include "engine/scenario.h"
+#include "io/json.h"
 #include "obs/bench_harness.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -568,17 +573,92 @@ TEST(ReportTest, JsonReportRoundTrips) {
   const std::vector<ScenarioResult> results = {BatchRunner(config).RunOne(spec)};
   ASSERT_TRUE(WriteJsonReport("ENGINE_TEST", results));
   // The file is a valid BENCH v2 record: strict re-parse, provenance, one
-  // batch/kernel_build/tasks phase triple for the scenario.
+  // batch/geometry/kernel_build/tasks phase set for the scenario.
   const core::StatusOr<obs::BenchReportData> parsed =
       obs::LoadBenchReport("BENCH_ENGINE_TEST.json");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->bench, "ENGINE_TEST");
   EXPECT_EQ(parsed->schema, 2);
-  EXPECT_EQ(parsed->phases.size(), 3u);
+  EXPECT_EQ(parsed->phases.size(), 4u);
   EXPECT_NE(parsed->provenance.git_sha, "");
   ASSERT_NE(parsed->Find(spec.name + ".batch"), nullptr);
   EXPECT_EQ(parsed->Find(spec.name + ".batch")->n, spec.links);
   EXPECT_EQ(std::remove("BENCH_ENGINE_TEST.json"), 0);
+}
+
+// Sum of the named stages' totals, zero for stages that never ran.
+double StageTotal(const obs::StageStats& stats,
+                  std::initializer_list<std::string> names) {
+  double total = 0.0;
+  for (const std::string& name : names) {
+    if (const obs::StageStats::Stage* s = stats.Find(name)) {
+      total += s->total_ms;
+    }
+  }
+  return total;
+}
+
+// Each BENCH phase of a scenario is exactly its layer of the stage
+// breakdown: geometry = geometry_build + geometry_reuse, kernel_build =
+// kernel_build + farfield_build (never geometry), tasks = every task.<kind>.
+// The far-field scenario builds both kernels (the dense one lazily, for the
+// tasks without a far-field path); the second dense scenario reuses the
+// first one's geometry.
+TEST(ReportTest, JsonReportPhasesEqualStageTotals) {
+  ScenarioSpec dense = Small(BuiltinScenarios().front(), 10, 2);
+  dense.name = "phases_dense";
+  ScenarioSpec reused = dense;
+  reused.name = "phases_reused";
+  reused.beta = 1.5;
+  ScenarioSpec farfield = dense;
+  farfield.name = "phases_farfield";
+  farfield.seed += 1;
+  farfield.kernel_mode = KernelMode::kFarField;
+  GeometryCache cache;
+  BatchConfig config;
+  config.threads = 2;
+  config.geometry = &cache;
+  const std::vector<ScenarioResult> results =
+      BatchRunner(config).Run(std::vector<ScenarioSpec>{dense, reused, farfield});
+  ASSERT_NE(results[1].stage_stats.Find("geometry_reuse"), nullptr);
+  ASSERT_NE(results[2].stage_stats.Find("farfield_build"), nullptr);
+  ASSERT_NE(results[2].stage_stats.Find("kernel_build"), nullptr);
+  ASSERT_TRUE(WriteJsonReport("ENGINE_PHASES_TEST", results));
+
+  std::ifstream in("BENCH_ENGINE_PHASES_TEST.json", std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  in.close();
+  EXPECT_EQ(std::remove("BENCH_ENGINE_PHASES_TEST.json"), 0);
+  const core::StatusOr<io::Json> doc = io::Json::Parse(text.str());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const io::Json* phases = doc->Find("phases");
+  ASSERT_NE(phases, nullptr);
+  std::map<std::string, double> phase_ms;
+  for (const io::Json& phase : phases->Items()) {
+    phase_ms[phase.Find("name")->AsString()] =
+        phase.Find("wall_ms")->AsNumber();
+  }
+  EXPECT_EQ(phase_ms.size(), 4 * results.size());
+
+  for (const ScenarioResult& r : results) {
+    SCOPED_TRACE(r.spec.name);
+    const obs::StageStats& stats = r.stage_stats;
+    double task_total = 0.0;
+    for (const TaskKind task : config.tasks) {
+      task_total +=
+          StageTotal(stats, {std::string("task.") + TaskKindName(task)});
+    }
+    const std::string& name = r.spec.name;
+    EXPECT_DOUBLE_EQ(phase_ms.at(name + ".batch"), r.batch_wall_ms);
+    EXPECT_DOUBLE_EQ(phase_ms.at(name + ".geometry"),
+                     StageTotal(stats, {"geometry_build", "geometry_reuse"}));
+    EXPECT_DOUBLE_EQ(phase_ms.at(name + ".kernel_build"),
+                     StageTotal(stats, {"kernel_build", "farfield_build"}));
+    EXPECT_DOUBLE_EQ(phase_ms.at(name + ".tasks"), task_total);
+    EXPECT_GT(phase_ms.at(name + ".geometry"), 0.0);
+    EXPECT_GT(phase_ms.at(name + ".tasks"), 0.0);
+  }
 }
 
 // The observability layer must be inert: the deterministic aggregate is
@@ -607,9 +687,10 @@ TEST(BatchRunnerTest, ObservabilityOnOffLeavesSignatureBitIdentical) {
   EXPECT_EQ(AggregateSignature(on_serial), sig);
 }
 
-// Stage stats are plain wall clock, populated with observability off: one
-// kernel_build and one geometry stage entry per instance, one task.<kind>
-// entry per configured task per instance.
+// The stage breakdown is measured with observability off.  Every record
+// carries one geometry, one kernel_build and one task.<kind> stage per
+// configured task, nothing else; the result merges the records in instance
+// order.
 TEST(BatchRunnerTest, StageStatsCoverEveryInstanceAndTask) {
   BatchConfig config;
   config.threads = 2;
@@ -631,20 +712,37 @@ TEST(BatchRunnerTest, StageStatsCoverEveryInstanceAndTask) {
     ASSERT_NE(stage, nullptr) << key;
     EXPECT_EQ(stage->count, n) << key;
   }
-  // Per-record: every configured task ran, so no -1 sentinel survives, and
-  // the per-kind timers account for the record's task wall time.
+
+  obs::StageStats merged;
   for (const InstanceRecord& rec : r.instances) {
-    double task_sum = 0.0;
-    for (int k = 0; k < kNumTaskKinds; ++k) {
-      EXPECT_GE(rec.task_kind_ms[static_cast<std::size_t>(k)], 0.0);
-      task_sum += rec.task_kind_ms[static_cast<std::size_t>(k)];
+    SCOPED_TRACE("instance " + std::to_string(rec.index));
+    EXPECT_EQ(rec.stages.stages.size(), 2 + AllTasks().size());
+    for (const char* name : {"geometry_build", "kernel_build"}) {
+      const obs::StageStats::Stage* stage = rec.stages.Find(name);
+      ASSERT_NE(stage, nullptr) << name;
+      EXPECT_EQ(stage->count, 1) << name;
     }
-    EXPECT_LE(task_sum, rec.task_ms + 1.0);
-    EXPECT_GE(rec.build_ms, rec.geometry_ms + rec.kernel_ms - 1.0);
+    double task_sum = 0.0;
+    for (const TaskKind task : AllTasks()) {
+      const std::string key = std::string("task.") + TaskKindName(task);
+      const obs::StageStats::Stage* stage = rec.stages.Find(key);
+      ASSERT_NE(stage, nullptr) << key;
+      EXPECT_EQ(stage->count, 1) << key;
+      EXPECT_GE(stage->total_ms, 0.0) << key;
+      task_sum += stage->total_ms;
+    }
+    EXPECT_LE(task_sum, rec.stages.TotalMs());
+    merged.Merge(rec.stages);
+  }
+  ASSERT_EQ(merged.stages.size(), r.stage_stats.stages.size());
+  for (const obs::StageStats::Stage& stage : r.stage_stats.stages) {
+    ASSERT_NE(merged.Find(stage.name), nullptr) << stage.name;
+    EXPECT_EQ(merged.Find(stage.name)->total_ms, stage.total_ms) << stage.name;
   }
 }
 
-// A task subset leaves the unrun kinds' timers at the -1 sentinel.
+// A task subset records stages for the configured kinds only: an unrun
+// kind has no stage in any record or in the merged breakdown.
 TEST(BatchRunnerTest, TaskSubsetKeepsUnrunTimerSentinels) {
   BatchConfig config;
   config.threads = 1;
@@ -652,14 +750,63 @@ TEST(BatchRunnerTest, TaskSubsetKeepsUnrunTimerSentinels) {
   const ScenarioSpec spec = Small(BuiltinScenarios().front(), 10, 2);
   const ScenarioResult r = BatchRunner(config).RunOne(spec);
   for (const InstanceRecord& rec : r.instances) {
-    EXPECT_GE(rec.task_kind_ms[static_cast<std::size_t>(
-                  TaskKind::kGreedyBaseline)],
-              0.0);
-    EXPECT_EQ(rec.task_kind_ms[static_cast<std::size_t>(TaskKind::kQueue)],
-              -1.0);
+    const obs::StageStats::Stage* greedy = rec.stages.Find("task.greedy");
+    ASSERT_NE(greedy, nullptr);
+    EXPECT_EQ(greedy->count, 1);
+    for (const obs::StageStats::Stage& stage : rec.stages.stages) {
+      if (stage.name.starts_with("task.")) {
+        EXPECT_EQ(stage.name, "task.greedy");
+      }
+    }
+    EXPECT_EQ(rec.stages.Find("task.queue"), nullptr);
   }
   EXPECT_EQ(r.stage_stats.Find("task.queue"), nullptr);
   EXPECT_NE(r.stage_stats.Find("task.greedy"), nullptr);
+}
+
+// Reports and traces share one set of names: with observability on and a
+// trace active, the trace's event names are exactly the batch's stage
+// names plus the per-instance "instance" and per-batch "batch.<name>"
+// spans.  The specs cover every engine stage: geometry build and reuse,
+// the dense kernel, and the far-field kernel with its lazy dense build.
+TEST(BatchRunnerTest, TraceEventNamesEqualStageNames) {
+  ScenarioSpec dense = Small(BuiltinScenarios().front(), 8, 2);
+  dense.name = "trace_dense";
+  ScenarioSpec reused = dense;
+  reused.name = "trace_reused";
+  reused.beta = 1.5;
+  ScenarioSpec farfield = dense;
+  farfield.name = "trace_farfield";
+  farfield.seed += 1;
+  farfield.kernel_mode = KernelMode::kFarField;
+  const std::vector<ScenarioSpec> specs = {dense, reused, farfield};
+  GeometryCache cache;
+  BatchConfig config;
+  config.threads = 2;
+  config.geometry = &cache;
+
+  obs::SetEnabled(true);
+  obs::TraceSink::Global().Start();
+  const std::vector<ScenarioResult> results = BatchRunner(config).Run(specs);
+  obs::TraceSink::Global().Stop();
+  const std::vector<obs::TraceEvent> events = obs::TraceSink::Global().Events();
+  obs::TraceSink::Global().Clear();
+  obs::SetEnabled(false);
+
+  std::set<std::string> traced;
+  for (const obs::TraceEvent& event : events) traced.insert(event.name);
+  std::set<std::string> expected = {"instance"};
+  for (const ScenarioResult& r : results) {
+    expected.insert("batch." + r.spec.name);
+    for (const obs::StageStats::Stage& stage : r.stage_stats.stages) {
+      expected.insert(stage.name);
+    }
+  }
+  EXPECT_EQ(traced, expected);
+  for (const char* stage : {"geometry_build", "geometry_reuse",
+                            "kernel_build", "farfield_build"}) {
+    EXPECT_EQ(expected.count(stage), 1u) << stage;
+  }
 }
 
 }  // namespace

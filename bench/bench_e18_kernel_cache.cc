@@ -7,8 +7,11 @@
 //       plus the warm-kernel variant that reuses a prebuilt cache the way
 //       ScheduleLinks does across slots;
 //   (b) full scheduling (ScheduleLinks = one kernel, many extractions);
-//   (c) ComputeMetricity / ComputePhi (pruned + flattened + parallel) vs
-//       the exhaustive naive scans.
+//   (c) ComputeMetricity (power-domain prefilter + two-pow prune, serial)
+//       and ComputePhi (block-pruned, parallel) vs the exhaustive naive
+//       scans, plus ComputeMetricity on an asymmetrically shadowed space
+//       (6 dB, the measured-zeta engine family), checked against one
+//       untimed naive scan.
 // The cached/pruned results are asserted identical to the naive ones before
 // any timing is reported.
 //
@@ -29,6 +32,7 @@
 #include "obs/bench_harness.h"
 #include "scheduling/scheduler.h"
 #include "sinr/kernel.h"
+#include "geom/samplers.h"
 #include "sinr/power.h"
 #include "spaces/samplers.h"
 
@@ -39,6 +43,12 @@ namespace {
 bool SameResult(const capacity::Algorithm1Result& a,
                 const capacity::Algorithm1Result& b) {
   return a.admitted == b.admitted && a.selected == b.selected;
+}
+
+bool SameResult(const core::MetricityResult& a,
+                const core::MetricityResult& b) {
+  return a.zeta == b.zeta && a.arg_x == b.arg_x && a.arg_y == b.arg_y &&
+         a.arg_z == b.arg_z;
 }
 
 }  // namespace
@@ -157,7 +167,22 @@ int main(int argc, char** argv) {
         "phi_optimised", n_metricity,
         [&] { fast_phi = core::ComputePhi(space); });
 
-    if (pruned.zeta != naive.zeta ||
+    // Asymmetric 6 dB shadowing: the non-geometric space whose zeta the
+    // engine measures per instance.
+    geom::Rng shadow_rng(24);
+    const auto points =
+        geom::SampleUniform(n_metricity, 20.0, 20.0, shadow_rng);
+    const core::DecaySpace shadowed = spaces::ShadowedGeometric(
+        points, 3.0, 6.0, shadow_rng, /*symmetric=*/false);
+    const core::MetricityResult shadowed_naive =
+        core::ComputeMetricityNaive(shadowed);
+    core::MetricityResult shadowed_pruned;
+    const obs::SampleStats shadowed_stats = report.Time(
+        "metricity_shadowed", n_metricity,
+        [&] { shadowed_pruned = core::ComputeMetricity(shadowed); });
+
+    if (!SameResult(pruned, naive) ||
+        !SameResult(shadowed_pruned, shadowed_naive) ||
         fast_phi.phi_factor != naive_phi.phi_factor) {
       std::printf("ERROR: pruned metricity diverged from the naive path\n");
       return 1;
@@ -167,6 +192,8 @@ int main(int argc, char** argv) {
     table.AddRow({"ComputeMetricity", bench::Fmt(naive_stats.min_ms, 1),
                   bench::Fmt(pruned_stats.min_ms, 1),
                   bench::Fmt(naive_stats.min_ms / pruned_stats.min_ms, 1)});
+    table.AddRow({"ComputeMetricity, shadowed", "",
+                  bench::Fmt(shadowed_stats.min_ms, 1), ""});
     table.AddRow({"ComputePhi", bench::Fmt(naive_phi_stats.min_ms, 1),
                   bench::Fmt(fast_phi_stats.min_ms, 1),
                   bench::Fmt(naive_phi_stats.min_ms / fast_phi_stats.min_ms,
@@ -175,6 +202,9 @@ int main(int argc, char** argv) {
     std::printf("zeta = %s (witness %d,%d,%d), phi = %s\n",
                 bench::Fmt(pruned.zeta).c_str(), pruned.arg_x, pruned.arg_y,
                 pruned.arg_z, bench::Fmt(fast_phi.phi).c_str());
+    std::printf("shadowed zeta = %s (witness %d,%d,%d)\n",
+                bench::Fmt(shadowed_pruned.zeta).c_str(), shadowed_pruned.arg_x,
+                shadowed_pruned.arg_y, shadowed_pruned.arg_z);
   }
 
   std::printf(

@@ -1,9 +1,9 @@
 #include "core/metricity.h"
 
-// decay-lint: allowlist-file(naked-thread) -- fork-join parallel metricity
-// predates BatchRunner and joins every worker before returning; the split is
-// a pure index partition, so results are bitwise independent of scheduling.
-// Tracked for migration onto the shared pool (ROADMAP serving-mode item).
+// decay-lint: allowlist-file(naked-thread) -- ComputePhi's fork-join scan
+// joins every worker before returning; the split is a pure index partition,
+// so results are bitwise independent of scheduling.  ComputeMetricity runs
+// serially and forks nothing.
 
 #include <algorithm>
 #include <cmath>
@@ -12,10 +12,27 @@
 #include <vector>
 
 #include "core/check.h"
+#include "obs/registry.h"
 
 namespace decaylib::core {
 
 namespace {
+
+// ComputeMetricity's scan counters (docs/observability.md), added once per
+// scan from local tallies.
+struct MetricityCounters {
+  obs::Counter& filter_refreshes;
+  obs::Counter& exact_prunes;
+  obs::Counter& bisections;
+};
+
+MetricityCounters& Counters() {
+  static MetricityCounters counters{
+      obs::Registry::Global().GetCounter("core.metricity.filter_refreshes"),
+      obs::Registry::Global().GetCounter("core.metricity.exact_prunes"),
+      obs::Registry::Global().GetCounter("core.metricity.bisections")};
+  return counters;
+}
 
 // Number of worker threads for an n-sized outer loop: never more threads
 // than rows, and only one for small inputs where spawn overhead dominates.
@@ -92,57 +109,104 @@ MetricityResult ComputeMetricity(const DecaySpace& space, double tol) {
   // ComputeMetricityNaive's.
   const double slack = 1.0 + 4.0 * tol + 1e-13;
 
-  const int workers = WorkerCount(n);
-  std::vector<MetricityResult> partial(static_cast<std::size_t>(workers));
+  // Power-domain prefilter (soundness argument in metricity.h).  gt holds
+  // the transposed power matrix gt[y][z] = f(z,y)^s_f, with +inf on the
+  // diagonal so z == x and z == y never survive; gx is its row x.
+  // Survivors run through the unfiltered per-triple code in ascending z, so
+  // the update sequence is the naive one.
+  //
+  // max |lg f| + 1 over off-diagonal entries; +inf (never filter) for
+  // n < 2 or a non-finite entry.
+  const double log_span = std::max(std::abs(std::log2(space.MinDecay())),
+                                   std::abs(std::log2(space.MaxDecay()))) +
+                          1.0;
+  std::vector<double> gt;
+  std::vector<double> gx;
+  double s_f = 0.0;  // 0: no filter yet
 
-  // Each chunk prunes only against its own incumbent.  Sharing the best
-  // across threads would prune more, but on bitwise-tied extrema in
-  // different chunks the race would decide which witness survives; the
-  // chunk-local scan is deterministic and the merge below provably returns
-  // the naive (lexicographically first) witness.
-  ParallelChunks(n, workers, [&](int chunk, int begin, int end) {
-    MetricityResult local;
-    for (int x = begin; x < end; ++x) {
-      const double* row_x = f + static_cast<std::size_t>(x) * sn;
-      for (int y = 0; y < n; ++y) {
-        if (y == x) continue;
-        const double a = row_x[y];
-        for (int z = 0; z < n; ++z) {
-          if (z == x || z == y) continue;
-          const double b = row_x[z];
-          if (a <= b) continue;
-          const double c = f[static_cast<std::size_t>(z) * sn +
-                             static_cast<std::size_t>(y)];
-          if (a <= c) continue;
-          // Prune: h is strictly decreasing, so this triplet can only beat
-          // the incumbent if h(slack / incumbent) < 0.  Two pows replace
-          // the full bisection for almost every triple once the incumbent
-          // warms.
-          if (local.zeta > 0.0) {
-            const double s = slack / local.zeta;
-            if (std::pow(b / a, s) + std::pow(c / a, s) - 1.0 >= 0.0) continue;
-          }
-          const double zeta = TripletZeta(a, b, c, tol);
-          if (zeta > local.zeta) {
-            local.zeta = zeta;
-            local.arg_x = x;
-            local.arg_y = y;
-            local.arg_z = z;
+  long long refreshes = 0;
+  long long exact_prunes = 0;
+  long long bisections = 0;
+  MetricityResult result;
+  for (int x = 0; x < n; ++x) {
+    if (result.zeta > 0.0) {
+      const double s = slack / result.zeta;
+      if ((s_f == 0.0 || s < 0.98 * s_f) && s * log_span <= 900.0) {
+        gt.resize(sn * sn);
+        for (std::size_t z = 0; z < sn; ++z) {
+          for (std::size_t y = 0; y < sn; ++y) {
+            gt[y * sn + z] = std::pow(f[z * sn + y], s);
           }
         }
+        for (std::size_t d = 0; d < sn; ++d) {
+          gt[d * sn + d] = std::numeric_limits<double>::infinity();
+        }
+        s_f = s;
+        ++refreshes;
       }
     }
-    partial[static_cast<std::size_t>(chunk)] = local;
-  });
-
-  // Deterministic merge: chunks cover increasing x ranges, within a chunk
-  // the scan runs in the naive lexicographic order with the naive update
-  // rule, and ties across chunks resolve to the earlier chunk -- so the
-  // first strictly-greater zeta reproduces the naive argmax exactly.
-  MetricityResult result;
-  for (const MetricityResult& p : partial) {
-    if (p.zeta > result.zeta) result = p;
+    if (s_f > 0.0) {
+      gx.resize(sn);
+      for (std::size_t z = 0; z < sn; ++z) {
+        gx[z] = gt[z * sn + static_cast<std::size_t>(x)];
+      }
+    }
+    const double* row_x = f + static_cast<std::size_t>(x) * sn;
+    for (int y = 0; y < n; ++y) {
+      if (y == x) continue;
+      const double a = row_x[y];
+      const auto visit = [&](int z) {
+        if (z == x || z == y) return;
+        const double b = row_x[z];
+        if (a <= b) return;
+        const double c =
+            f[static_cast<std::size_t>(z) * sn + static_cast<std::size_t>(y)];
+        if (a <= c) return;
+        // Prune: h is strictly decreasing, so this triplet can only beat
+        // the incumbent if h(slack / incumbent) < 0.  Two pows replace the
+        // full bisection for almost every triple the filter lets through.
+        if (result.zeta > 0.0) {
+          ++exact_prunes;
+          const double s = slack / result.zeta;
+          if (std::pow(b / a, s) + std::pow(c / a, s) - 1.0 >= 0.0) return;
+        }
+        ++bisections;
+        const double zeta = TripletZeta(a, b, c, tol);
+        if (zeta > result.zeta) {
+          result.zeta = zeta;
+          result.arg_x = x;
+          result.arg_y = y;
+          result.arg_z = z;
+        }
+      };
+      if (s_f == 0.0) {
+        for (int z = 0; z < n; ++z) visit(z);
+        continue;
+      }
+      // Four candidates per test, so the rare survivor costs one branch
+      // per block instead of one per triple.
+      const double* g_y = gt.data() + static_cast<std::size_t>(y) * sn;
+      const double* g_x = gx.data();
+      const double bound = g_x[y] * (1.0 + 1e-9);
+      int z = 0;
+      for (; z + 4 <= n; z += 4) {
+        const bool any = (g_x[z] + g_y[z] < bound) |
+                         (g_x[z + 1] + g_y[z + 1] < bound) |
+                         (g_x[z + 2] + g_y[z + 2] < bound) |
+                         (g_x[z + 3] + g_y[z + 3] < bound);
+        if (!any) continue;
+        for (int k = z; k < z + 4; ++k) {
+          if (g_x[k] + g_y[k] < bound) visit(k);
+        }
+      }
+      for (; z < n; ++z) {
+        if (g_x[z] + g_y[z] < bound) visit(z);
+      }
+    }
   }
+  Counters().filter_refreshes.Add(refreshes);
+  Counters().exact_prunes.Add(exact_prunes);
+  Counters().bisections.Add(bisections);
   return result;
 }
 
@@ -288,8 +352,10 @@ PhiResult ComputePhi(const DecaySpace& space) {
     partial[static_cast<std::size_t>(chunk)] = local;
   });
 
-  // Same deterministic merge as ComputeMetricity: first strictly-greater
-  // wins, reproducing the naive lexicographic argmax.
+  // Deterministic merge: chunks cover increasing x ranges, within a chunk
+  // the scan runs in the naive lexicographic order with the naive update
+  // rule, and ties across chunks resolve to the earlier chunk -- so the
+  // first strictly-greater factor reproduces the naive argmax exactly.
   PhiResult result;
   for (const PhiResult& p : partial) {
     if (p.phi_factor > result.phi_factor) {

@@ -22,16 +22,24 @@
 //
 // ComputeMetricity and ComputePhi are the dominant O(n^3) costs of the
 // experiment suite; the default entry points prune triples against the
-// running incumbent before solving them, iterate in flat row-major order
-// over the raw decay matrix, and split the outer loop across hardware
-// threads.  Pruning is sound because h(s) = (b/a)^s + (c/a)^s - 1 is
-// strictly decreasing: a triplet can only beat the incumbent zeta_best if
-// h(1/zeta_best) < 0, a two-pow test that replaces the full bisection for
-// the overwhelming majority of triples.  Both prunes carry a tolerance
-// slack (and incumbents are chunk-local rather than shared across threads),
-// so the optimised scans return the *same* extremum and the same witness
-// triplet as the naive references -- exactly, not approximately; the
-// equality tests compare with EXPECT_EQ.  The *Naive variants keep the
+// running incumbent before solving them and iterate in flat row-major order
+// over the raw decay matrix.  Pruning is sound because
+// h(s) = (b/a)^s + (c/a)^s - 1 is strictly decreasing: a triplet can only
+// beat the incumbent zeta_best if h(1/zeta_best) < 0, a two-pow test that
+// replaces the full bisection.  ComputeMetricity runs serially and puts a
+// power-domain prefilter in front of that test: it keeps G = f^s_f for an
+// exponent s_f at least the current s = 1/zeta_best and skips a triple when
+// G(x,z) + G(z,y) >= G(x,y) * (1 + 1e-9).  Such a triple has h(s_f) >= ~1e-9,
+// hence h(s) > 0, so the two-pow test would skip it too; since the incumbent
+// only grows, a G computed at an older, larger s_f stays sound, and it is
+// refreshed at row boundaries once s falls below 0.98 s_f.  G is used only
+// while s_f * (max |lg f| + 1) <= 900, so no power overflows or underflows
+// and rounding stays near 1e-13, far inside the 1e-9 band; otherwise the
+// scan runs unfiltered.  ComputePhi splits its outer loop across hardware
+// threads with chunk-local incumbents.  Every prune carries a tolerance
+// slack, so the optimised scans return the *same* extremum and the same
+// witness triplet as the naive references -- exactly, not approximately;
+// the equality tests compare with EXPECT_EQ.  The *Naive variants keep the
 // original exhaustive scans as the reference path for those tests.
 #pragma once
 
@@ -55,8 +63,9 @@ struct MetricityResult {
 // h(s) = (b/a)^s + (c/a)^s - 1 is strictly decreasing with h(0) = 1, so the
 // triplet's constraint holds iff s = 1/zeta is at most its unique root;
 // zeta(D) is the max of 1/root over constraining triplets.  O(n^3) triplets;
-// only those that can beat the incumbent are solved by bisection to relative
-// tolerance `tol`.  Parallel over the outer loop; deterministic result.
+// only those that pass the power-domain prefilter and the two-pow prune are
+// solved by bisection to relative tolerance `tol`.  Serial; the counters
+// core.metricity.{filter_refreshes,exact_prunes,bisections} tally each scan.
 MetricityResult ComputeMetricity(const DecaySpace& space, double tol = 1e-12);
 
 // Reference implementation: bisects every constraining triplet, single

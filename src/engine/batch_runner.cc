@@ -450,14 +450,13 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
                static_cast<int>(config_.arenas.size()) >= threads,
            "arena span must cover every worker thread");
   threads = std::min(threads, spec.instances);
-  // Measured-zeta specs run ComputeMetricity per instance, which splits
-  // its outer loop across all hardware threads once the space reaches 64
-  // nodes (WorkerCount in core/metricity.cc); running those builds from a
-  // pool of workers would oversubscribe the machine quadratically.
-  // Serialise the instances instead and let each metricity scan use the
-  // cores (the aggregate is thread-count invariant either way).  Below the
-  // threshold the metricity scan is single-threaded, so the pool keeps its
-  // workers.
+  // Measured-zeta specs (>= 64 nodes) run their instances serially to
+  // bound memory: every concurrent instance holds its own non-geometric
+  // decay matrix, kernel and metricity scratch, and
+  // pooling the 4-instance, 384-node perfbench shadowed_power batch on 4
+  // workers (4-core x86-64 host) measured 17.4 MB peak RSS against 14.2 MB
+  // serial (+22%), for 0.32-0.39 s instead of 0.83-0.90 s wall.  The
+  // aggregate is thread-count invariant either way.
   if (spec.zeta < 0.0 && 2 * spec.links >= 64) threads = 1;
 
   // Adopt the cell's geometry key before workers start: slots invalidate

@@ -25,17 +25,45 @@ PowerControlResult RunFixedPoint(const std::vector<double>& B,
   double growth = 0.0;
   for (int iter = 0; iter < max_iterations; ++iter) {
     result.iterations = iter + 1;
+    // next = c + B p.  Four rows accumulate together, each in its own
+    // ascending-j chain, so every next[i] is the same sequence of roundings
+    // as a one-row loop while four add chains overlap instead of one.
+    std::size_t i4 = 0;
+    for (; i4 + 4 <= k; i4 += 4) {
+      const double* r0 = B.data() + i4 * k;
+      const double* r1 = r0 + k;
+      const double* r2 = r1 + k;
+      const double* r3 = r2 + k;
+      double acc0 = c[i4];
+      double acc1 = c[i4 + 1];
+      double acc2 = c[i4 + 2];
+      double acc3 = c[i4 + 3];
+      for (std::size_t j = 0; j < k; ++j) {
+        const double pj = p[j];
+        acc0 += r0[j] * pj;
+        acc1 += r1[j] * pj;
+        acc2 += r2[j] * pj;
+        acc3 += r3[j] * pj;
+      }
+      next[i4] = acc0;
+      next[i4 + 1] = acc1;
+      next[i4 + 2] = acc2;
+      next[i4 + 3] = acc3;
+    }
+    for (; i4 < k; ++i4) {
+      double acc = c[i4];
+      const double* row = B.data() + i4 * k;
+      for (std::size_t j = 0; j < k; ++j) acc += row[j] * p[j];
+      next[i4] = acc;
+    }
     double max_next = 0.0;
     double max_rel_change = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
-      double acc = c[i];
-      const double* row = B.data() + i * k;
-      for (std::size_t j = 0; j < k; ++j) acc += row[j] * p[j];
-      next[i] = acc;
-      max_next = std::max(max_next, acc);
+      max_next = std::max(max_next, next[i]);
       if (p[i] > 0.0) {
-        max_rel_change = std::max(max_rel_change,
-                                  std::abs(acc - p[i]) / std::max(p[i], 1e-300));
+        max_rel_change =
+            std::max(max_rel_change,
+                     std::abs(next[i] - p[i]) / std::max(p[i], 1e-300));
       }
     }
     if (max_next == 0.0) {

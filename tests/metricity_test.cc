@@ -6,8 +6,10 @@
 #include <vector>
 
 #include "core/decay_space.h"
+#include "engine/scenario.h"
 #include "geom/rng.h"
 #include "geom/samplers.h"
+#include "obs/registry.h"
 #include "spaces/constructions.h"
 #include "spaces/samplers.h"
 
@@ -162,13 +164,14 @@ TEST(ZetaPhiTripleTest, PhiBoundedZetaGrows) {
   EXPECT_GT(last_zeta, 4.0);  // far above the phi bound
 }
 
-// --- pruned/parallel vs naive equality -------------------------------------
+// --- pruned vs naive equality ----------------------------------------------
 //
-// ComputeMetricity and ComputePhi prune against the incumbent and may split
-// work across threads; they must still return the same extremum *and the
-// same witness triplet* as the exhaustive reference scans (the prunes carry
-// a tolerance slack and incumbents are chunk-local, so the update sequence
-// is identical to the naive one).  Everything is compared exactly.
+// ComputeMetricity and ComputePhi prune against the incumbent (and ComputePhi
+// splits its outer loop across threads); they must still return the same
+// extremum *and the same witness triplet* as the exhaustive reference scans
+// (the prunes carry a tolerance slack and ComputePhi's incumbents are
+// chunk-local, so the update sequence is identical to the naive one).
+// Everything is compared exactly.
 
 class PrunedMetricityEquality : public ::testing::TestWithParam<int> {};
 
@@ -223,9 +226,7 @@ TEST_P(PrunedMetricityEquality, MatchesNaiveOnRandomSpaces) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PrunedMetricityEquality,
                          ::testing::Range(1, 11));
 
-TEST(PrunedMetricityEquality, MatchesNaiveAcrossThreadChunks) {
-  // n >= 64 engages the multi-threaded path on machines with >1 core (and
-  // the chunked merge either way).
+TEST(PrunedMetricityEquality, MatchesNaiveOnLargeGeometricSpace) {
   geom::Rng rng(99);
   const DecaySpace space = spaces::RandomGeometric(72, 15.0, 15.0, 2.8, rng);
   const MetricityResult pruned = ComputeMetricity(space);
@@ -240,6 +241,124 @@ TEST(PrunedMetricityEquality, MatchesNaiveAcrossThreadChunks) {
   EXPECT_EQ(fast_phi.arg_x, naive_phi.arg_x);
   EXPECT_EQ(fast_phi.arg_y, naive_phi.arg_y);
   EXPECT_EQ(fast_phi.arg_z, naive_phi.arg_z);
+}
+
+// --- the power-domain prefilter --------------------------------------------
+//
+// ComputeMetricity skips triples whose powers f^s_f already settle the
+// two-pow prune, and only while no f^s_f can overflow or underflow.  The
+// cases below pin value and witness to the naive scan on the paths that
+// decide this: the filter on (a shadowed engine geometry), the overflow
+// guard holding it off for the whole scan, and ties that must survive it.
+
+// ComputeMetricity's counters over one call.
+struct ScanCounts {
+  long long filter_refreshes = 0;
+  long long exact_prunes = 0;
+  long long bisections = 0;
+};
+
+MetricityResult CountedMetricity(const DecaySpace& space, ScanCounts* counts) {
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter& refreshes =
+      registry.GetCounter("core.metricity.filter_refreshes");
+  obs::Counter& prunes = registry.GetCounter("core.metricity.exact_prunes");
+  obs::Counter& bisections = registry.GetCounter("core.metricity.bisections");
+  const long long r0 = refreshes.value();
+  const long long p0 = prunes.value();
+  const long long b0 = bisections.value();
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const MetricityResult result = ComputeMetricity(space);
+  obs::SetEnabled(was_enabled);
+  counts->filter_refreshes = refreshes.value() - r0;
+  counts->exact_prunes = prunes.value() - p0;
+  counts->bisections = bisections.value() - b0;
+  return result;
+}
+
+void ExpectEqualsNaive(const DecaySpace& space, const MetricityResult& fast) {
+  const MetricityResult naive = ComputeMetricityNaive(space);
+  EXPECT_EQ(fast.zeta, naive.zeta);
+  EXPECT_EQ(fast.arg_x, naive.arg_x);
+  EXPECT_EQ(fast.arg_y, naive.arg_y);
+  EXPECT_EQ(fast.arg_z, naive.arg_z);
+}
+
+TEST(MetricityPrefilterTest, ShadowedEngineGeometryMatchesNaive) {
+  // The benchmark's measured-zeta family at 32 links (64 nodes).
+  engine::ScenarioSpec spec =
+      *engine::FindBuiltinScenario("shadowed_asymmetric");
+  spec.links = 32;
+  const engine::ScenarioGeometry geometry = engine::BuildGeometry(spec, 0);
+  const DecaySpace& space = *geometry.space;
+  ASSERT_EQ(space.size(), 64);
+  ScanCounts counts;
+  const MetricityResult fast = CountedMetricity(space, &counts);
+  ExpectEqualsNaive(space, fast);
+  EXPECT_GT(fast.zeta, spec.alpha);  // asymmetric shadowing breaks metricity
+  // The filter fired and left under 1% of the n^3 triples for the exact
+  // two-pow test.
+  const long long n = space.size();
+  EXPECT_GE(counts.filter_refreshes, 1);
+  EXPECT_LT(counts.exact_prunes * 100, n * n * n);
+  EXPECT_GE(counts.bisections, 1);
+}
+
+TEST(MetricityPrefilterTest, OverflowGuardKeepsFilterOffAndMatchesNaive) {
+  // Euclidean decays (alpha = 1, so zeta <= 1 and s = 1/zeta >= 1) scaled
+  // by 2^1000: f^s would overflow, so the guard s * (max |lg f| + 1) <= 900
+  // must hold the filter off for the whole scan.
+  geom::Rng rng(17);
+  const auto pts = geom::SampleUniform(24, 10.0, 10.0, rng);
+  DecaySpace space(24);
+  for (int p = 0; p < 24; ++p) {
+    for (int q = 0; q < 24; ++q) {
+      if (p == q) continue;
+      const double dx = pts[static_cast<std::size_t>(p)].x -
+                        pts[static_cast<std::size_t>(q)].x;
+      const double dy = pts[static_cast<std::size_t>(p)].y -
+                        pts[static_cast<std::size_t>(q)].y;
+      space.Set(p, q, std::ldexp(std::sqrt(dx * dx + dy * dy), 1000));
+    }
+  }
+  ScanCounts counts;
+  const MetricityResult fast = CountedMetricity(space, &counts);
+  ExpectEqualsNaive(space, fast);
+  EXPECT_GT(fast.zeta, 0.0);
+  EXPECT_LE(fast.zeta, 1.0 + 1e-9);
+  EXPECT_EQ(counts.filter_refreshes, 0);
+  EXPECT_GT(counts.exact_prunes, 0);  // the unfiltered two-pow path ran
+}
+
+TEST(MetricityPrefilterTest, BitwiseTiedMaximaInDifferentRowsKeepFirstWitness) {
+  // Background decays in [2, 4) constrain nothing beyond zeta = 1.  Rows 5
+  // and 60 each carry one planted triple (a, b, c) = (1000, 1, 1), so both
+  // attain the same bitwise zeta; the later row's waypoint is the smaller
+  // index.  The naive scan keeps the first row's witness, and the filtered
+  // scan must let the second row's tie through to the strict comparison.
+  geom::Rng rng(23);
+  const int n = 72;
+  DecaySpace space(n);
+  for (int p = 0; p < n; ++p) {
+    for (int q = 0; q < n; ++q) {
+      if (p != q) space.Set(p, q, rng.Uniform(2.0, 4.0));
+    }
+  }
+  space.Set(5, 9, 1000.0);
+  space.Set(5, 30, 1.0);
+  space.Set(30, 9, 1.0);
+  space.Set(60, 64, 1000.0);
+  space.Set(60, 2, 1.0);
+  space.Set(2, 64, 1.0);
+  ScanCounts counts;
+  const MetricityResult fast = CountedMetricity(space, &counts);
+  ExpectEqualsNaive(space, fast);
+  EXPECT_EQ(fast.arg_x, 5);
+  EXPECT_EQ(fast.arg_y, 9);
+  EXPECT_EQ(fast.arg_z, 30);
+  EXPECT_EQ(TripletZeta(space(60, 64), space(60, 2), space(2, 64)), fast.zeta);
+  EXPECT_GE(counts.filter_refreshes, 1);
 }
 
 TEST(PrunedMetricityEquality, PhiBlockPruneMatchesNaiveOnAdversarialSpaces) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/decay_space.h"
 #include "geom/rng.h"
 #include "geom/samplers.h"
@@ -191,6 +195,139 @@ TEST(CachedPowerControlTest, MatchesNaiveThroughArenaRebuild) {
   }
   EXPECT_EQ(HasPairwiseObstruction(system, all),
             HasPairwiseObstruction(kernel, all));
+}
+
+// --- the interleaved fixed point vs a one-row-at-a-time loop ---------------
+//
+// Both front ends share the fixed-point loop, so the cached-vs-naive tests
+// above cannot see a fault in its four-row matvec.  ReferenceFixedPoint is
+// that loop with one row at a time: the same expression per entry, the same
+// exits.  Every field must agree bitwise for every row count mod 4.
+
+PowerControlResult ReferenceFixedPoint(const LinkSystem& system,
+                                       std::span<const int> S,
+                                       int max_iterations, double tol) {
+  const std::size_t k = S.size();
+  const double beta = system.config().beta;
+  const double noise = system.config().noise;
+  std::vector<double> B(k * k, 0.0);
+  std::vector<double> c(k, 0.0);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double fii = system.LinkDecay(S[i]);
+    for (std::size_t j = 0; j < k; ++j) {
+      if (i != j) B[i * k + j] = beta * fii / system.CrossDecay(S[j], S[i]);
+    }
+    c[i] = beta * noise * fii;
+  }
+  PowerControlResult result;
+  std::vector<double> p(k, 1.0);
+  std::vector<double> next(k, 0.0);
+  double growth = 0.0;
+  for (int iter = 0; iter < max_iterations; ++iter) {
+    result.iterations = iter + 1;
+    double max_next = 0.0;
+    double max_rel_change = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      double acc = c[i];
+      for (std::size_t j = 0; j < k; ++j) acc += B[i * k + j] * p[j];
+      next[i] = acc;
+      max_next = std::max(max_next, acc);
+      if (p[i] > 0.0) {
+        max_rel_change = std::max(max_rel_change,
+                                  std::abs(acc - p[i]) / std::max(p[i], 1e-300));
+      }
+    }
+    if (max_next == 0.0) {
+      result.feasible = true;
+      result.power.assign(k, 1.0);
+      result.spectral_radius_estimate = 0.0;
+      break;
+    }
+    growth = max_next / *std::max_element(p.begin(), p.end());
+    result.spectral_radius_estimate = growth;
+    if (noise > 0.0) {
+      if (max_rel_change < tol) {
+        result.feasible = true;
+        result.power = next;
+        break;
+      }
+      if (max_next > 1e30) break;
+      p.swap(next);
+    } else {
+      double shifted_max = 0.0;
+      for (std::size_t i = 0; i < k; ++i) {
+        next[i] += p[i];
+        shifted_max = std::max(shifted_max, next[i]);
+      }
+      growth = shifted_max;
+      result.spectral_radius_estimate = growth - 1.0;
+      for (std::size_t i = 0; i < k; ++i) next[i] /= shifted_max;
+      double drift = 0.0;
+      for (std::size_t i = 0; i < k; ++i) drift += std::abs(next[i] - p[i]);
+      p.swap(next);
+      if (drift < tol && result.iterations > 3) {
+        result.feasible = result.spectral_radius_estimate <= 1.0 + 10.0 * tol;
+        result.power = p;
+        break;
+      }
+    }
+    if (result.iterations == max_iterations) {
+      const double rate =
+          noise > 0.0 ? growth : result.spectral_radius_estimate;
+      result.feasible = rate <= 1.0 + 10.0 * tol;
+      result.power = p;
+    }
+  }
+  if (result.feasible && !result.power.empty()) {
+    const double top =
+        *std::max_element(result.power.begin(), result.power.end());
+    if (top > 0.0) {
+      for (double& x : result.power) x /= top;
+    } else {
+      result.power.assign(k, 1.0);
+    }
+  }
+  return result;
+}
+
+TEST(PowerControlFixedPointTest, InterleavedRowsMatchOneRowLoopBitwise) {
+  geom::Rng rng(41);
+  int feasible = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const auto pts = geom::SampleUniform(18, 12.0 + 6.0 * trial,
+                                         12.0 + 6.0 * trial, rng);
+    const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
+    std::vector<Link> links;
+    for (int i = 0; i < 9; ++i) links.push_back({2 * i, 2 * i + 1});
+    for (const double noise : {0.0, 1e-4}) {
+      const LinkSystem system(space, links, {1.0, noise});
+      std::vector<int> S;
+      for (int v = 0; v < 9; ++v) {
+        S.push_back(v);  // k = 1..9: every row count mod 4
+        // A short iteration cap runs the did-not-settle exit as well.
+        for (const int cap : {10000, 7}) {
+          const PowerControlResult ref =
+              ReferenceFixedPoint(system, S, cap, 1e-9);
+          const PowerControlResult got =
+              FeasibleWithPowerControl(system, S, cap, 1e-9);
+          EXPECT_EQ(got.feasible, ref.feasible)
+              << "trial " << trial << " noise " << noise << " k " << S.size();
+          EXPECT_EQ(got.iterations, ref.iterations);
+          EXPECT_EQ(got.spectral_radius_estimate,
+                    ref.spectral_radius_estimate);
+          ASSERT_EQ(got.power.size(), ref.power.size());
+          for (std::size_t i = 0; i < got.power.size(); ++i) {
+            EXPECT_EQ(got.power[i], ref.power[i]) << "entry " << i;
+          }
+          (ref.feasible ? feasible : infeasible) += 1;
+        }
+      }
+    }
+  }
+  // Both verdicts occur, so both exits of each iteration were compared.
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
 }
 
 TEST(CachedPowerControlTest, CrossedPairInfeasibleThroughCache) {

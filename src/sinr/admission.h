@@ -4,11 +4,12 @@
 // Every loop here runs against a kernel/accumulator pair: the dense
 // KernelCache with its AffectanceAccumulator, or the matrix-free
 // FarFieldKernel with its FarFieldAccumulator.  Both accumulators meet one
-// contract -- Contains, Add, members, In, CanAddFeasibly, BudgetWithinHalf
-// -- and Backend<Kernel> names the accumulator plus the separation test
-// against its members (built once per run).  The far-field accumulator
-// decides every test as the dense one does (farfield.h spells out the
-// certification), so one loop gives both backends the same decisions.
+// contract -- Contains, Add, members, InWithinOne, CanAddFeasibly,
+// BudgetWithinHalf -- and Backend<Kernel> names the accumulator plus the
+// separation test against its members (built once per run).  The far-field
+// accumulator decides every test as the dense one does (farfield.h spells
+// out the certification), so one loop gives both backends the same
+// decisions.
 //
 //   * DecayOrder: candidates by non-decreasing f_vv, ties by list order.
 //   * AdmitWhileFeasible: admit each link of an order while the set stays
@@ -83,9 +84,9 @@ std::vector<int> AdmitWhileFeasible(const Kernel& kernel,
   return acc.members();
 }
 
-// With a zeta, a link must also be zeta/2-separated from X.  In(v) of a
-// member sums a_X(v) in admission order -- the order the naive path sums
-// it in.
+// With a zeta, a link must also be zeta/2-separated from X.  The final
+// filter keeps a member when its clamped a_X(v), summed in admission order
+// (the order the naive path sums it in), is at most 1.
 template <class Kernel>
 AdmissionResult HalfBudgetAdmission(const Kernel& kernel,
                                     std::span<const int> order,
@@ -108,7 +109,7 @@ AdmissionResult HalfBudgetAdmission(const Kernel& kernel,
   AdmissionResult result;
   result.admitted = acc.members();
   for (int v : result.admitted) {
-    if (acc.In(v) <= 1.0) result.selected.push_back(v);
+    if (acc.InWithinOne(v)) result.selected.push_back(v);
   }
   return result;
 }

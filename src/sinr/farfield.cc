@@ -232,6 +232,96 @@ double FarFieldKernel::InAffectanceRawExact(std::span<const int> S,
   return total;
 }
 
+FarFieldKernel::SenderGroups FarFieldKernel::GroupBySenderCell(
+    std::span<const int> S) const {
+  const std::size_t num_cells = sender_cells_.size();
+  SenderGroups g;
+  g.offset.assign(num_cells + 1, 0);
+  for (int w : S) {
+    ++g.offset[static_cast<std::size_t>(
+                   sender_cell_of_[static_cast<std::size_t>(w)]) +
+               1];
+  }
+  for (std::size_t c = 0; c < num_cells; ++c) {
+    if (g.offset[c + 1] > 0) g.cells.push_back(static_cast<int>(c));
+    g.offset[c + 1] += g.offset[c];
+  }
+  g.ids.resize(S.size());
+  std::vector<int> cursor(g.offset.begin(), g.offset.end() - 1);
+  for (int w : S) {
+    const std::size_t c =
+        static_cast<std::size_t>(sender_cell_of_[static_cast<std::size_t>(w)]);
+    g.ids[static_cast<std::size_t>(cursor[c]++)] = w;
+  }
+  return g;
+}
+
+template <class Done>
+FarFieldKernel::Interval FarFieldKernel::RefineInAffectance(
+    const SenderGroups& groups, int v, Done done,
+    std::vector<PooledCell>* far) const {
+  const std::size_t sv = static_cast<std::size_t>(v);
+  const geom::Vec2 p = receivers_[sv];
+  const double k = cf_[sv];
+  const int own = sender_cell_of_[sv];
+  // Near + refined cells, summed pairwise through the cheap bound spelling
+  // (AffectanceNear): the sum only feeds the guarded certified interval,
+  // and undecided callers re-fold with the exact path anyway.
+  const auto pairwise = [&](int c) {
+    double sum = 0.0;
+    for (int i = groups.offset[static_cast<std::size_t>(c)];
+         i < groups.offset[static_cast<std::size_t>(c) + 1]; ++i) {
+      sum += AffectanceNear(groups.ids[static_cast<std::size_t>(i)], v);
+    }
+    return sum;
+  };
+  double near_sum = 0.0;
+  far->clear();
+  for (int c : groups.cells) {
+    double lo = 0.0;
+    double hi = 0.0;
+    BoxDistance(sender_cells_[static_cast<std::size_t>(c)], p, &lo, &hi);
+    // v's own sender cell is never pooled: its entries equal to v must
+    // contribute 0, as in the dense row, and AffectanceNear says so.
+    if (lo <= sender_near_ || c == own) {
+      near_sum += pairwise(c);
+      continue;
+    }
+    const double cnt =
+        static_cast<double>(groups.offset[static_cast<std::size_t>(c) + 1] -
+                            groups.offset[static_cast<std::size_t>(c)]);
+    far->push_back({c, cnt * (k / BoundPow(hi)), cnt * (k / BoundPow(lo))});
+  }
+
+  // Adaptive refinement: convert the widest pooled cell to pairwise terms
+  // until the caller's stop condition holds.  Totals are resummed per
+  // round so the bounds never inherit subtraction cancellation.
+  Interval out;
+  for (;;) {
+    double far_lo = 0.0;
+    double far_hi = 0.0;
+    for (const PooledCell& f : *far) {
+      far_lo += f.lo;
+      far_hi += f.hi;
+    }
+    out.lower = (near_sum + far_lo) * (1.0 - kGuard);
+    out.upper = (near_sum + far_hi) * (1.0 + kGuard);
+    if (far->empty() || done(out)) break;
+    std::size_t widest = 0;
+    for (std::size_t i = 1; i < far->size(); ++i) {
+      if ((*far)[i].hi - (*far)[i].lo >
+          (*far)[widest].hi - (*far)[widest].lo) {
+        widest = i;
+      }
+    }
+    near_sum += pairwise((*far)[widest].cell);
+    (*far)[widest] = far->back();
+    far->pop_back();
+    FarFieldRefinedCellCounter().Add();
+  }
+  return out;
+}
+
 FarFieldKernel::Interval FarFieldKernel::CertifiedInAffectance(
     std::span<const int> S, int v) const {
   const std::size_t sv = static_cast<std::size_t>(v);
@@ -240,94 +330,27 @@ FarFieldKernel::Interval FarFieldKernel::CertifiedInAffectance(
     const double e = InAffectanceRawExact(S, v);
     return {e, e};
   }
-
-  // Group S by occupied sender cell (CSR over the compact cell index).
-  const int num_cells = static_cast<int>(sender_cells_.size());
-  std::vector<int> offset(static_cast<std::size_t>(num_cells) + 1, 0);
-  for (int w : S) {
-    if (w == v) continue;
-    ++offset[static_cast<std::size_t>(
-                 sender_cell_of_[static_cast<std::size_t>(w)]) +
-             1];
-  }
-  for (int c = 0; c < num_cells; ++c) {
-    offset[static_cast<std::size_t>(c) + 1] +=
-        offset[static_cast<std::size_t>(c)];
-  }
-  std::vector<int> grouped(static_cast<std::size_t>(offset[num_cells]));
-  std::vector<int> cursor(offset.begin(), offset.end() - 1);
-  for (int w : S) {
-    if (w == v) continue;
-    const int c = sender_cell_of_[static_cast<std::size_t>(w)];
-    grouped[static_cast<std::size_t>(cursor[static_cast<std::size_t>(c)]++)] =
-        w;
-  }
-
-  const geom::Vec2 p = receivers_[sv];
-  const double k = cf_[sv];
-  // Near + refined cells, summed pairwise through the cheap bound spelling
-  // (AffectanceNear): the sum only feeds the guarded certified interval,
-  // and threshold-straddling callers re-fold with the exact path anyway.
-  double near_sum = 0.0;
-  struct Pooled {
-    int cell;
-    double lo;
-    double hi;
+  const auto narrow_enough = [&](const Interval& b) {
+    return b.upper - b.lower <= epsilon_ * b.lower;
   };
-  std::vector<Pooled> far;
-  for (int c = 0; c < num_cells; ++c) {
-    const int b = offset[static_cast<std::size_t>(c)];
-    const int e = offset[static_cast<std::size_t>(c) + 1];
-    if (b == e) continue;
-    double lo = 0.0;
-    double hi = 0.0;
-    BoxDistance(sender_cells_[static_cast<std::size_t>(c)], p, &lo, &hi);
-    if (lo <= sender_near_) {
-      for (int i = b; i < e; ++i) {
-        near_sum += AffectanceNear(grouped[static_cast<std::size_t>(i)], v);
-      }
-      continue;
-    }
-    const double cnt = static_cast<double>(e - b);
-    far.push_back(
-        {c, cnt * (k / BoundPow(hi)), cnt * (k / BoundPow(lo))});
-  }
-
-  // Adaptive refinement: convert the widest pooled cell to exact until the
-  // certified interval meets the epsilon width target.  Totals are resummed
-  // per round so the bounds never inherit subtraction cancellation.
-  Interval out;
-  for (;;) {
-    double far_lo = 0.0;
-    double far_hi = 0.0;
-    for (const Pooled& f : far) {
-      far_lo += f.lo;
-      far_hi += f.hi;
-    }
-    out.lower = (near_sum + far_lo) * (1.0 - kGuard);
-    out.upper = (near_sum + far_hi) * (1.0 + kGuard);
-    if (far.empty() || out.upper - out.lower <= epsilon_ * out.lower) break;
-    std::size_t widest = 0;
-    for (std::size_t i = 1; i < far.size(); ++i) {
-      if (far[i].hi - far[i].lo > far[widest].hi - far[widest].lo) widest = i;
-    }
-    const int c = far[widest].cell;
-    far[widest] = far.back();
-    far.pop_back();
-    for (int i = offset[static_cast<std::size_t>(c)];
-         i < offset[static_cast<std::size_t>(c) + 1]; ++i) {
-      near_sum += AffectanceNear(grouped[static_cast<std::size_t>(i)], v);
-    }
-    FarFieldRefinedCellCounter().Add();
-  }
-  return out;
+  std::vector<PooledCell> far;
+  return RefineInAffectance(GroupBySenderCell(S), v, narrow_enough, &far);
 }
 
 bool FarFieldKernel::IsFeasibleCertified(std::span<const int> S) const {
+  const bool pooled = epsilon_ > 0.0 && uniform_power_;
+  SenderGroups groups;
+  std::vector<PooledCell> far;
+  if (pooled) groups = GroupBySenderCell(S);
+  // Refine only while the interval straddles the decision band: no width
+  // beyond that changes the decision.
+  const auto decided = [](const Interval& b) {
+    return b.upper <= 1.0 - kBand || b.lower > 1.0 + kBand;
+  };
   for (int v : S) {
     if (!CanOvercomeNoise(v)) return false;
-    if (epsilon_ > 0.0 && uniform_power_) {
-      const Interval b = CertifiedInAffectance(S, v);
+    if (pooled) {
+      const Interval b = RefineInAffectance(groups, v, decided, &far);
       if (b.upper <= 1.0 - kBand) {
         FarFieldCertifiedAcceptCounter().Add();
         continue;
@@ -484,10 +507,21 @@ void FarFieldAccumulator::CatchUp(int w) const {
   in_hi_[sw] = in_raw_m_[sw];
 }
 
-double FarFieldAccumulator::In(int v) const {
+bool FarFieldAccumulator::InWithinOne(int v) const {
   DL_CHECK(Contains(v), "far-field sums are member-only");
+  const FarFieldKernel& k = *kernel_;
+  const std::size_t sv = static_cast<std::size_t>(v);
+  if (k.uniform_power_ && k.epsilon_ > 0.0) {
+    // Clamped sum <= raw sum <= in_hi_: the bracket certifies acceptance
+    // only (a raw sum above 1 may still clamp to at most 1).
+    if (in_hi_[sv] <= 1.0 - FarFieldKernel::kBand) {
+      FarFieldCertifiedAcceptCounter().Add();
+      return true;
+    }
+    FarFieldExactFallbackCounter().Add();
+  }
   CatchUp(v);
-  return in_m_[static_cast<std::size_t>(v)];
+  return in_m_[sv] <= 1.0;
 }
 
 FarFieldKernel::Interval FarFieldAccumulator::CandidateInRawBounds(

@@ -24,7 +24,11 @@
 //     so adaptive refinement (converting the widest pooled cell to exact)
 //     converges geometrically to any requested width.
 //   * CertifiedInAffectance refines until upper - lower <= epsilon * lower;
-//     the guard adds at most ~3e-9 * upper of slack on top.
+//     the guard adds at most ~3e-9 * upper of slack on top.  Decisions
+//     never ask for that width: IsFeasibleCertified runs the same
+//     refinement loop but stops as soon as the interval clears the
+//     decision band (below), which on typical inputs is before any cell
+//     is refined at all.
 //
 // Decision contract vs the dense path (what the engine's signature gate
 // relies on; the admission loops of sinr/admission.h run unchanged over
@@ -33,13 +37,17 @@
 //     dense iteration order -- results are bit-identical to KernelCache /
 //     AffectanceAccumulator, and so are RunAlgorithm1 / ScheduleLinks.
 //   * epsilon > 0: threshold *decisions* (feasibility vs 1, Algorithm 1's
-//     budget vs 0.5, separation) are taken from the certified interval only
-//     when it clears the threshold by an absolute 1e-9 band; inside the band
-//     the decision falls back to the exact dense expression in the dense
-//     summation order.  Decisions therefore still match the dense path
-//     except for inputs engineered to sit within ~1e-9 of a threshold (the
-//     same caveat SeparationOracle already carries), while the *reported
-//     aggregate sums* may differ by the certified epsilon.
+//     budget vs 0.5 and its final a_X(v) <= 1 filter, separation) are taken
+//     from the certified interval only when it clears the threshold by an
+//     absolute 1e-9 band; otherwise the decision falls back to the exact
+//     dense expression in the dense summation order.  The final filter
+//     reads the member's eagerly maintained raw in-sum bracket and can only
+//     certify acceptance (the clamped sum is at most the raw one); a member
+//     whose bracket reaches the band is caught up to its exact fold.
+//     Decisions therefore still match the dense path except for inputs
+//     engineered to sit within ~1e-9 of a threshold (the same caveat
+//     SeparationOracle already carries), while the *reported aggregate
+//     sums* may differ by the certified epsilon.
 //
 // Pooling requires uniform power (the per-pair factor P_w / P_v would
 // otherwise vary inside a cell); non-uniform assignments silently use the
@@ -127,9 +135,11 @@ class FarFieldKernel {
   double InAffectanceRawExact(std::span<const int> S, int v) const;
 
   // Feasibility of S (every member's raw in-sum <= 1) decided through the
-  // certified interval, falling back to the exact fold only when the
-  // interval straddles the 1e-9 threshold band.  epsilon = 0 runs the exact
-  // fold unconditionally and is bit-identical to KernelCache::IsFeasible.
+  // certified interval: S is grouped by sender cell once, each member's
+  // interval is refined only while it straddles the 1e-9 threshold band,
+  // and a member still straddling it with every cell refined falls back to
+  // the exact fold.  epsilon = 0 runs the exact fold unconditionally and is
+  // bit-identical to KernelCache::IsFeasible.
   bool IsFeasibleCertified(std::span<const int> S) const;
 
   long long MemoryBytes() const noexcept;
@@ -158,7 +168,30 @@ class FarFieldKernel {
   // widened by this factor before use so certificates stay honest.
   static constexpr double kGuard = 1e-9;
 
+  // A link set grouped by occupied sender cell (CSR over the compact cell
+  // index), built once per set and read by every member's query.
+  struct SenderGroups {
+    std::vector<int> offset;  // sender_cells_.size() + 1 entries
+    std::vector<int> ids;     // the set's entries, cell by cell
+    std::vector<int> cells;   // cells holding an entry, ascending
+  };
+  // One pooled cell's contribution bounds during refinement.
+  struct PooledCell {
+    int cell = 0;
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+
   void Init(FarFieldConfig farfield);
+  SenderGroups GroupBySenderCell(std::span<const int> S) const;
+  // Certified interval for the raw in-affectance of v from the grouped
+  // set, pooling cells beyond the near ring and converting the widest
+  // pooled cell to pairwise terms until done(interval) holds or nothing is
+  // left to refine.  `far` is caller-owned scratch.  Uniform power and
+  // epsilon > 0 only.
+  template <class Done>
+  Interval RefineInAffectance(const SenderGroups& groups, int v, Done done,
+                              std::vector<PooledCell>* far) const;
   static void Compact(const geom::UniformGrid& grid,
                       std::span<const geom::Vec2> pts,
                       std::vector<CellAgg>* cells, std::vector<int>* grouped,
@@ -250,9 +283,12 @@ class FarFieldAccumulator {
     return in_set_[static_cast<std::size_t>(v)] != 0;
   }
 
-  // Member-only clamped in-sum (DL_CHECKed), bit-identical to the dense
-  // accumulator's for the same insertion sequence.
-  double In(int v) const;
+  // Algorithm 1's final filter a_X(v) <= 1 for a member v (DL_CHECKed):
+  // the dense In(v) <= 1.0 decision.  Pooled mode certifies acceptance
+  // from the raw in-sum bracket (clamped <= raw <= in_hi_) outside the
+  // 1e-9 band; otherwise the member's clamped fold is caught up -- it is
+  // then bit-identical to the dense accumulator's -- and compared exactly.
+  bool InWithinOne(int v) const;
 
   // Dense AffectanceAccumulator::CanAddFeasibly decisions: candidate raw
   // in-sum vs 1, then every member's headroom vs the candidate's pressure.

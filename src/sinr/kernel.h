@@ -243,6 +243,8 @@ class AffectanceAccumulator {
 
   // Algorithm 1's admission budget a_v(X) + a_X(v) <= 1/2.
   bool BudgetWithinHalf(int v) const { return Out(v) + In(v) <= 0.5; }
+  // Algorithm 1's final filter a_X(v) <= 1.
+  bool InWithinOne(int v) const { return In(v) <= 1.0; }
 
  private:
   const KernelCache* kernel_;

@@ -10,10 +10,13 @@
 //    geometry (EXPECT_EQ on doubles, not EXPECT_NEAR), and every admission
 //    loop run on the far-field kernel reproduces its dense run verbatim --
 //    at epsilon = 0, and at epsilon > 0 even on inputs built to drive the
-//    refinement, exact-fallback and separation knife-edge paths;
+//    refinement, exact-fallback, clamped-cell and separation knife-edge
+//    paths;
 //  * engine integration -- kernel_mode = kFarField at epsilon = 0 yields
 //    the dense batch and sweep signatures bit-for-bit, at epsilon > 0 every
-//    aggregate stays within epsilon of dense, a far-field-only task set
+//    aggregate stays within epsilon of dense and a 1024-link engine
+//    instance's Algorithm 1, schedule and validation equal the dense
+//    results, a far-field-only task set
 //    never fills the geometry's decay matrix, and ValidateScenarioSpec
 //    rejects far-field specs whose decay is not a pure distance function.
 #include "sinr/farfield.h"
@@ -23,6 +26,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,6 +37,7 @@
 #include "engine/batch_runner.h"
 #include "engine/report.h"
 #include "engine/scenario.h"
+#include "geom/grid.h"
 #include "geom/rng.h"
 #include "obs/registry.h"
 #include "scheduling/scheduler.h"
@@ -234,10 +239,11 @@ TEST(FarFieldPipelineTest, CertifiedDecisionsMatchDenseAtPositiveEpsilon) {
 }
 
 // The certified paths a random instance never reaches: adaptive refinement,
-// the exact fallbacks inside the 1e-9 decision band, and the separation
-// knife edge.  Each input is built to land on its path, the path is shown
-// to fire (counter delta or an on-the-edge precondition), and the far-field
-// run must still equal the dense run.
+// the exact fallbacks inside the 1e-9 decision band (Algorithm 1's final
+// filter included), and the separation knife edge.  Each input is built to
+// land on its path, the path is shown to fire (counter delta or an
+// on-the-edge precondition), and the far-field run must still equal the
+// dense run.
 class FarFieldFallbackTest : public ::testing::Test {
  protected:
   void SetUp() override { obs::SetEnabled(true); }
@@ -325,30 +331,79 @@ TEST_F(FarFieldFallbackTest, ThresholdSetsFallBackToExactAndMatchDense) {
          });
 }
 
-TEST_F(FarFieldFallbackTest, TinyEpsilonRefinesPooledCellsAndMatchesDense) {
+TEST_F(FarFieldFallbackTest, StraddlingIntervalRefinesThenFallsBackToExact) {
   // One link per grid cell over a wide box leaves most sender cells beyond
-  // the exact near ring; an epsilon below the fp guard's own width forces
-  // CertifiedInAffectance to refine every pooled cell.
+  // the exact near ring, so every member's interval starts out pooled.
+  // Rescaling beta (noise 0: every affectance is beta * f_vv / f_wv) puts a
+  // slot's most affected member on the feasibility threshold within a few
+  // ulps: its interval straddles the 1e-9 band however far it is refined,
+  // so IsFeasibleCertified refines pooled cells and then falls back to the
+  // exact fold.  Every decision must still equal the dense one.
   geom::Rng rng(71);
   const int n = 200;
   const double alpha = 3.0;
   const Deployment dep = MakeDeployment(n, 60.0, false, rng);
   const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, alpha);
-  const SinrConfig config{1.0, 0.0};
+  const LinkSystem unit(space, dep.links, {1.0, 0.0});
+  const KernelCache unit_dense(unit, UniformPower(unit));
+  const std::vector<int> all = AllLinks(n);
+  const scheduling::Schedule sched = scheduling::ScheduleLinks(
+      unit_dense, 3.0, scheduling::Extractor::kAlgorithm1, all);
+
+  // The most affected member of any multi-link slot.
+  const auto in_sum = [&](const std::vector<int>& slot, int v) {
+    double total = 0.0;
+    for (int w : slot) total += unit_dense.AffectanceRaw(w, v);
+    return total;
+  };
+  std::size_t worst_slot = 0;
+  int worst = -1;
+  double worst_sum = 0.0;
+  for (std::size_t s = 0; s < sched.slots.size(); ++s) {
+    if (sched.slots[s].size() < 2) continue;
+    for (int v : sched.slots[s]) {
+      if (in_sum(sched.slots[s], v) > worst_sum) {
+        worst_slot = s;
+        worst = v;
+        worst_sum = in_sum(sched.slots[s], v);
+      }
+    }
+  }
+  ASSERT_GE(worst, 0);
+  ASSERT_GT(worst_sum, 0.0);
+  ASSERT_LE(worst_sum, 1.0);  // the slot is feasible at beta = 1
+
+  const SinrConfig config{1.0 / worst_sum, 0.0};
   const LinkSystem system(space, dep.links, config);
   const KernelCache dense(system, UniformPower(system));
   const FarFieldKernel ff(dep.points, dep.links, alpha, config,
-                          UniformPower(system), {1e-12, 1});
-  const std::vector<int> all = AllLinks(n);
+                          UniformPower(system), {1e-3, 1});
+  const std::vector<int>& slot = sched.slots[worst_slot];
+  double fold = 0.0;
+  for (int w : slot) fold += dense.AffectanceRaw(w, worst);
+  ASSERT_LT(std::abs(fold - 1.0), 1e-12);  // on the threshold
 
-  const scheduling::Schedule dense_sched = scheduling::ScheduleLinks(
-      dense, 3.0, scheduling::Extractor::kAlgorithm1, all);
-  const scheduling::Schedule ff_sched = scheduling::ScheduleLinks(
-      ff, 3.0, scheduling::Extractor::kAlgorithm1, all);
-  EXPECT_EQ(ff_sched.slots, dense_sched.slots);
+  const long long refined = Count("sinr.farfield_refined_cells");
+  const long long fallbacks = Count("sinr.farfield_exact_fallbacks");
+  EXPECT_EQ(ff.IsFeasibleCertified(slot), dense.IsFeasible(slot));
+  EXPECT_GT(Count("sinr.farfield_refined_cells") - refined, 0);
+  EXPECT_GT(Count("sinr.farfield_exact_fallbacks") - fallbacks, 0);
+  for (const std::vector<int>& other : sched.slots) {
+    EXPECT_EQ(ff.IsFeasibleCertified(other), dense.IsFeasible(other));
+  }
+  EXPECT_EQ(scheduling::ValidateSchedule(ff, sched, all),
+            scheduling::ValidateSchedule(dense, sched, all));
+
+  // The public query keeps its epsilon-width contract: a width target
+  // below the fp guard's own width refines every pooled cell.
+  const FarFieldKernel fine(dep.points, dep.links, alpha, config,
+                            UniformPower(system), {1e-12, 1});
   const long long before = Count("sinr.farfield_refined_cells");
-  EXPECT_TRUE(scheduling::ValidateSchedule(ff, ff_sched, all));
+  const FarFieldKernel::Interval b = fine.CertifiedInAffectance(slot, worst);
   EXPECT_GT(Count("sinr.farfield_refined_cells") - before, 0);
+  EXPECT_LE(b.lower, fold);
+  EXPECT_GE(b.upper, fold);
+  EXPECT_LE(b.upper - b.lower, 1e-12 * b.lower + 1e-8 * b.upper);
 }
 
 TEST_F(FarFieldFallbackTest, SeparationKnifeEdgeMatchesDense) {
@@ -390,6 +445,152 @@ TEST_F(FarFieldFallbackTest, SeparationKnifeEdgeMatchesDense) {
     EXPECT_EQ(far.admitted, near.admitted);
     EXPECT_EQ(far.admitted.size(), separated ? 2u : 1u);
   }
+}
+
+// Hand-placed links beside a 20 x 20 lattice of short filler links
+// (spacing 5, receiver on the lattice point, sender 0.5 to its right): at
+// one link per cell the fillers keep the kernel's grid cells ~5 wide, so a
+// link a few dozen units long reaches past the exact near ring.
+struct LatticeDeployment {
+  std::vector<geom::Vec2> points;
+  std::vector<Link> links;
+
+  int Add(geom::Vec2 s, geom::Vec2 r) {
+    points.push_back(s);
+    points.push_back(r);
+    const int id = static_cast<int>(links.size());
+    links.push_back({2 * id, 2 * id + 1});
+    return id;
+  }
+  void AddFillers() {
+    for (int i = 0; i < 20; ++i) {
+      for (int j = 0; j < 20; ++j) {
+        const geom::Vec2 r{5.0 * i, 5.0 * j};
+        Add(r + geom::Vec2{0.5, 0.0}, r);
+      }
+    }
+  }
+  std::vector<geom::Vec2> Endpoints(bool senders) const {
+    std::vector<geom::Vec2> out;
+    for (const Link& l : links) {
+      out.push_back(
+          points[static_cast<std::size_t>(senders ? l.sender : l.receiver)]);
+    }
+    return out;
+  }
+};
+
+// The kernel's pooling geometry rebuilt from outside at one link per cell:
+// the near ring radius of the grid over `pts`, the links sharing a cell
+// with link `id`, and the distance range from p to their tight box.
+struct CellRange {
+  double ring = 0.0;
+  double lo = 0.0;
+  double hi = 0.0;
+  std::vector<int> members;
+};
+
+CellRange RangeToCellOf(const std::vector<geom::Vec2>& pts, int id,
+                        geom::Vec2 p, double alpha) {
+  std::vector<int> ids(pts.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
+  const geom::UniformGrid grid(pts, ids, 1);
+  CellRange out;
+  out.ring =
+      grid.CellSize() * std::sqrt(2.0) / (std::pow(2.0, 1.0 / alpha) - 1.0);
+  const std::span<const int> cell =
+      grid.CellContents(grid.CellIndex(pts[static_cast<std::size_t>(id)]));
+  out.members.assign(cell.begin(), cell.end());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  geom::Vec2 lo{kInf, kInf};
+  geom::Vec2 hi{-kInf, -kInf};
+  for (int m : out.members) {
+    const geom::Vec2 q = pts[static_cast<std::size_t>(m)];
+    lo = {std::min(lo.x, q.x), std::min(lo.y, q.y)};
+    hi = {std::max(hi.x, q.x), std::max(hi.y, q.y)};
+  }
+  out.lo = std::hypot(std::max({0.0, lo.x - p.x, p.x - hi.x}),
+                      std::max({0.0, lo.y - p.y, p.y - hi.y}));
+  out.hi = std::hypot(std::max(p.x - lo.x, hi.x - p.x),
+                      std::max(p.y - lo.y, hi.y - p.y));
+  return out;
+}
+
+TEST(FarFieldCertificateTest, OwnSenderCellNeverPoolsTheLinkItself) {
+  // Link v is 60 long, so its own sender cell -- shared with the first
+  // filler's sender -- lies far beyond the sender near ring from v's
+  // receiver.  v's own entry of its in-sum is 0, so that cell must not
+  // count v: pooled, it would add a phantom ~1 to the lower bound and
+  // certify the feasible pair {v, filler} infeasible.
+  const double alpha = 3.0;
+  LatticeDeployment dep;
+  const int v = dep.Add({2.5, 0.0}, {2.5, 60.0});
+  const int filler = static_cast<int>(dep.links.size());
+  dep.AddFillers();
+  const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, alpha);
+  const SinrConfig config{1.0, 0.0};
+  const LinkSystem system(space, dep.links, config);
+  const KernelCache dense(system, UniformPower(system));
+  // epsilon = 1: no width refinement could repair a wrong pooled bound.
+  const FarFieldKernel ff(dep.points, dep.links, alpha, config,
+                          UniformPower(system), {1.0, 1});
+
+  const CellRange own =
+      RangeToCellOf(dep.Endpoints(true), v, dep.points[1], alpha);
+  ASSERT_EQ(own.members, (std::vector<int>{v, filler}));
+  ASSERT_GT(own.lo, own.ring);
+
+  const std::vector<int> S{v, filler};
+  const double exact = ff.InAffectanceRawExact(S, v);
+  ASSERT_LT(exact, 1.0);
+  const FarFieldKernel::Interval b = ff.CertifiedInAffectance(S, v);
+  EXPECT_LE(b.lower, exact);
+  EXPECT_GE(b.upper, exact);
+  EXPECT_TRUE(dense.IsFeasible(S));
+  EXPECT_TRUE(ff.IsFeasibleCertified(S));
+}
+
+TEST(FarFieldPipelineTest, ClampingFarCellRunsPairwiseAndMatchesDense) {
+  // A member receiver cell beyond the exact near ring can still hold a
+  // member the candidate's pressure clamps for: member w is a 60-long link
+  // whose receiver shares a cell with a filler's, 30 away from candidate
+  // v's sender, so a_v(w) = 3600 / 30^2 = 4.  Sum-and-max cell aggregates
+  // cannot bound a sum of clamped terms from below there, so the budget's
+  // out-bounds evaluate that cell pairwise (clamped to 1) and reject v, as
+  // the dense loop does.
+  const double alpha = 2.0;
+  LatticeDeployment dep;
+  const int w = dep.Add({-57.5, 2.5}, {2.5, 2.5});
+  const int v = dep.Add({32.5, 2.5}, {32.5, 3.5});
+  dep.AddFillers();
+  const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, alpha);
+  const SinrConfig config{1.0, 0.0};
+  const LinkSystem system(space, dep.links, config);
+  const KernelCache dense(system, UniformPower(system));
+  const FarFieldKernel ff(dep.points, dep.links, alpha, config,
+                          UniformPower(system), {1e-3, 1});
+
+  // w's receiver cell lies beyond the receiver near ring from v's sender,
+  // and its clamp-free lower end c_w f_ww / d_hi^alpha still exceeds 1.
+  const CellRange cell =
+      RangeToCellOf(dep.Endpoints(false), w, dep.points[2], alpha);
+  ASSERT_GT(cell.lo, cell.ring);
+  ASSERT_GT(
+      dense.NoiseFactor(w) * dense.LinkDecay(w) / std::pow(cell.hi, alpha),
+      1.0);
+
+  // w, then v, then the fillers in decay order.
+  std::vector<int> order{w, v};
+  for (int u : DecayOrder(dense, AllLinks(system.NumLinks()))) {
+    if (u != w && u != v) order.push_back(u);
+  }
+  const AdmissionResult near = HalfBudgetAdmission(dense, order, std::nullopt);
+  const AdmissionResult far = HalfBudgetAdmission(ff, order, std::nullopt);
+  ASSERT_GE(near.admitted.size(), 1u);
+  EXPECT_EQ(near.admitted[0], w);
+  EXPECT_EQ(std::count(near.admitted.begin(), near.admitted.end(), v), 0);
+  EXPECT_EQ(far.admitted, near.admitted);
+  EXPECT_EQ(far.selected, near.selected);
 }
 
 TEST(FarFieldPipelineTest, NonUniformPowerFallsBackToExactPaths) {
@@ -600,6 +801,130 @@ TEST(FarFieldEngineTest, CertifiedModeAggregatesStayWithinEpsilon) {
     SCOPED_TRACE(dense_grid.cells[c].cell.spec.name);
     ExpectAggregatesWithinEpsilon(dense_grid.cells[c].result,
                                   ff_grid.cells[c].result, kEps);
+  }
+}
+
+// One engine-generated uniform instance at a size where most sender and
+// receiver cells pool (the 20-link engine tests above barely pool at all):
+// BuildGeometry's min-decay pairing, the instance's own config and zeta.
+struct EngineScaleInstance {
+  engine::ScenarioSpec spec;
+  engine::ScenarioGeometry geometry;
+  engine::ScenarioInstance instance;
+
+  static engine::ScenarioSpec Spec() {
+    engine::ScenarioSpec spec;
+    spec.name = "farfield_engine_scale";
+    spec.topology = "uniform";
+    spec.links = 1024;
+    spec.instances = 1;
+    spec.seed = 4242;
+    spec.kernel_mode = engine::KernelMode::kFarField;
+    spec.farfield_epsilon = 1e-3;
+    return spec;
+  }
+  EngineScaleInstance()
+      : spec(Spec()),
+        geometry(engine::BuildGeometry(spec, 0)),
+        instance(engine::ConfigureInstance(spec, geometry)) {}
+
+  FarFieldKernel FarField(SinrConfig config) const {
+    return FarFieldKernel(geometry.points, geometry.links, spec.alpha, config,
+                          instance.power(), {spec.farfield_epsilon});
+  }
+};
+
+TEST(FarFieldEngineTest, EngineScaleInstanceMatchesDense) {
+  const EngineScaleInstance e;
+  const LinkSystem& system = e.instance.system();
+  const KernelCache dense(system, e.instance.power());
+  const FarFieldKernel ff = e.FarField(system.config());
+  const double zeta = e.instance.zeta();
+  const std::vector<int> all = AllLinks(system.NumLinks());
+
+  const capacity::Algorithm1Result alg1 = capacity::RunAlgorithm1(dense, zeta);
+  const FarFieldAlg1Result ff_alg1 = FarFieldRunAlgorithm1(ff, zeta);
+  EXPECT_EQ(ff_alg1.admitted, alg1.admitted);
+  EXPECT_EQ(ff_alg1.selected, alg1.selected);
+
+  const scheduling::Schedule dense_sched = scheduling::ScheduleLinks(
+      dense, zeta, scheduling::Extractor::kAlgorithm1, all);
+  const scheduling::Schedule ff_sched = scheduling::ScheduleLinks(
+      ff, zeta, scheduling::Extractor::kAlgorithm1, all);
+  EXPECT_EQ(ff_sched.slots, dense_sched.slots);
+  EXPECT_TRUE(scheduling::ValidateSchedule(dense, dense_sched, all));
+  EXPECT_TRUE(scheduling::ValidateSchedule(ff, dense_sched, all));
+  for (const std::vector<int>& slot : dense_sched.slots) {
+    EXPECT_EQ(ff.IsFeasibleCertified(slot), dense.IsFeasible(slot));
+  }
+}
+
+TEST_F(FarFieldFallbackTest, FinalFilterInBandCatchesUpAndMatchesDense) {
+  // In decay order no member's final a_X(v) comes near 1, so the filter
+  // never reaches its exact path.  Admitting a long link v* first, at
+  // beta = 4, lets the later members pile up in-affectance on it; the first
+  // such v* (longest first) whose final in-sum lies in (1, 2] is rescaled
+  // onto 1 -/+ 1e-12 by beta' = 4 / a_X(v*) * (1 -/+ 1e-12) >= 1.  Every
+  // budget shrinks with beta (noise 0: affectances are beta * f_vv / f_wv),
+  // so the admitted set replayed at beta' is the same X, and v*'s in-sum
+  // sits inside the band on either side of 1, where InWithinOne cannot
+  // certify it from the bracket and catches its exact fold up.
+  const EngineScaleInstance e;
+  const double zeta = e.instance.zeta();
+  const double wide_beta = 4.0;
+  const LinkSystem wide(e.instance.space(), e.geometry.links, {wide_beta, 0.0});
+  const KernelCache wide_dense(wide, e.instance.power());
+  const std::vector<int> by_decay =
+      DecayOrder(wide_dense, AllLinks(wide.NumLinks()));
+  int target = -1;
+  std::vector<int> X;
+  double in_target = 0.0;
+  for (auto it = by_decay.rbegin(); it != by_decay.rend() && target < 0;
+       ++it) {
+    std::vector<int> order{*it};
+    for (int u : by_decay) {
+      if (u != *it) order.push_back(u);
+    }
+    X = HalfBudgetAdmission(wide_dense, order, zeta).admitted;
+    AffectanceAccumulator acc(wide_dense);
+    for (int v : X) acc.Add(v);
+    if (acc.In(*it) > 1.0 && acc.In(*it) <= 0.5 * wide_beta) {
+      ASSERT_EQ(acc.In(*it), acc.InRaw(*it));  // no clamped term
+      target = *it;
+      in_target = acc.In(*it);
+    }
+  }
+  ASSERT_GE(target, 0);
+
+  for (const bool kept : {true, false}) {
+    SCOPED_TRACE(kept ? "just below 1" : "just above 1");
+    const SinrConfig config{
+        wide_beta / in_target * (kept ? 1.0 - 1e-12 : 1.0 + 1e-12), 0.0};
+    const LinkSystem system(e.instance.space(), e.geometry.links, config);
+    const KernelCache dense(system, e.instance.power());
+    const FarFieldKernel ff = e.FarField(config);
+    const AdmissionResult near = HalfBudgetAdmission(dense, X, zeta);
+    ASSERT_EQ(near.admitted, X);
+    EXPECT_EQ(std::count(near.selected.begin(), near.selected.end(), target),
+              kept ? 1 : 0);
+    const AdmissionResult far = HalfBudgetAdmission(ff, X, zeta);
+    EXPECT_EQ(far.admitted, near.admitted);
+    EXPECT_EQ(far.selected, near.selected);
+
+    // The filter alone, over the same members.
+    AffectanceAccumulator dense_acc(dense);
+    FarFieldAccumulator ff_acc(ff);
+    for (int v : X) {
+      dense_acc.Add(v);
+      ff_acc.Add(v);
+    }
+    ASSERT_LT(std::abs(dense_acc.In(target) - 1.0), 1e-11);
+    const long long fallbacks = Count("sinr.farfield_exact_fallbacks");
+    EXPECT_EQ(ff_acc.InWithinOne(target), kept);
+    EXPECT_EQ(Count("sinr.farfield_exact_fallbacks") - fallbacks, 1);
+    for (int v : X) {
+      EXPECT_EQ(ff_acc.InWithinOne(v), dense_acc.InWithinOne(v)) << v;
+    }
   }
 }
 

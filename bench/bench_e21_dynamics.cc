@@ -7,12 +7,17 @@
 // re-derived its interference column.  The cached paths build one
 // sinr::KernelCache per instance and run greedy admission through an
 // AffectanceAccumulator (O(n) per admission) and SINR checks off the
-// cached cross-decay matrix.
+// cached cross-decay matrix.  The regret game's cached path carries every
+// receiver's interference sum across rounds with a certified rounding
+// bound and runs the exact sender-order sum only inside the 1e-9 band; the
+// bench prints how its success checks were decided.
 //
 // For each workload (queue x {lqf, greedy, random}, regret) the bench runs
 // the naive reference and the cached path from the same seed and exits 1
 // unless every statistic -- counters, rates, final queues, transmit
 // probabilities -- is bit-identical; only then does it quote wall-clock.
+// It also exits 1 unless the warm regret path beats the naive one in the
+// same run (a same-host ratio, unlike the cross-host baseline comparison).
 // The cached timings come in two flavours: "cached" INCLUDES the per-run
 // kernel build (the honest standalone per-instance cost), while "warm" runs
 // against a prebuilt kernel -- the batch engine's marginal cost, since one
@@ -30,6 +35,8 @@
 // dominates the naive inner loops.
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <string>
 
 #include "bench_util.h"
 #include "distributed/regret_game.h"
@@ -44,6 +51,7 @@ using namespace decaylib;
 namespace {
 
 constexpr std::uint64_t kSeed = 2121;
+constexpr int kRatioGateMinLinks = 16;
 
 }  // namespace
 
@@ -117,6 +125,8 @@ int main(int argc, char** argv) {
 
   double lqf_naive_ms = 0.0;
   double lqf_cached_ms = 0.0;
+  // Counter deltas of one cached regret game (the bit-exactness run).
+  std::map<std::string, long long> regret_counters;
 
   const struct {
     dynamics::Scheduler scheduler;
@@ -195,7 +205,9 @@ int main(int argc, char** argv) {
     {
       geom::Rng rng(kSeed + 13);
       const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+      obs::ScopedCounterCapture capture;
       cached_res = distributed::RunRegretGame(kernel, config, rng);
+      regret_counters = capture.Take();
     }
     if (!(naive_res == cached_res)) {
       std::printf("ERROR: regret: cached results differ from the naive "
@@ -228,6 +240,16 @@ int main(int argc, char** argv) {
     table.AddRow({"regret game", bench::Fmt(naive_ms, 1),
                   bench::Fmt(cached_ms, 1), bench::Fmt(warm_ms, 1),
                   bench::Fmt(naive_ms / cached_ms, 2) + "x"});
+    // Same-run ratio gate: the warm certified path must beat the naive
+    // reference on this host, whatever the host's absolute speed.  Below
+    // kRatioGateMinLinks both take microseconds and the order is timer
+    // noise.
+    if (links >= kRatioGateMinLinks && !(warm_ms < naive_ms)) {
+      std::printf("ERROR: regret warm path not faster than naive (warm "
+                  "%.2f ms vs naive %.2f ms at n=%d)\n",
+                  warm_ms, naive_ms, links);
+      return 1;
+    }
 
     // The LinkSystem entry point's size dispatch (kRegretKernelCrossover):
     // below the crossover it must route to the naive path, so a standalone
@@ -268,5 +290,11 @@ int main(int argc, char** argv) {
       "(cached timings include the per-run kernel build)\n");
   std::printf("LQF per-instance speedup: %sx\n",
               bench::Fmt(lqf_naive_ms / lqf_cached_ms, 2).c_str());
+  std::printf("regret success checks: %lld (certified accepts %lld, "
+              "certified rejects %lld, exact fallbacks %lld)\n",
+              regret_counters["distributed.regret_checks"],
+              regret_counters["distributed.regret_certified_accepts"],
+              regret_counters["distributed.regret_certified_rejects"],
+              regret_counters["distributed.regret_exact_fallbacks"]);
   return report.Close();
 }

@@ -7,19 +7,28 @@
 // OPT / h(zeta); bench e07/e08 compare the empirical average against
 // Algorithm 1 and OPT.
 //
-// The hot path runs on a sinr::KernelCache: the per-round success checks
-// read the cached cross-decay matrix instead of re-deriving every
-// interference term from the decay space, so one O(n^2) kernel build serves
-// the whole game.  The LinkSystem entry point keeps its historical
-// uniform-power semantics and dispatches on size: below
-// kRegretKernelCrossover links the O(n^2) kernel build costs more than the
-// direct Sinr evaluations it would save (BENCH_E21 measured the cached
-// route ~1.6x slower at n=96), so small systems take the naive route; at
-// and above the crossover it builds one kernel and delegates.  The two
-// routes are bit-identical at a fixed seed (the Sinr checks are the
-// identical expression and both paths draw the same randomness stream), so
-// the dispatch is result-invisible; the original per-round implementation
-// survives as RunRegretGameNaive, the test oracle and bench A/B baseline.
+// The hot path runs on a sinr::KernelCache and keeps every receiver's
+// interference sum across rounds: the multiplicative weights converge, so
+// between rounds only a few links join or leave the sender set, and each
+// change updates every receiver's running sum from one row of the cached
+// cross-decay matrix (O(n) per changed link, O(n) state, no new n x n
+// table).  Each sum carries a certified rounding bound; a success check
+// SINR >= beta is decided from sum +- bound whenever that clears
+// signal/beta by a 1e-9 relative band, and otherwise (the band, or a
+// non-finite sum) by the exact KernelCache::Sinr sender-order sum, which
+// also re-anchors the running sum.  The band dwarfs the exact sum's own
+// rounding, so the certified decision is the exact one by construction:
+// every trajectory is bit-identical to RunRegretGameNaive, the original
+// per-round implementation kept as the test oracle and bench A/B baseline.
+// The counters distributed.regret_checks / _certified_accepts /
+// _certified_rejects / _exact_fallbacks record how each check was decided.
+//
+// The LinkSystem entry point keeps its historical uniform-power semantics
+// and dispatches on size: below kRegretKernelCrossover links the O(n^2)
+// kernel build costs more than the per-round work it saves, so small
+// systems take the naive route; at and above the crossover it builds one
+// kernel and delegates.  Both routes are bit-identical at a fixed seed, so
+// the dispatch is result-invisible.
 #pragma once
 
 #include <vector>
@@ -50,8 +59,11 @@ struct RegretResult {
 
 // Link count at which a one-off kernel build starts paying for itself for
 // a *single* game (callers that already hold a warm kernel should use the
-// KernelCache overload regardless of size).
-inline constexpr int kRegretKernelCrossover = 128;
+// KernelCache overload regardless of size).  bench_e21 (Release, 4-core
+// x86-64, best of 7) measured the cached route, build included, 1.2x
+// (120 rounds) to 1.5x (300 rounds) faster than naive at n = 8, and within
+// noise of it at n = 4.
+inline constexpr int kRegretKernelCrossover = 8;
 
 // Runs the game against a warm kernel (and its power assignment).
 RegretResult RunRegretGame(const sinr::KernelCache& kernel,

@@ -44,6 +44,12 @@ obs::Counter& FarFieldExactFallbackCounter() {
   return counter;
 }
 
+obs::Counter& FarFieldClampRejectCounter() {
+  static obs::Counter& counter =
+      obs::Registry::Global().GetCounter("sinr.farfield_clamp_rejects");
+  return counter;
+}
+
 obs::Counter& FarFieldRefinedCellCounter() {
   static obs::Counter& counter =
       obs::Registry::Global().GetCounter("sinr.farfield_refined_cells");
@@ -596,25 +602,27 @@ FarFieldKernel::Interval FarFieldAccumulator::CandidateOutClampedBounds(
     double hi = 0.0;
     FarFieldKernel::BoxDistance(cell, q, &lo, &hi);
     // A cell pools only when the per-member *lower* ends cannot clamp
-    // (cf_max / d_hi^alpha <= 1); otherwise sum-and-max aggregates cannot
-    // bound sum-of-min from below and the cell is evaluated pairwise.
-    bool pairwise = lo <= k.receiver_near_;
-    if (!pairwise) {
+    // (cf_max / d_hi^alpha <= 1).  When they can, the member holding
+    // cf_max takes pressure cf_max / d^alpha > 1 from v, clamped to exactly
+    // 1, so a_v(X) >= 1 > 1/2 already decides the budget: return that
+    // certified reject interval instead of folding the cell pairwise.
+    if (lo > k.receiver_near_) {
       const double inv_hi = 1.0 / k.BoundPow(hi);
       if (rcell_cf_max_[sc] * inv_hi > 1.0) {
-        pairwise = true;
-      } else {
-        const double cnt = static_cast<double>(mem.size());
-        const double phi_sum = rcell_cf_sum_[sc] / k.BoundPow(lo);
-        far_hi += phi_sum < cnt ? phi_sum : cnt;
-        far_lo += rcell_cf_sum_[sc] * inv_hi;
+        FarFieldClampRejectCounter().Add();
+        return {1.0 - FarFieldKernel::kGuard,
+                static_cast<double>(members_.size()) *
+                    (1.0 + FarFieldKernel::kGuard)};
       }
+      const double cnt = static_cast<double>(mem.size());
+      const double phi_sum = rcell_cf_sum_[sc] / k.BoundPow(lo);
+      far_hi += phi_sum < cnt ? phi_sum : cnt;
+      far_lo += rcell_cf_sum_[sc] * inv_hi;
+      continue;
     }
-    if (pairwise) {
-      for (int w : mem) {
-        const double a = k.AffectanceNear(v, w);
-        near_sum += a < 1.0 ? a : 1.0;
-      }
+    for (int w : mem) {
+      const double a = k.AffectanceNear(v, w);
+      near_sum += a < 1.0 ? a : 1.0;
     }
   }
   return {(near_sum + far_lo) * (1.0 - FarFieldKernel::kGuard),

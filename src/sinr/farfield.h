@@ -299,7 +299,9 @@ class FarFieldAccumulator {
 
   // Algorithm 1's admission budget a_v(X) + a_X(v) <= 0.5 (the dense
   // Out(v) + In(v)), certified the same way (clamped sums pooled per cell
-  // with clamp-safe bounds).
+  // with clamp-safe bounds).  A far member cell in which some member's
+  // pressure from v certainly clamps to 1 rejects at once (a_v(X) >= 1),
+  // counted in sinr.farfield_clamp_rejects.
   bool BudgetWithinHalf(int v) const;
 
   // Dense SeparationOracle::IsSeparatedFrom(v, members()) decisions: cells

@@ -300,7 +300,6 @@ AffectanceAccumulator::AffectanceAccumulator(const KernelCache& kernel)
   in_.assign(n, 0.0);
   out_.assign(n, 0.0);
   in_raw_.assign(n, 0.0);
-  out_raw_.assign(n, 0.0);
 }
 
 void AffectanceAccumulator::Add(int v) {
@@ -315,7 +314,6 @@ void AffectanceAccumulator::Add(int v) {
     const double au_v = into_v[su];  // a_u(v): u's pressure on v
     in_raw_[su] += av_u;
     in_[su] += av_u < 1.0 ? av_u : 1.0;
-    out_raw_[su] += au_v;
     out_[su] += au_v < 1.0 ? au_v : 1.0;
   }
   members_.push_back(v);
@@ -336,7 +334,6 @@ void AffectanceAccumulator::Clear() {
   std::fill(in_.begin(), in_.end(), 0.0);
   std::fill(out_.begin(), out_.end(), 0.0);
   std::fill(in_raw_.begin(), in_raw_.end(), 0.0);
-  std::fill(out_raw_.begin(), out_raw_.end(), 0.0);
   members_.clear();
 }
 

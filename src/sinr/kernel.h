@@ -213,7 +213,7 @@ class KernelArena {
 // Add(s_1), ..., Add(s_k):
 //     In(v)  == system.InAffectance({s_1..s_k}, v, power)   bit-for-bit,
 //     Out(v) == system.OutAffectance(v, {s_1..s_k}, power)  bit-for-bit,
-// and likewise for the unclamped Raw variants.
+// and likewise InRaw for the unclamped in-sum.
 class AffectanceAccumulator {
  public:
   explicit AffectanceAccumulator(const KernelCache& kernel);
@@ -230,9 +230,8 @@ class AffectanceAccumulator {
   // Sum over current members w of min(1, a_w(v)) resp. min(1, a_v(w)).
   double In(int v) const { return in_[static_cast<std::size_t>(v)]; }
   double Out(int v) const { return out_[static_cast<std::size_t>(v)]; }
-  // Unclamped sums (the feasibility form).
+  // Unclamped in-sum (the feasibility form).
   double InRaw(int v) const { return in_raw_[static_cast<std::size_t>(v)]; }
-  double OutRaw(int v) const { return out_raw_[static_cast<std::size_t>(v)]; }
 
   // True iff members() + {v} is feasible, deciding exactly as the naive
   // push-IsFeasible-pop loop does: the candidate's in-affectance is the
@@ -250,7 +249,7 @@ class AffectanceAccumulator {
   const KernelCache* kernel_;
   std::vector<int> members_;
   std::vector<char> in_set_;
-  std::vector<double> in_, out_, in_raw_, out_raw_;
+  std::vector<double> in_, out_, in_raw_;
 };
 
 // Separation predicates for fixed (eta, zeta), evaluated in the decay

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "core/decay_space.h"
 #include "distributed/contention.h"
 #include "distributed/local_broadcast.h"
 #include "distributed/regret_game.h"
 #include "geom/samplers.h"
+#include "obs/registry.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
 #include "spaces/constructions.h"
@@ -230,6 +234,152 @@ TEST(RegretGameTest, CachedPathBitIdenticalToNaive) {
     EXPECT_EQ(naive.final_transmit_probability,
               entry.final_transmit_probability);
   }
+}
+
+
+// The certified incremental path of RunRegretGame(KernelCache): every
+// receiver's interference sum is carried across rounds with a rounding
+// bound, and only checks inside the 1e-9 band (or with a bound widened by
+// cancellation) run the exact sender-order Sinr.  Each input below is built
+// to force one path; the counters show it fired, and the whole result must
+// still equal the naive reference.
+class RegretTrackerTest : public ::testing::Test {
+ protected:
+  void SetUp() override { obs::SetEnabled(true); }
+  void TearDown() override { obs::SetEnabled(false); }
+
+  struct Counts {
+    long long checks = 0, accepts = 0, rejects = 0, fallbacks = 0;
+  };
+
+  static long long Count(const char* name) {
+    return obs::Registry::Global().GetCounter(name).value();
+  }
+  static Counts Snapshot() {
+    return {Count("distributed.regret_checks"),
+            Count("distributed.regret_certified_accepts"),
+            Count("distributed.regret_certified_rejects"),
+            Count("distributed.regret_exact_fallbacks")};
+  }
+
+  // Runs the cached game against the naive reference from the same seed,
+  // asserts the results are equal, and returns the cached run's counter
+  // deltas (every check is exactly one of accept / reject / fallback).
+  static Counts RunBoth(const sinr::LinkSystem& system,
+                        const RegretConfig& config, std::uint64_t seed) {
+    geom::Rng rng_naive(seed);
+    const RegretResult naive = RunRegretGameNaive(system, config, rng_naive);
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+    const Counts before = Snapshot();
+    geom::Rng rng_cached(seed);
+    const RegretResult cached = RunRegretGame(kernel, config, rng_cached);
+    const Counts after = Snapshot();
+    EXPECT_TRUE(naive == cached);
+    const Counts d{after.checks - before.checks,
+                   after.accepts - before.accepts,
+                   after.rejects - before.rejects,
+                   after.fallbacks - before.fallbacks};
+    EXPECT_EQ(d.checks, d.accepts + d.rejects + d.fallbacks);
+    return d;
+  }
+};
+
+TEST_F(RegretTrackerTest, InBandCheckFallsBackToExactAndMatchesNaive) {
+  // Round 0 plays every link with probability 1/2 whatever beta is, so its
+  // sender set can be drawn ahead of the game.  Rescaling beta onto one
+  // round-0 sender's SINR (within ~1e-13, both sides) puts that check deep
+  // inside the 1e-9 band, where only the exact sum may decide.
+  const LinkFixture fixture(8, 3.0);
+  const std::uint64_t seed = 41;
+  RegretConfig config;
+  config.rounds = 400;
+  config.measure_tail = 100;
+  for (const double noise : {0.0, 0.05}) {
+    const sinr::LinkSystem probe(fixture.space, fixture.links, {1.0, noise});
+    const sinr::KernelCache probe_kernel(probe, sinr::UniformPower(probe));
+    geom::Rng draw(seed);
+    std::vector<int> round0;
+    for (int v = 0; v < probe.NumLinks(); ++v) {
+      if (draw.Chance(0.5)) round0.push_back(v);
+    }
+    double sinr_on_edge = 0.0;  // the largest finite round-0 SINR >= 1
+    for (int v : round0) {
+      const double s = probe_kernel.Sinr(v, round0);
+      if (std::isfinite(s) && s > sinr_on_edge) sinr_on_edge = s;
+    }
+    ASSERT_GT(sinr_on_edge, 1.0) << "noise " << noise;
+    for (const double rel : {-1e-13, 0.0, 1e-13}) {
+      const double beta = sinr_on_edge * (1.0 + rel);
+      const sinr::LinkSystem system(fixture.space, fixture.links,
+                                    {beta, noise});
+      const Counts d = RunBoth(system, config, seed);
+      EXPECT_GT(d.fallbacks, 0) << "noise " << noise << " rel " << rel;
+      EXPECT_GT(d.accepts + d.rejects, 0) << "noise " << noise;
+    }
+  }
+}
+
+TEST_F(RegretTrackerTest, CancellingDominantInterfererMatchesNaive) {
+  // Link 0 plus a crowd, and an interferer whose sender sits 1e-5 from
+  // link 0's receiver: its term there is 1e15.  Every join and leave
+  // charges eps * 1e15 ~ 0.2 to link 0's bound, so once the interferer has
+  // left, the bound straddles link 0's threshold and its next check must
+  // re-anchor from the exact sum.  At beta = 26 that threshold, 1/26, sits
+  // between link 1's term alone (1/27) and links 1 + 2 (~0.040), far
+  // closer than the cancellation residue (up to ulp(1e15) / 2 = 0.0625),
+  // so a tracker that trusted its running sum would decide wrongly.  A
+  // slow learning rate keeps the interferer joining and leaving.
+  RegretConfig config;
+  config.learning_rate = 0.02;
+  config.rounds = 600;
+  config.measure_tail = 150;
+  // Three offsets round the residue both ways (1e15, 1.25e14 and 3.7e13
+  // have different ulps), so both certificates get a wrong running sum.
+  for (const double offset : {1e-5, 2e-5, 3e-5}) {
+    std::vector<geom::Vec2> pts;
+    std::vector<sinr::Link> links;
+    for (int i = 0; i < 6; ++i) {
+      pts.push_back({4.0 * i, 0.0});
+      pts.push_back({4.0 * i + 1.0, 0.0});
+      links.push_back({2 * i, 2 * i + 1});
+    }
+    pts.push_back({1.0, offset});
+    pts.push_back({1.0, 50.0});
+    links.push_back({12, 13});
+    const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
+    for (const double beta : {2.0, 26.0}) {
+      for (const double noise : {0.0, 1e-3}) {
+        const sinr::LinkSystem system(space, links, {beta, noise});
+        const Counts d = RunBoth(system, config, 77);
+        SCOPED_TRACE(testing::Message() << "offset " << offset << " beta "
+                                        << beta << " noise " << noise);
+        EXPECT_GT(d.fallbacks, 0);
+        EXPECT_GT(d.accepts, 0);
+        EXPECT_GT(d.rejects, 0);
+      }
+    }
+  }
+}
+
+TEST_F(RegretTrackerTest, LoneSenderAtZeroNoiseCertifiesInfiniteSinr) {
+  // With no noise a lone sender's interference is 0 and its SINR inf: the
+  // running sum (exactly 0 for one link; a cancellation residue inside its
+  // bound once others have joined and left) must certify the accept.
+  RegretConfig config;
+  config.rounds = 300;
+  config.measure_tail = 100;
+  const LinkFixture single(1);
+  const sinr::LinkSystem lone(single.space, single.links, {2.0, 0.0});
+  const Counts one = RunBoth(lone, config, 5);
+  EXPECT_GT(one.accepts, 0);
+  EXPECT_EQ(one.rejects, 0);
+  EXPECT_EQ(one.fallbacks, 0);
+  // Three crowded links: rounds with one sender follow rounds with several.
+  const LinkFixture crowd(3, 1.5);
+  const sinr::LinkSystem system(crowd.space, crowd.links, {2.0, 0.0});
+  const Counts d = RunBoth(system, config, 6);
+  EXPECT_GT(d.accepts, 0);
+  EXPECT_GT(d.rejects, 0);
 }
 
 }  // namespace

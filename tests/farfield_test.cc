@@ -555,9 +555,9 @@ TEST(FarFieldPipelineTest, ClampingFarCellRunsPairwiseAndMatchesDense) {
   // member the candidate's pressure clamps for: member w is a 60-long link
   // whose receiver shares a cell with a filler's, 30 away from candidate
   // v's sender, so a_v(w) = 3600 / 30^2 = 4.  Sum-and-max cell aggregates
-  // cannot bound a sum of clamped terms from below there, so the budget's
-  // out-bounds evaluate that cell pairwise (clamped to 1) and reject v, as
-  // the dense loop does.
+  // cannot bound a sum of clamped terms from below there; the cell's
+  // clamp-free lower end exceeds 1, so the budget's out-bounds reject v
+  // outright (a_v(X) >= 1), as the dense loop does.
   const double alpha = 2.0;
   LatticeDeployment dep;
   const int w = dep.Add({-57.5, 2.5}, {2.5, 2.5});
@@ -589,6 +589,52 @@ TEST(FarFieldPipelineTest, ClampingFarCellRunsPairwiseAndMatchesDense) {
   ASSERT_GE(near.admitted.size(), 1u);
   EXPECT_EQ(near.admitted[0], w);
   EXPECT_EQ(std::count(near.admitted.begin(), near.admitted.end(), v), 0);
+  EXPECT_EQ(far.admitted, near.admitted);
+  EXPECT_EQ(far.selected, near.selected);
+}
+
+TEST_F(FarFieldFallbackTest, ClampingFarCellRejectsBudgetOutrightAndMatchesDense) {
+  // The budget's clamp branch, candidate by candidate: with the 60-long
+  // link w of the test above as the only member, every filler whose sender
+  // sees w's receiver cell beyond the receiver near ring but within the
+  // clamp radius is rejected from that cell alone (its member's pressure
+  // clamps to 1, so a_v(X) >= 1 > 1/2).  Every BudgetWithinHalf decision,
+  // and the whole admission from {w}, must equal dense.
+  const double alpha = 2.0;
+  LatticeDeployment dep;
+  const int w = dep.Add({-57.5, 2.5}, {2.5, 2.5});
+  dep.AddFillers();
+  const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, alpha);
+  const SinrConfig config{1.0, 0.0};
+  const LinkSystem system(space, dep.links, config);
+  const KernelCache dense(system, UniformPower(system));
+  const FarFieldKernel ff(dep.points, dep.links, alpha, config,
+                          UniformPower(system), {1e-3, 1});
+  const int n = system.NumLinks();
+
+  AffectanceAccumulator dense_acc(dense);
+  FarFieldAccumulator ff_acc(ff);
+  dense_acc.Add(w);
+  ff_acc.Add(w);
+  const long long clamps = Count("sinr.farfield_clamp_rejects");
+  int accepted = 0;
+  int rejected = 0;
+  for (int u = 0; u < n; ++u) {
+    if (u == w) continue;
+    const bool want = dense_acc.BudgetWithinHalf(u);
+    EXPECT_EQ(ff_acc.BudgetWithinHalf(u), want) << "candidate " << u;
+    ++(want ? accepted : rejected);
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(Count("sinr.farfield_clamp_rejects"), clamps);
+
+  std::vector<int> order{w};
+  for (int u : DecayOrder(dense, AllLinks(n))) {
+    if (u != w) order.push_back(u);
+  }
+  const AdmissionResult near = HalfBudgetAdmission(dense, order, std::nullopt);
+  const AdmissionResult far = HalfBudgetAdmission(ff, order, std::nullopt);
   EXPECT_EQ(far.admitted, near.admitted);
   EXPECT_EQ(far.selected, near.selected);
 }

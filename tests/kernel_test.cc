@@ -141,11 +141,11 @@ TEST_P(KernelBitExactness, PairwiseEntriesMatchNaive) {
         EXPECT_EQ(kernel.NoiseFactor(v), system.NoiseFactor(v, inst.power));
       }
       // The transposed affectance slab, read through a one-member
-      // accumulator: OutRaw(u) is a_u(v), the same entry as above.
+      // accumulator: Out(u) is min(1, a_u(v)), the clamped entry above.
       AffectanceAccumulator single(kernel);
       single.Add(v);
       for (int u = 0; u < n; ++u) {
-        EXPECT_EQ(single.OutRaw(u), kernel.AffectanceRaw(u, v));
+        EXPECT_EQ(single.Out(u), kernel.Affectance(u, v));
       }
     }
     for (const double zeta : {1.0, 2.2, 3.0}) {

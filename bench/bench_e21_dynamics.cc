@@ -5,9 +5,10 @@
 // probe of the LQF/greedy admission re-summed O(|S|^2) affectance terms
 // from the decay space, and every random-access/regret success check
 // re-derived its interference column.  The cached paths build one
-// sinr::KernelCache per instance and run greedy admission through an
-// AffectanceAccumulator (O(n) per admission) and SINR checks off the
-// cached cross-decay matrix.  The regret game's cached path carries every
+// sinr::KernelCache per instance and run greedy admission through a
+// FeasibilityAccumulator (one raw in-sum array, O(n) per admission; LQF
+// orders each slot with an allocation-free radix sort) and SINR checks off
+// the cached cross-decay matrix.  The regret game's cached path carries every
 // receiver's interference sum across rounds with a certified rounding
 // bound and runs the exact sender-order sum only inside the 1e-9 band; the
 // bench prints how its success checks were decided.
@@ -16,8 +17,9 @@
 // the naive reference and the cached path from the same seed and exits 1
 // unless every statistic -- counters, rates, final queues, transmit
 // probabilities -- is bit-identical; only then does it quote wall-clock.
-// It also exits 1 unless the warm regret path beats the naive one in the
-// same run (a same-host ratio, unlike the cross-host baseline comparison).
+// It also exits 1 unless the warm LQF queue and the warm regret path each
+// beat their naive reference in the same run (a same-host ratio, unlike
+// the cross-host baseline comparison).
 // The cached timings come in two flavours: "cached" INCLUDES the per-run
 // kernel build (the honest standalone per-instance cost), while "warm" runs
 // against a prebuilt kernel -- the batch engine's marginal cost, since one
@@ -125,6 +127,7 @@ int main(int argc, char** argv) {
 
   double lqf_naive_ms = 0.0;
   double lqf_cached_ms = 0.0;
+  double lqf_warm_ms = 0.0;
   // Counter deltas of one cached regret game (the bit-exactness run).
   std::map<std::string, long long> regret_counters;
 
@@ -186,10 +189,18 @@ int main(int argc, char** argv) {
     if (qc.scheduler == dynamics::Scheduler::kLongestQueueFirst) {
       lqf_naive_ms = naive_ms;
       lqf_cached_ms = cached_ms;
+      lqf_warm_ms = warm_ms;
     }
     table.AddRow({qc.label, bench::Fmt(naive_ms, 1), bench::Fmt(cached_ms, 1),
                   bench::Fmt(warm_ms, 1),
                   bench::Fmt(naive_ms / cached_ms, 2) + "x"});
+  }
+  // Same-run ratio gate for the queue layer, as for the regret game below.
+  if (links >= kRatioGateMinLinks && !(lqf_warm_ms < lqf_naive_ms)) {
+    std::printf("ERROR: LQF queue warm path not faster than naive (warm "
+                "%.2f ms vs naive %.2f ms at n=%d)\n",
+                lqf_warm_ms, lqf_naive_ms, links);
+    return 1;
   }
 
   {

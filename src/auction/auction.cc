@@ -111,15 +111,16 @@ double CriticalBid(const sinr::KernelCache& kernel,
   // winning probe at position p tells us every later probe sits at a
   // position >= p (the bisection only lowers the bid after a win), so the
   // snapshot can safely advance to p; a losing probe leaves it in place.
-  sinr::AffectanceAccumulator base(kernel);
-  sinr::AffectanceAccumulator probe(kernel);
+  sinr::FeasibilityAccumulator base(kernel);
+  sinr::FeasibilityAccumulator probe(kernel);
   int base_pos = 0;
   int known_win = -1;    // largest position with a winning verdict
   int known_lose = m + 1;  // smallest position with a losing verdict
 
   // Replays DetermineWinners' admission over others[from, to), resuming
   // from the snapshot's accumulator.
-  const auto advance = [&](sinr::AffectanceAccumulator& acc, int from, int to) {
+  const auto advance = [&](sinr::FeasibilityAccumulator& acc, int from,
+                           int to) {
     for (int i = from; i < to; ++i) {
       const int o = others[static_cast<std::size_t>(i)];
       if (bids[static_cast<std::size_t>(o)] <= 0.0) continue;

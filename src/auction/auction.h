@@ -16,12 +16,12 @@
 //   * utilities / truthfulness checks used by tests and benches.
 //
 // The hot path runs on a sinr::KernelCache: winner determination admits
-// through an AffectanceAccumulator (O(n) per admission instead of the
-// naive O(|S| n) re-summation), and the payment bisection re-runs the rule
-// ~50 times per winner against the *same* warm kernel, so the whole
-// mechanism builds the O(n^2) kernels exactly once.  The LinkSystem entry
-// points keep their historical uniform-power semantics by building one
-// uniform-power kernel and delegating; the original per-query
+// through a FeasibilityAccumulator (raw in-sums only, O(n) per admission
+// instead of the naive O(|S| n) re-summation), and the payment bisection
+// re-runs the rule ~50 times per winner against the *same* warm kernel, so
+// the whole mechanism builds the O(n^2) kernels exactly once.  The
+// LinkSystem entry points keep their historical uniform-power semantics by
+// building one uniform-power kernel and delegating; the original per-query
 // implementations survive as the *Naive references, and the cached path is
 // bit-exact against them (the kernel admission test decides exactly as the
 // naive push-IsFeasible-pop loop -- see kernel.h's bit-exactness contract

@@ -1,6 +1,7 @@
 #include "dynamics/queue_system.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <iterator>
 #include <numeric>
@@ -93,21 +94,6 @@ QueueStats RunQueueLoop(int n, const QueueConfig& config, geom::Rng& rng,
   return stats;
 }
 
-// Backlogged links in longest-queue-first order: queue length descending,
-// ties by link id (the stable sort keeps the id order).
-void CollectLongestQueueFirst(const std::vector<long long>& queue,
-                              std::vector<int>& backlogged) {
-  backlogged.clear();
-  const int n = static_cast<int>(queue.size());
-  for (int v = 0; v < n; ++v) {
-    if (queue[static_cast<std::size_t>(v)] > 0) backlogged.push_back(v);
-  }
-  std::stable_sort(backlogged.begin(), backlogged.end(), [&](int a, int b) {
-    return queue[static_cast<std::size_t>(a)] >
-           queue[static_cast<std::size_t>(b)];
-  });
-}
-
 // The realised random-access transmission set: every backlogged link
 // transmits independently w.p. min(1, c / contention).  Consumes randomness
 // identically on both paths (one Chance per backlogged link, id order).
@@ -131,6 +117,48 @@ void SampleRandomAccessSenders(const std::vector<long long>& queue,
 
 }  // namespace
 
+void LongestQueueFirst(std::span<const long long> queue,
+                       std::vector<int>& order, std::vector<int>& scratch) {
+  // Branch-free collection: every id is written, only backlogged ones kept.
+  order.resize(queue.size());
+  std::size_t backlogged = 0;
+  long long q_max = 0;
+  for (std::size_t v = 0; v < queue.size(); ++v) {
+    order[backlogged] = static_cast<int>(v);
+    backlogged += queue[v] > 0 ? 1 : 0;
+    q_max = std::max(q_max, queue[v]);
+  }
+  order.resize(backlogged);
+  scratch.resize(backlogged);
+  // LSD radix sort over 8-bit digits, each pass a stable counting sort with
+  // the digit buckets laid out high to low.  Stable passes over ascending
+  // ids give (queue desc, id asc); passes stop at q_max's top byte.
+  constexpr int kDigitBits = 8;
+  constexpr int kBuckets = 1 << kDigitBits;
+  std::array<int, kBuckets> start;
+  for (int shift = 0; shift < 64 && (q_max >> shift) != 0;
+       shift += kDigitBits) {
+    // Bucket of v in this pass: 0 for the largest digit.
+    const auto bucket = [&](int v) {
+      return static_cast<std::size_t>(
+          kBuckets - 1 -
+          ((queue[static_cast<std::size_t>(v)] >> shift) & (kBuckets - 1)));
+    };
+    start.fill(0);
+    for (int v : order) ++start[bucket(v)];
+    int offset = 0;
+    for (int& slot : start) {
+      const int count = slot;
+      slot = offset;
+      offset += count;
+    }
+    for (int v : order) {
+      scratch[static_cast<std::size_t>(start[bucket(v)]++)] = v;
+    }
+    order.swap(scratch);
+  }
+}
+
 std::span<const char* const> SchedulerNames() { return kSchedulerNames; }
 
 const char* SchedulerName(Scheduler scheduler) {
@@ -149,13 +177,14 @@ QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
   const int n = kernel.NumLinks();
   const double beta = kernel.system().config().beta;
   const std::vector<int> decay_order = kernel.OrderByDecay();
-  sinr::AffectanceAccumulator admitted(kernel);
+  sinr::FeasibilityAccumulator admitted(kernel);
   std::vector<int> backlogged;
+  std::vector<int> lqf_scratch;
   std::vector<int> senders;
 
-  // Greedy admission against the running affectance sums: O(|S|) per probe
-  // and O(n) per admission, deciding exactly as the naive push-IsFeasible-
-  // pop loop (kernel.h's CanAddFeasibly contract; the noise check is the
+  // Greedy admission against the running raw in-sums: O(|S|) per probe and
+  // O(n) per admission, deciding exactly as the naive push-IsFeasible-pop
+  // loop (kernel.h's CanAddFeasibly contract; the noise check is the
   // candidate's own clause of the naive feasibility scan).
   const auto admit = [&](int v) {
     if (kernel.CanOvercomeNoise(v) && admitted.CanAddFeasibly(v)) {
@@ -167,7 +196,7 @@ QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
                             geom::Rng& slot_rng, std::vector<int>& chosen) {
     switch (config.scheduler) {
       case Scheduler::kLongestQueueFirst: {
-        CollectLongestQueueFirst(queue, backlogged);
+        LongestQueueFirst(queue, backlogged, lqf_scratch);
         admitted.Clear();
         for (int v : backlogged) admit(v);
         chosen.assign(admitted.members().begin(), admitted.members().end());
@@ -199,6 +228,11 @@ QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
 
 QueueStats RunQueueSimulation(const sinr::LinkSystem& system,
                               const QueueConfig& config, geom::Rng& rng) {
+  // Random access checks only the few links that transmit; the kernel
+  // build never pays for itself there.
+  if (config.scheduler == Scheduler::kRandomAccess) {
+    return RunQueueSimulationNaive(system, config, rng);
+  }
   const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   return RunQueueSimulation(kernel, config, rng);
 }
@@ -209,13 +243,14 @@ QueueStats RunQueueSimulationNaive(const sinr::LinkSystem& system,
   const sinr::PowerAssignment power = sinr::UniformPower(system);
   const std::vector<int> decay_order = system.OrderByDecay();
   std::vector<int> backlogged;
+  std::vector<int> lqf_scratch;
   std::vector<int> senders;
 
   const auto schedule = [&](const std::vector<long long>& queue,
                             geom::Rng& slot_rng, std::vector<int>& chosen) {
     switch (config.scheduler) {
       case Scheduler::kLongestQueueFirst: {
-        CollectLongestQueueFirst(queue, backlogged);
+        LongestQueueFirst(queue, backlogged, lqf_scratch);
         for (int v : backlogged) {
           chosen.push_back(v);
           if (!system.IsFeasible(chosen, power)) chosen.pop_back();

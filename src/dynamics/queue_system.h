@@ -20,15 +20,17 @@
 //                            independently; collisions serve nothing.
 //
 // The hot path runs on a sinr::KernelCache (one O(n^2) kernel build per
-// instance): greedy admission goes through an AffectanceAccumulator (O(n)
-// per admission instead of the naive O(|S|^2) re-summation) and the random-
-// access success checks read the cached cross-decay matrix.  The LinkSystem
-// entry point keeps its historical uniform-power semantics by building one
-// kernel and delegating; the original per-slot implementation survives as
-// RunQueueSimulationNaive, and the cached path is bit-exact against it at a
-// fixed seed (admission decides exactly as the naive push-IsFeasible-pop
-// loop, the Sinr checks are the identical expression, and both paths draw
-// the same randomness stream).
+// instance): greedy admission goes through a FeasibilityAccumulator (one
+// raw in-sum array, O(n) per admission instead of the naive O(|S|^2)
+// re-summation), the LQF order is an allocation-free radix sort
+// (LongestQueueFirst), and the random-access success checks read the
+// cached cross-decay matrix.  The LinkSystem entry point keeps its
+// historical uniform-power semantics by building one kernel and delegating
+// (random access skips the build); the original per-slot implementation
+// survives as RunQueueSimulationNaive, and the cached path is bit-exact
+// against it at a fixed seed (admission decides exactly as the naive
+// push-IsFeasible-pop loop, the Sinr checks are the identical expression,
+// and both paths draw the same randomness stream).
 //
 // Statistics semantics: `*_total` counters cover the WHOLE run including
 // warmup slots; `*_measured` counters and every derived rate (throughput,
@@ -108,8 +110,10 @@ QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
                               const QueueConfig& config, geom::Rng& rng);
 
 // Historical entry point (uniform power): builds one uniform-power kernel
-// and delegates to the cached overload.  Bit-identical to the naive
-// reference below.
+// and delegates to the cached overload -- except under kRandomAccess,
+// whose per-slot checks touch only the transmitting links, so a standalone
+// run never recovers the O(n^2) build (it runs the naive reference below).
+// Bit-identical to the naive reference either way.
 QueueStats RunQueueSimulation(const sinr::LinkSystem& system,
                               const QueueConfig& config, geom::Rng& rng);
 
@@ -118,6 +122,14 @@ QueueStats RunQueueSimulation(const sinr::LinkSystem& system,
 // cached path, exactly the pre-kernel behaviour.
 QueueStats RunQueueSimulationNaive(const sinr::LinkSystem& system,
                                    const QueueConfig& config, geom::Rng& rng);
+
+// The backlogged links (queue > 0) in longest-queue-first order: queue
+// length descending, ties by link id -- std::stable_sort's order over the
+// ascending ids.  A radix sort over the queue lengths' bytes: O(n) per byte
+// of the longest queue, and no allocation once `order` and `scratch` (a
+// caller-owned buffer, contents unspecified) have grown to the backlog.
+void LongestQueueFirst(std::span<const long long> queue,
+                       std::vector<int>& order, std::vector<int>& scratch);
 
 // Convenience: uniform arrival rate lambda on every link (lambda in [0, 1]).
 QueueConfig UniformArrivals(const sinr::LinkSystem& system, double lambda,

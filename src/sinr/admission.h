@@ -1,14 +1,17 @@
 // The admission loops of the capacity and scheduling layers, written once
 // over either kernel backend.
 //
-// Every loop here runs against a kernel/accumulator pair: the dense
-// KernelCache with its AffectanceAccumulator, or the matrix-free
-// FarFieldKernel with its FarFieldAccumulator.  Both accumulators meet one
-// contract -- Contains, Add, members, InWithinOne, CanAddFeasibly,
-// BudgetWithinHalf -- and Backend<Kernel> names the accumulator plus the
-// separation test against its members (built once per run).  The far-field
-// accumulator decides every test as the dense one does (farfield.h spells
-// out the certification), so one loop gives both backends the same
+// Every loop here runs against a kernel and the accumulator of its role.
+// Backend<Kernel> names two:
+//   * Feasibility -- members, Contains, Add, CanAddFeasibly: the
+//     admit-while-feasible loops (dense: FeasibilityAccumulator, raw
+//     in-sums only);
+//   * Budget -- members, Contains, Add, BudgetWithinHalf, InWithinOne: the
+//     1/2-budget loop (dense: AffectanceAccumulator, clamped in/out-sums);
+// plus the separation test against a Budget's members (built once per
+// run).  The matrix-free FarFieldKernel's FarFieldAccumulator plays both
+// roles and decides every test as the dense accumulators do (farfield.h
+// spells out the certification), so one loop gives both backends the same
 // decisions.
 //
 //   * DecayOrder: candidates by non-decreasing f_vv, ties by list order.
@@ -49,10 +52,11 @@ struct SlotSchedule {
 
 // Per-backend pieces, specialised next to each accumulator (kernel.h,
 // farfield.h):
-//   using Accumulator = ...;   // the contract above
+//   using Feasibility = ...;   // the two roles above
+//   using Budget = ...;
 //   class Separation {         // built once per run
 //     Separation(const Kernel&, double eta, double zeta);
-//     bool FromMembers(const Accumulator&, int v) const;
+//     bool FromMembers(const Budget&, int v) const;
 //   };
 // plus an IsFeasibleSet(kernel, S) overload for slot validation.
 template <class Kernel>
@@ -75,7 +79,7 @@ std::vector<int> DecayOrder(const Kernel& kernel,
 template <class Kernel>
 std::vector<int> AdmitWhileFeasible(const Kernel& kernel,
                                     std::span<const int> order) {
-  typename Backend<Kernel>::Accumulator acc(kernel);
+  typename Backend<Kernel>::Feasibility acc(kernel);
   for (int v : order) {
     if (acc.Contains(v)) continue;  // duplicate candidate ids admit once
     if (!kernel.CanOvercomeNoise(v)) continue;
@@ -97,7 +101,7 @@ AdmissionResult HalfBudgetAdmission(const Kernel& kernel,
     DL_CHECK(*zeta > 0.0, "zeta must be positive");
     separation.emplace(kernel, *zeta / 2.0, *zeta);
   }
-  typename Backend<Kernel>::Accumulator acc(kernel);
+  typename Backend<Kernel>::Budget acc(kernel);
   for (int v : order) {
     // A candidate listed twice is admitted at most once (the naive
     // reference would duplicate it in X on such degenerate input).

@@ -34,8 +34,8 @@
 // relies on; the admission loops of sinr/admission.h run unchanged over
 // either accumulator):
 //   * epsilon = 0: every query below runs the exact expressions in the
-//     dense iteration order -- results are bit-identical to KernelCache /
-//     AffectanceAccumulator, and so are RunAlgorithm1 / ScheduleLinks.
+//     dense iteration order -- results are bit-identical to KernelCache and
+//     the dense accumulators, and so are RunAlgorithm1 / ScheduleLinks.
 //   * epsilon > 0: threshold *decisions* (feasibility vs 1, Algorithm 1's
 //     budget vs 0.5 and its final a_X(v) <= 1 filter, separation) are taken
 //     from the certified interval only when it clears the threshold by an
@@ -263,7 +263,7 @@ class FarFieldKernel {
 // certified candidate checks against the member set pooled by grid cell --
 // the far-field side of the accumulator contract in admission.h.  The member
 // sums accumulate in insertion order with the dense entry expressions, so
-// for members they are bit-identical to AffectanceAccumulator's (a
+// for members they are bit-identical to the dense accumulators' (a
 // non-member contributes +0.0 at its own Add in the dense version, which
 // cannot change an IEEE sum of non-negative terms).  There is deliberately
 // no Remove: the admission loops only ever grow, and removal would reopen
@@ -290,7 +290,7 @@ class FarFieldAccumulator {
   // then bit-identical to the dense accumulator's -- and compared exactly.
   bool InWithinOne(int v) const;
 
-  // Dense AffectanceAccumulator::CanAddFeasibly decisions: candidate raw
+  // Dense FeasibilityAccumulator::CanAddFeasibly decisions: candidate raw
   // in-sum vs 1, then every member's headroom vs the candidate's pressure.
   // Certified pooled bounds decide both tests outside the 1e-9 band; the
   // exact dense expressions decide inside it (and everywhere at epsilon = 0
@@ -366,12 +366,16 @@ class FarFieldAccumulator {
 // The far-field backend of the admission loops (admission.h).
 template <>
 struct Backend<FarFieldKernel> {
-  using Accumulator = FarFieldAccumulator;
+  // One accumulator serves both roles: it keeps sums for members only, and
+  // in the pooled mode folds them lazily, so neither role pays for the
+  // other's.
+  using Feasibility = FarFieldAccumulator;
+  using Budget = FarFieldAccumulator;
   class Separation {
    public:
     Separation(const FarFieldKernel& /*kernel*/, double eta, double zeta)
         : eta_(eta), zeta_(zeta) {}
-    bool FromMembers(const Accumulator& acc, int v) const {
+    bool FromMembers(const Budget& acc, int v) const {
       return acc.IsSeparatedFromMembers(v, eta_, zeta_);
     }
 

@@ -291,19 +291,54 @@ std::vector<int> KernelCache::OrderByDecay() const {
   return DecayOrder(*this, AllLinks(*this));
 }
 
-// --- AffectanceAccumulator -------------------------------------------------
+// --- accumulators -----------------------------------------------------------
 
-AffectanceAccumulator::AffectanceAccumulator(const KernelCache& kernel)
-    : kernel_(&kernel) {
-  const std::size_t n = static_cast<std::size_t>(kernel.NumLinks());
-  in_set_.assign(n, 0);
-  in_.assign(n, 0.0);
-  out_.assign(n, 0.0);
-  in_raw_.assign(n, 0.0);
+void AccumulatorMembers::Insert(int v) {
+  DL_CHECK(!Contains(v), "link already in the accumulator");
+  members_.push_back(v);
+  in_set_[static_cast<std::size_t>(v)] = 1;
 }
 
+void AccumulatorMembers::Reset() {
+  for (int v : members_) in_set_[static_cast<std::size_t>(v)] = 0;
+  members_.clear();
+}
+
+FeasibilityAccumulator::FeasibilityAccumulator(const KernelCache& kernel)
+    : AccumulatorMembers(kernel.NumLinks()),
+      kernel_(&kernel),
+      in_raw_(static_cast<std::size_t>(kernel.NumLinks()), 0.0) {}
+
+void FeasibilityAccumulator::Add(int v) {
+  Insert(v);
+  // Row v of the matrix is a_v(.): v's pressure on every receiver.
+  const double* from_v =
+      kernel_->aff_raw_.data() + Idx(v, 0, kernel_->NumLinks());
+  for (std::size_t u = 0; u < in_raw_.size(); ++u) in_raw_[u] += from_v[u];
+}
+
+bool FeasibilityAccumulator::CanAddFeasibly(int v) const {
+  AdmissionCheckCounter().Add();
+  if (InRaw(v) > 1.0) return false;
+  for (int w : members()) {
+    if (InRaw(w) + kernel_->AffectanceRaw(v, w) > 1.0) return false;
+  }
+  return true;
+}
+
+void FeasibilityAccumulator::Clear() {
+  Reset();
+  std::fill(in_raw_.begin(), in_raw_.end(), 0.0);
+}
+
+AffectanceAccumulator::AffectanceAccumulator(const KernelCache& kernel)
+    : AccumulatorMembers(kernel.NumLinks()),
+      kernel_(&kernel),
+      in_(static_cast<std::size_t>(kernel.NumLinks()), 0.0),
+      out_(static_cast<std::size_t>(kernel.NumLinks()), 0.0) {}
+
 void AffectanceAccumulator::Add(int v) {
-  DL_CHECK(!Contains(v), "link already in the accumulator");
+  Insert(v);
   const int n = kernel_->NumLinks();
   // Row v of the matrix is a_v(.), row v of the transpose is a_.(v).
   const double* from_v = kernel_->aff_raw_.data() + Idx(v, 0, n);
@@ -312,29 +347,9 @@ void AffectanceAccumulator::Add(int v) {
     const std::size_t su = static_cast<std::size_t>(u);
     const double av_u = from_v[su];  // a_v(u): v's pressure on u
     const double au_v = into_v[su];  // a_u(v): u's pressure on v
-    in_raw_[su] += av_u;
     in_[su] += av_u < 1.0 ? av_u : 1.0;
     out_[su] += au_v < 1.0 ? au_v : 1.0;
   }
-  members_.push_back(v);
-  in_set_[static_cast<std::size_t>(v)] = 1;
-}
-
-bool AffectanceAccumulator::CanAddFeasibly(int v) const {
-  AdmissionCheckCounter().Add();
-  if (InRaw(v) > 1.0) return false;
-  for (int w : members_) {
-    if (InRaw(w) + kernel_->AffectanceRaw(v, w) > 1.0) return false;
-  }
-  return true;
-}
-
-void AffectanceAccumulator::Clear() {
-  std::fill(in_set_.begin(), in_set_.end(), 0);
-  std::fill(in_.begin(), in_.end(), 0.0);
-  std::fill(out_.begin(), out_.end(), 0.0);
-  std::fill(in_raw_.begin(), in_raw_.end(), 0.0);
-  members_.clear();
 }
 
 // --- SeparationOracle --------------------------------------------------------

@@ -8,8 +8,11 @@
 // query -- AffectanceRaw re-derives the noise factor c_v per pair, and
 // LinkDistance performs four std::pow calls per pair per call.  KernelCache
 // materialises the n x n matrices once so that queries become O(1) lookups;
-// AffectanceAccumulator turns the O(|S|) re-summations of greedy admission
-// loops into O(1) reads with O(n) per-admission updates; SeparationOracle
+// two running-sum accumulators turn the O(|S|) re-summations of greedy
+// admission loops into O(1) reads with O(n) per-admission updates --
+// FeasibilityAccumulator keeps the raw in-sums the admit-while-feasible
+// loops read, AffectanceAccumulator the clamped in/out-sums of Algorithm
+// 1's 1/2-budget, and each Add streams only its own arrays; SeparationOracle
 // evaluates eta/zeta separation predicates in the decay domain without any
 // pow on the hot path.  The cache also materialises the cross-decay kernel
 // and derives the normalised-gain kernel from it, which back the cached
@@ -147,6 +150,7 @@ class KernelCache {
   long long MemoryBytes() const noexcept;
 
  private:
+  friend class FeasibilityAccumulator;
   friend class AffectanceAccumulator;
   friend class KernelArena;
 
@@ -208,37 +212,72 @@ class KernelArena {
   long long warm_skips_ = 0;
 };
 
-// Running in/out-affectance sums over a growing set of links.  Add is
-// O(n); queries are O(1).  Sums accumulate in insertion order, so after
-// Add(s_1), ..., Add(s_k):
-//     In(v)  == system.InAffectance({s_1..s_k}, v, power)   bit-for-bit,
-//     Out(v) == system.OutAffectance(v, {s_1..s_k}, power)  bit-for-bit,
-// and likewise InRaw for the unclamped in-sum.
-class AffectanceAccumulator {
+// The member list both accumulators keep: admission order plus a
+// membership mask.
+class AccumulatorMembers {
  public:
-  explicit AffectanceAccumulator(const KernelCache& kernel);
-
-  void Add(int v);
-  void Clear();
-
   const std::vector<int>& members() const noexcept { return members_; }
   int size() const noexcept { return static_cast<int>(members_.size()); }
   bool Contains(int v) const {
     return in_set_[static_cast<std::size_t>(v)] != 0;
   }
 
-  // Sum over current members w of min(1, a_w(v)) resp. min(1, a_v(w)).
-  double In(int v) const { return in_[static_cast<std::size_t>(v)]; }
-  double Out(int v) const { return out_[static_cast<std::size_t>(v)]; }
-  // Unclamped in-sum (the feasibility form).
+ protected:
+  explicit AccumulatorMembers(int n)
+      : in_set_(static_cast<std::size_t>(n), 0) {}
+  void Insert(int v);
+  void Reset();
+
+ private:
+  std::vector<int> members_;
+  std::vector<char> in_set_;
+};
+
+// Running raw in-sums over a growing set of links: the feasibility form the
+// admit-while-feasible loops (greedy, random and weighted capacity, the
+// auction, LQF / greedy-by-decay queue slots) read.  Add is O(n) over one
+// array; queries are O(1) and CanAddFeasibly O(|members|).  Sums accumulate
+// in insertion order, so after Add(s_1), ..., Add(s_k):
+//     InRaw(v) == ((0 + a_{s_1}(v)) + a_{s_2}(v)) + ... + a_{s_k}(v),
+// unclamped: bit-for-bit the sum LinkSystem::IsFeasible forms.  Clear
+// empties the set in O(n) without freeing, so a per-slot loop reuses one.
+class FeasibilityAccumulator : public AccumulatorMembers {
+ public:
+  explicit FeasibilityAccumulator(const KernelCache& kernel);
+
+  void Add(int v);
+  void Clear();
+
   double InRaw(int v) const { return in_raw_[static_cast<std::size_t>(v)]; }
 
   // True iff members() + {v} is feasible, deciding exactly as the naive
   // push-IsFeasible-pop loop does: the candidate's in-affectance is the
   // running raw sum (its own entry contributes a trailing +0), and each
   // member's new total is its running sum plus the candidate's row entry.
-  // The caller must have checked kernel.CanOvercomeNoise(v).
+  // The caller must have checked kernel.CanOvercomeNoise(v).  Counts one
+  // sinr.admission_checks event per call.
   bool CanAddFeasibly(int v) const;
+
+ private:
+  const KernelCache* kernel_;
+  std::vector<double> in_raw_;
+};
+
+// Running clamped in/out-affectance sums over a growing set of links: the
+// form Algorithm 1's 1/2-budget loop reads.  Add is O(n) over two arrays;
+// queries are O(1).  Sums accumulate in insertion order, so after
+// Add(s_1), ..., Add(s_k):
+//     In(v)  == system.InAffectance({s_1..s_k}, v, power)   bit-for-bit,
+//     Out(v) == system.OutAffectance(v, {s_1..s_k}, power)  bit-for-bit.
+class AffectanceAccumulator : public AccumulatorMembers {
+ public:
+  explicit AffectanceAccumulator(const KernelCache& kernel);
+
+  void Add(int v);
+
+  // Sum over current members w of min(1, a_w(v)) resp. min(1, a_v(w)).
+  double In(int v) const { return in_[static_cast<std::size_t>(v)]; }
+  double Out(int v) const { return out_[static_cast<std::size_t>(v)]; }
 
   // Algorithm 1's admission budget a_v(X) + a_X(v) <= 1/2.
   bool BudgetWithinHalf(int v) const { return Out(v) + In(v) <= 0.5; }
@@ -247,9 +286,7 @@ class AffectanceAccumulator {
 
  private:
   const KernelCache* kernel_;
-  std::vector<int> members_;
-  std::vector<char> in_set_;
-  std::vector<double> in_, out_, in_raw_;
+  std::vector<double> in_, out_;
 };
 
 // Separation predicates for fixed (eta, zeta), evaluated in the decay
@@ -285,12 +322,13 @@ class SeparationOracle {
 // The dense backend of the admission loops (admission.h).
 template <>
 struct Backend<KernelCache> {
-  using Accumulator = AffectanceAccumulator;
+  using Feasibility = FeasibilityAccumulator;
+  using Budget = AffectanceAccumulator;
   class Separation {
    public:
     Separation(const KernelCache& kernel, double eta, double zeta)
         : oracle_(kernel, eta, zeta) {}
-    bool FromMembers(const Accumulator& acc, int v) const {
+    bool FromMembers(const Budget& acc, int v) const {
       return oracle_.IsSeparatedFrom(v, acc.members());
     }
 

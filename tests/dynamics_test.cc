@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <set>
 
 #include "core/decay_space.h"
 #include "death_test_util.h"
 #include "geom/point.h"
+#include "geom/samplers.h"
+#include "obs/registry.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
 
@@ -43,6 +47,20 @@ struct DenseFixture {
       links.push_back({2 * i, 2 * i + 1});
     }
     space = core::DecaySpace::Geometric(pts, 3.0);
+  }
+};
+
+// Random pairs of points in a small box: links of mixed lengths with heavy
+// contention, so admission both accepts and rejects in most slots.
+struct CrowdedFixture {
+  core::DecaySpace space;
+  std::vector<sinr::Link> links;
+
+  explicit CrowdedFixture(int n, std::uint64_t seed) : space(1) {
+    geom::Rng rng(seed);
+    space = core::DecaySpace::Geometric(
+        geom::SampleUniform(2 * n, 12.0, 12.0, rng), 3.0);
+    for (int i = 0; i < n; ++i) links.push_back({2 * i, 2 * i + 1});
   }
 };
 
@@ -213,10 +231,12 @@ void ExpectSameStats(const QueueStats& a, const QueueStats& b) {
 // The cached path must reproduce the naive reference bit-for-bit at a fixed
 // seed: identical randomness stream, identical admission decisions,
 // identical statistics -- for every scheduler, on both a feasible-everywhere
-// and a contention-heavy deployment, with and without ambient noise.
+// and a contention-heavy deployment, with and without ambient noise, at
+// light and saturating loads.
 TEST(QueueSystemTest, CachedPathBitIdenticalToNaive) {
   const SparseFixture sparse(5);
   const DenseFixture dense(5);
+  const CrowdedFixture crowded(24, 77);
   struct Case {
     const core::DecaySpace* space;
     const std::vector<sinr::Link>* links;
@@ -227,6 +247,10 @@ TEST(QueueSystemTest, CachedPathBitIdenticalToNaive) {
       {&sparse.space, &sparse.links, {2.0, 0.0}, 0.6},
       {&dense.space, &dense.links, {2.0, 0.0}, 0.3},
       {&sparse.space, &sparse.links, {2.0, 1e-4}, 0.4},
+      {&crowded.space, &crowded.links, {1.5, 0.0}, 0.05},
+      {&crowded.space, &crowded.links, {1.5, 0.0}, 0.3},
+      {&crowded.space, &crowded.links, {1.5, 1e-3}, 0.05},
+      {&crowded.space, &crowded.links, {1.5, 1e-3}, 0.3},
   };
   for (std::size_t c = 0; c < cases.size(); ++c) {
     const sinr::LinkSystem system(*cases[c].space, *cases[c].links,
@@ -250,6 +274,139 @@ TEST(QueueSystemTest, CachedPathBitIdenticalToNaive) {
       geom::Rng rng_entry(21);
       ExpectSameStats(naive, RunQueueSimulation(system, config, rng_entry));
     }
+  }
+}
+
+// Three stacked unit links (one served per slot) and a longer fourth link
+// that cannot overcome noise: at lambda = 1 its queue reaches `slots` =
+// 70,000 > 2^16, so every slot's LQF order runs three radix passes.
+TEST(QueueSystemTest, OverloadedQueuesPast65536MatchNaive) {
+  std::vector<geom::Vec2> pts;
+  std::vector<sinr::Link> links;
+  for (int i = 0; i < 3; ++i) {
+    pts.push_back({0.0, i * 0.05});
+    pts.push_back({1.0, i * 0.05});
+    links.push_back({2 * i, 2 * i + 1});
+  }
+  pts.push_back({10.0, 0.0});
+  pts.push_back({13.0, 0.0});
+  links.push_back({6, 7});
+  const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
+  const sinr::LinkSystem system(space, links, {2.0, 0.05});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  ASSERT_FALSE(kernel.CanOvercomeNoise(3));
+  const int slots = 70000;
+  const auto config =
+      UniformArrivals(system, 1.0, Scheduler::kLongestQueueFirst, slots);
+  geom::Rng rng_naive(3);
+  const QueueStats naive = RunQueueSimulationNaive(system, config, rng_naive);
+  geom::Rng rng_cached(3);
+  const QueueStats cached = RunQueueSimulation(kernel, config, rng_cached);
+  ExpectSameStats(naive, cached);
+  EXPECT_EQ(cached.final_queues[3], slots);
+  EXPECT_EQ(cached.served_total, slots);  // one stacked link every slot
+  EXPECT_EQ(cached.arrived_total,
+            cached.served_total +
+                std::accumulate(cached.final_queues.begin(),
+                                cached.final_queues.end(), 0LL));
+}
+
+// Random access under the LinkSystem entry point builds no kernel (its
+// checks touch only the transmitting links) and still equals the kernel
+// overload bit for bit; LQF through the same entry point builds one.
+TEST(QueueSystemTest, RandomAccessEntryPointSkipsTheKernelBuild) {
+  const CrowdedFixture crowded(24, 78);
+  const sinr::LinkSystem system(crowded.space, crowded.links, {1.5, 1e-3});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto builds = [] {
+    return obs::Registry::Global().GetCounter("sinr.kernel_builds").value();
+  };
+  obs::SetEnabled(true);
+  for (const double lambda : {0.05, 0.3}) {
+    const auto config =
+        UniformArrivals(system, lambda, Scheduler::kRandomAccess, 800);
+    geom::Rng rng_entry(8);
+    const long long before = builds();
+    const QueueStats entry = RunQueueSimulation(system, config, rng_entry);
+    EXPECT_EQ(builds(), before);
+    geom::Rng rng_kernel(8);
+    ExpectSameStats(entry, RunQueueSimulation(kernel, config, rng_kernel));
+    EXPECT_GT(entry.served_total, 0);
+  }
+  const auto lqf =
+      UniformArrivals(system, 0.3, Scheduler::kLongestQueueFirst, 50);
+  geom::Rng rng(8);
+  const long long before = builds();
+  RunQueueSimulation(system, lqf, rng);
+  EXPECT_EQ(builds(), before + 1);
+  obs::SetEnabled(false);
+}
+
+// The old LQF order: backlogged ids stable-sorted by queue length desc.
+std::vector<int> StableSortOrder(const std::vector<long long>& queue) {
+  std::vector<int> order;
+  for (int v = 0; v < static_cast<int>(queue.size()); ++v) {
+    if (queue[static_cast<std::size_t>(v)] > 0) order.push_back(v);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return queue[static_cast<std::size_t>(a)] >
+           queue[static_cast<std::size_t>(b)];
+  });
+  return order;
+}
+
+TEST(LongestQueueFirstTest, MatchesStableSortOrder) {
+  const long long k16 = 1LL << 16;
+  const long long k20 = 1LL << 20;  // the largest queue e21's flags reach
+  std::vector<std::vector<long long>> cases = {
+      std::vector<long long>(9, 7),          // all equal
+      std::vector<long long>(9, 0),          // all zero
+      {0, 0, 0, 5, 0, 0},                    // one backlogged link
+      {0, 0, 0, 0, 0, k20},                  // one, past every byte
+      {},                                    // no links
+      {70000, k16, k16 - 1, k16 + 1, 256, 255, 1, 0, 70000, 2, 257},
+      {k20, k20 - 1, k20 - 256, k20, 3, 0, k20 - 1, 1, k20 - 255},
+      {1LL << 40, 1LL << 40, (1LL << 40) + 1, 5, (1LL << 62) + 3, 0, 7},
+  };
+  geom::Rng rng(19);
+  for (const long long range : {2LL, 300LL, 70000LL, k20 + 1}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<long long> queue(64);
+      for (long long& q : queue) {
+        // Half the links idle, the rest spread over [1, range).
+        q = rng.Chance(0.5) ? 0
+                            : 1 + static_cast<long long>(rng.Uniform(
+                                      0.0, static_cast<double>(range - 1)));
+      }
+      cases.push_back(std::move(queue));
+    }
+  }
+  std::vector<int> order;
+  std::vector<int> scratch{42, 43};  // stale contents are overwritten
+  for (const auto& queue : cases) {
+    SCOPED_TRACE(testing::PrintToString(queue));
+    LongestQueueFirst(queue, order, scratch);
+    EXPECT_EQ(order, StableSortOrder(queue));
+  }
+}
+
+// Once both buffers have grown to the backlog, an order allocates nothing:
+// the two buffers keep their storage (passes only swap them).
+TEST(LongestQueueFirstTest, AllocatesNothingOnceWarm) {
+  const int n = 200;
+  std::vector<int> order;
+  std::vector<int> scratch;
+  LongestQueueFirst(std::vector<long long>(n, 1), order, scratch);
+  const std::set<const int*> buffers = {order.data(), scratch.data()};
+  geom::Rng rng(4);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<long long> queue(static_cast<std::size_t>(n));
+    for (long long& q : queue) {
+      q = static_cast<long long>(rng.Uniform(0.0, 300000.0));
+    }
+    LongestQueueFirst(queue, order, scratch);
+    EXPECT_EQ((std::set<const int*>{order.data(), scratch.data()}), buffers);
+    EXPECT_EQ(order, StableSortOrder(queue));
   }
 }
 

@@ -933,9 +933,13 @@ TEST_F(FarFieldFallbackTest, FinalFilterInBandCatchesUpAndMatchesDense) {
     }
     X = HalfBudgetAdmission(wide_dense, order, zeta).admitted;
     AffectanceAccumulator acc(wide_dense);
-    for (int v : X) acc.Add(v);
+    FeasibilityAccumulator raw(wide_dense);
+    for (int v : X) {
+      acc.Add(v);
+      raw.Add(v);
+    }
     if (acc.In(*it) > 1.0 && acc.In(*it) <= 0.5 * wide_beta) {
-      ASSERT_EQ(acc.In(*it), acc.InRaw(*it));  // no clamped term
+      ASSERT_EQ(acc.In(*it), raw.InRaw(*it));  // no clamped term
       target = *it;
       in_target = acc.In(*it);
     }

@@ -232,6 +232,7 @@ TEST_P(KernelBitExactness, AccumulatorMatchesNaivePrefixSums) {
     const int n = system.NumLinks();
     geom::Rng rng(seed * 131 + 7);
     AffectanceAccumulator acc(kernel);
+    FeasibilityAccumulator raw(kernel);
     // Only noise-capable links join the set, as in every admission loop
     // (the naive OutAffectance aborts on targets that cannot overcome).
     std::vector<int> order;
@@ -242,8 +243,14 @@ TEST_P(KernelBitExactness, AccumulatorMatchesNaivePrefixSums) {
     std::vector<int> members;
     for (int v : order) {
       acc.Add(v);
+      raw.Add(v);
       members.push_back(v);
       for (int u = 0; u < n; ++u) {
+        // InRaw is the left fold of a_w(u) over the members in insertion
+        // order, from 0.0, for every link u.
+        double raw_sum = 0.0;
+        for (int w : members) raw_sum += kernel.AffectanceRaw(w, u);
+        EXPECT_EQ(raw.InRaw(u), raw_sum);
         if (!kernel.CanOvercomeNoise(u)) continue;
         // Insertion order == naive iteration order: sums agree exactly.
         EXPECT_EQ(acc.In(u), system.InAffectance(members, u, inst.power));
@@ -251,6 +258,90 @@ TEST_P(KernelBitExactness, AccumulatorMatchesNaivePrefixSums) {
       }
     }
     EXPECT_EQ(acc.members(), members);
+    EXPECT_EQ(raw.members(), members);
+  }
+}
+
+// CanAddFeasibly against the naive push-IsFeasible-pop loop over shuffled
+// orders, noisy instances included: a link that cannot overcome noise is
+// never probed (every admission loop checks that first) and the naive
+// verdict for it must be "infeasible".
+TEST_P(KernelBitExactness, CanAddFeasiblyMatchesPushIsFeasiblePop) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  int accepts = 0;
+  int rejects = 0;
+  int noise_bound = 0;
+  for (const Instance& inst : MakeInstances(seed, 12)) {
+    SCOPED_TRACE(inst.name);
+    const LinkSystem system(inst.space, inst.links, inst.config);
+    const KernelCache kernel(system, inst.power);
+    geom::Rng rng(seed * 17 + 11);
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<int> order = AllLinks(system);
+      rng.Shuffle(order);
+      FeasibilityAccumulator acc(kernel);
+      std::vector<int> chosen;
+      for (int v : order) {
+        chosen.push_back(v);
+        const bool naive = system.IsFeasible(chosen, inst.power);
+        chosen.pop_back();
+        if (!kernel.CanOvercomeNoise(v)) {
+          EXPECT_FALSE(naive);
+          ++noise_bound;
+          continue;
+        }
+        EXPECT_EQ(acc.CanAddFeasibly(v), naive) << "link " << v;
+        if (!naive) {
+          ++rejects;
+          continue;
+        }
+        ++accepts;
+        acc.Add(v);
+        chosen.push_back(v);
+      }
+      EXPECT_EQ(acc.members(), chosen);
+    }
+  }
+  EXPECT_GT(accepts, 0);
+  EXPECT_GT(rejects, 0);
+  EXPECT_GT(noise_bound, 0);
+}
+
+// Clear leaves nothing behind: a cleared and refilled accumulator holds the
+// same members, sums and verdicts, bit for bit, as a fresh one.
+TEST_P(KernelBitExactness, FeasibilityClearThenReuseMatchesFresh) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  for (const Instance& inst : MakeInstances(seed, 12)) {
+    SCOPED_TRACE(inst.name);
+    const LinkSystem system(inst.space, inst.links, inst.config);
+    const KernelCache kernel(system, inst.power);
+    const int n = system.NumLinks();
+    geom::Rng rng(seed * 5 + 2);
+    const auto fill = [&](FeasibilityAccumulator& acc,
+                          const std::vector<int>& order) {
+      for (int v : order) {
+        if (kernel.CanOvercomeNoise(v) && acc.CanAddFeasibly(v)) acc.Add(v);
+      }
+    };
+    FeasibilityAccumulator reused(kernel);
+    std::vector<int> order = AllLinks(system);
+    rng.Shuffle(order);
+    fill(reused, order);
+    ASSERT_GT(reused.size(), 0);
+    reused.Clear();
+    EXPECT_EQ(reused.size(), 0);
+    rng.Shuffle(order);
+    fill(reused, order);
+    FeasibilityAccumulator fresh(kernel);
+    fill(fresh, order);
+    EXPECT_EQ(reused.members(), fresh.members());
+    for (int u = 0; u < n; ++u) {
+      EXPECT_EQ(reused.Contains(u), fresh.Contains(u));
+      EXPECT_EQ(reused.InRaw(u), fresh.InRaw(u));
+      if (kernel.CanOvercomeNoise(u) && !fresh.Contains(u)) {
+        EXPECT_EQ(reused.CanAddFeasibly(u), fresh.CanAddFeasibly(u));
+      }
+    }
   }
 }
 

@@ -16,8 +16,12 @@
 //       each run's refined cells and exact fallbacks; at n every result is
 //       asserted equal to the dense one.
 // Certified-decision hit rates (accepts/rejects decided by the pooled
-// interval vs exact fallbacks) are read from the sinr.farfield_* obs
-// counters and also land in the BENCH record's per-phase counter deltas.
+// interval vs exact fallbacks) and the cell-pyramid nodes visited per check
+// are read from the sinr.farfield_* obs counters and also land in the BENCH
+// record's per-phase counter deltas.  Besides the dense-equality
+// assertions, the bench exits 1 unless greedy's visited nodes per check at
+// n-xl are at most twice those at n-large: a same-run scaling gate that
+// needs no timing.
 //
 // Flags: --n <links> (default 1024), --n-large <links> (default 4096),
 //        --n-xl <links> (default 16384), --epsilon <eps> (default 1e-3),
@@ -32,7 +36,7 @@
 #include <map>
 #include <numeric>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -66,18 +70,29 @@ struct FarFieldCounters {
   long long rejects = 0;
   long long fallbacks = 0;
   long long refined = 0;
+  long long visited = 0;
 
   static FarFieldCounters Snapshot() {
     return {CounterValue("sinr.farfield_admission_checks"),
             CounterValue("sinr.farfield_certified_accepts"),
             CounterValue("sinr.farfield_certified_rejects"),
             CounterValue("sinr.farfield_exact_fallbacks"),
-            CounterValue("sinr.farfield_refined_cells")};
+            CounterValue("sinr.farfield_refined_cells"),
+            CounterValue("sinr.farfield_cells_visited")};
   }
   FarFieldCounters Delta(const FarFieldCounters& before) const {
-    return {checks - before.checks, accepts - before.accepts,
+    return {checks - before.checks,   accepts - before.accepts,
             rejects - before.rejects, fallbacks - before.fallbacks,
-            refined - before.refined};
+            refined - before.refined, visited - before.visited};
+  }
+  // Pyramid nodes visited per certified decision (accept, reject or exact
+  // fallback).  A greedy admission check settles exactly one; a validated
+  // slot settles one per member and walks no pyramid.
+  double VisitedPerCheck() const {
+    const long long decisions = accepts + rejects + fallbacks;
+    return decisions > 0 ? static_cast<double>(visited) /
+                               static_cast<double>(decisions)
+                         : 0.0;
   }
 };
 
@@ -85,10 +100,12 @@ void PrintHitRates(const char* tag, const FarFieldCounters& d) {
   const double denom = d.checks > 0 ? static_cast<double>(d.checks) : 1.0;
   std::printf(
       "%s: %lld certified checks (%.1f%% accept / %.1f%% reject via the "
-      "pooled interval, %.1f%% exact fallbacks), %lld cells refined\n",
+      "pooled interval, %.1f%% exact fallbacks), %lld cells refined, "
+      "%.1f cells visited per check\n",
       tag, d.checks, 100.0 * static_cast<double>(d.accepts) / denom,
       100.0 * static_cast<double>(d.rejects) / denom,
-      100.0 * static_cast<double>(d.fallbacks) / denom, d.refined);
+      100.0 * static_cast<double>(d.fallbacks) / denom, d.refined,
+      d.VisitedPerCheck());
 }
 
 }  // namespace
@@ -125,6 +142,10 @@ int main(int argc, char** argv) {
                 "build and the admission loops into near-linear passes");
 
   const sinr::FarFieldConfig ff_config{epsilon, 8};
+  // Cells visited per check by greedy admission at n-large and n-xl: the
+  // same-run scaling gate below compares them.
+  double large_visited = 0.0;
+  double xl_visited = 0.0;
 
   // ---- (a) small tier: every path, every exactness assertion ----
   {
@@ -249,6 +270,10 @@ int main(int argc, char** argv) {
                 bench::Fmt(static_cast<double>(dense.MemoryBytes()) * mb, 1).c_str(),
                 bench::Fmt(static_cast<double>(ff.MemoryBytes()) * mb, 1).c_str());
     PrintHitRates("hit rates", delta);
+    large_visited = delta.VisitedPerCheck();
+    std::printf("occupied sender cells: %d (visited per check / cells = "
+                "%.3f)\n",
+                ff.SenderCells(), large_visited / ff.SenderCells());
   }
 
   // ---- (c) xl tier: past the dense wall ----
@@ -285,6 +310,10 @@ int main(int argc, char** argv) {
                 bench::Fmt(gf_stats.min_ms, 2).c_str(), ff_greedy.size(),
                 static_cast<double>(ff.MemoryBytes()) / (1024.0 * 1024.0));
     PrintHitRates("hit rates", delta);
+    xl_visited = delta.VisitedPerCheck();
+    std::printf("occupied sender cells: %d (visited per check / cells = "
+                "%.3f)\n",
+                ff.SenderCells(), xl_visited / ff.SenderCells());
   }
 
   // ---- (d) engine instances: the far-field task set end to end ----
@@ -293,7 +322,7 @@ int main(int argc, char** argv) {
                 "schedule, validate\n\n",
                 epsilon);
     bench::Table table({"phase", "n", "far-field ms", "dense ms",
-                        "refined cells", "exact fallbacks"});
+                        "refined cells", "exact fallbacks", "visited/check"});
     for (const bool small : {true, false}) {
       const int n = small ? n_small : n_large;
       const std::string tag = small ? "_small" : "_large";
@@ -320,16 +349,20 @@ int main(int argc, char** argv) {
       const auto counted = [](auto&& fn) {
         obs::ScopedCounterCapture capture;
         auto result = fn();
-        std::map<std::string, long long> delta = capture.Take();
-        return std::make_tuple(std::move(result),
-                               delta["sinr.farfield_refined_cells"],
-                               delta["sinr.farfield_exact_fallbacks"]);
+        std::map<std::string, long long> d = capture.Take();
+        FarFieldCounters delta;
+        delta.accepts = d["sinr.farfield_certified_accepts"];
+        delta.rejects = d["sinr.farfield_certified_rejects"];
+        delta.fallbacks = d["sinr.farfield_exact_fallbacks"];
+        delta.refined = d["sinr.farfield_refined_cells"];
+        delta.visited = d["sinr.farfield_cells_visited"];
+        return std::make_pair(std::move(result), delta);
       };
-      const auto [alg1, alg1_refined, alg1_fallbacks] =
+      const auto [alg1, alg1_counts] =
           counted([&] { return sinr::FarFieldRunAlgorithm1(ff, zeta); });
-      const auto [sched, sched_refined, sched_fallbacks] =
+      const auto [sched, sched_counts] =
           counted([&] { return sinr::FarFieldScheduleLinks(ff, zeta); });
-      const auto [valid, valid_refined, valid_fallbacks] = counted(
+      const auto [valid, valid_counts] = counted(
           [&] { return sinr::FarFieldValidateSchedule(ff, sched, all); });
       if (!valid) {
         std::printf("ERROR: far-field schedule failed validation at n = %d\n",
@@ -378,20 +411,34 @@ int main(int argc, char** argv) {
           }).min_ms;
 
       const auto row = [&](const char* phase, double ff_ms, double dense_ms,
-                           long long refined, long long fallbacks) {
+                           const FarFieldCounters& c) {
         table.AddRow({phase, std::to_string(n), bench::Fmt(ff_ms, 2),
                       small ? bench::Fmt(dense_ms, 2) : "-",
-                      std::to_string(refined), std::to_string(fallbacks)});
+                      std::to_string(c.refined), std::to_string(c.fallbacks),
+                      bench::Fmt(c.VisitedPerCheck(), 1)});
       };
-      row("Algorithm 1", alg1_ms, dense_alg1_ms, alg1_refined, alg1_fallbacks);
-      row("schedule", sched_ms, dense_sched_ms, sched_refined, sched_fallbacks);
-      row("validate", valid_ms, dense_valid_ms, valid_refined, valid_fallbacks);
+      row("Algorithm 1", alg1_ms, dense_alg1_ms, alg1_counts);
+      row("schedule", sched_ms, dense_sched_ms, sched_counts);
+      row("validate", valid_ms, dense_valid_ms, valid_counts);
       std::printf("n = %d: |S| = %zu of |X| = %zu, %d slots%s\n", n,
                   alg1.selected.size(), alg1.admitted.size(), sched.Length(),
                   small ? " (identical to dense)" : "");
     }
     std::printf("\n");
     table.Print();
+  }
+
+  // Same-run scaling gate, free of timing: a check's pyramid walk grows
+  // with log n, so 4x the links may at most double the cells it visits (a
+  // walk over every occupied cell grows ~4x).
+  std::printf("\nvisited per check: %.1f at n = %d, %.1f at n = %d "
+              "(gate: <= 2x)\n",
+              large_visited, n_large, xl_visited, n_xl);
+  if (xl_visited > 2.0 * large_visited) {
+    std::printf("ERROR: cells visited per check grew %.2fx from n = %d to "
+                "n = %d\n",
+                xl_visited / large_visited, n_large, n_xl);
+    return 1;
   }
 
   std::printf(

@@ -16,16 +16,22 @@ StageStats::Stage* FindMutable(std::vector<StageStats::Stage>& stages,
 
 }  // namespace
 
-void StageStats::Record(std::string_view name, double ms) {
+void StageStats::Stage::Observe(double ms) {
+  ++count;
+  total_ms += ms;
+  min_ms = std::min(min_ms, ms);
+  max_ms = std::max(max_ms, ms);
+}
+
+StageStats::Stage& StageStats::Slot(std::string_view name) {
   Stage* stage = FindMutable(stages, name);
-  if (stage == nullptr) {
-    stages.push_back(Stage{std::string(name)});
-    stage = &stages.back();
-  }
-  ++stage->count;
-  stage->total_ms += ms;
-  stage->min_ms = std::min(stage->min_ms, ms);
-  stage->max_ms = std::max(stage->max_ms, ms);
+  if (stage != nullptr) return *stage;
+  stages.push_back(Stage{std::string(name)});
+  return stages.back();
+}
+
+void StageStats::Record(std::string_view name, double ms) {
+  Slot(name).Observe(ms);
 }
 
 void StageStats::Merge(const StageStats& other) {

@@ -37,6 +37,7 @@ struct StageStats {
     double MeanMs() const {
       return count > 0 ? total_ms / static_cast<double>(count) : 0.0;
     }
+    void Observe(double ms);
   };
 
   std::vector<Stage> stages;  // first-recorded order
@@ -44,6 +45,9 @@ struct StageStats {
   // Adds one observation of `ms` to the named stage, creating it on first
   // use.  Linear scan: breakdowns hold a dozen-odd stages.
   void Record(std::string_view name, double ms);
+  // The named stage, created (with no observations) on first use.  The
+  // reference is valid until the next stage is created.
+  Stage& Slot(std::string_view name);
 
   // Folds another breakdown in (count/total add, min/max widen).
   void Merge(const StageStats& other);

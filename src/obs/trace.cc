@@ -110,10 +110,16 @@ Span::Span(std::string name, Histogram* histogram, const char* category,
 double Span::Finish() {
   if (!open_) return 0.0;
   open_ = false;
+  // The stage slot is found (or created) before the clock stops, so the
+  // span's own bookkeeping is timed inside it: a stage breakdown then
+  // accounts for that time, and a preemption during it lands in a named
+  // stage instead of between stages.
+  StageStats::Stage* slot =
+      stages_ != nullptr ? &stages_->Slot(name_) : nullptr;
   const auto end = std::chrono::steady_clock::now();
   const double dur_ms =
       std::chrono::duration<double, std::milli>(end - start_).count();
-  if (stages_ != nullptr) stages_->Record(name_, dur_ms);
+  if (slot != nullptr) slot->Observe(dur_ms);
   if (!emit_) return dur_ms;
   if (histogram_ != nullptr) histogram_->Observe(dur_ms);
   TraceSink& sink = TraceSink::Global();

@@ -50,6 +50,12 @@ obs::Counter& FarFieldClampRejectCounter() {
   return counter;
 }
 
+obs::Counter& FarFieldCellsVisitedCounter() {
+  static obs::Counter& counter =
+      obs::Registry::Global().GetCounter("sinr.farfield_cells_visited");
+  return counter;
+}
+
 obs::Counter& FarFieldRefinedCellCounter() {
   static obs::Counter& counter =
       obs::Registry::Global().GetCounter("sinr.farfield_refined_cells");
@@ -98,9 +104,7 @@ FarFieldKernel::FarFieldKernel(std::vector<geom::Vec2> senders,
       config_(config),
       power_(std::move(power)),
       senders_(std::move(senders)),
-      receivers_(std::move(receivers)),
-      sender_grid_(MakeGrid(senders_, farfield.target_per_cell)),
-      receiver_grid_(MakeGrid(receivers_, farfield.target_per_cell)) {
+      receivers_(std::move(receivers)) {
   Init(farfield);
 }
 
@@ -147,55 +151,129 @@ void FarFieldKernel::Init(FarFieldConfig farfield) {
     }
   }
 
-  Compact(sender_grid_, senders_, &sender_cells_, &sender_cell_ids_,
-          &sender_cell_of_);
-  Compact(receiver_grid_, receivers_, &receiver_cells_, &receiver_cell_ids_,
-          &receiver_cell_of_);
-
   // Exact near ring radius R0 = diag / (2^{1/alpha} - 1): beyond it,
-  // d_hi <= d_lo + diag <= d_lo * 2^{1/alpha}, so a pooled cell's
+  // d_hi <= d_lo + diag <= d_lo * 2^{1/alpha}, so a pooled leaf's
   // upper/lower contribution ratio (d_hi/d_lo)^alpha is at most 2 and
   // refinement halves the residual width geometrically.
   const double ring =
       std::sqrt(2.0) / (std::pow(2.0, 1.0 / alpha_) - 1.0);
-  sender_near_ = sender_grid_.CellSize() * ring;
-  receiver_near_ = receiver_grid_.CellSize() * ring;
+  const geom::UniformGrid sender_grid =
+      MakeGrid(senders_, farfield.target_per_cell);
+  const geom::UniformGrid receiver_grid =
+      MakeGrid(receivers_, farfield.target_per_cell);
+  senders_py_ =
+      BuildPyramid(sender_grid, senders_, sender_grid.CellSize() * ring);
+  receivers_py_ =
+      BuildPyramid(receiver_grid, receivers_, receiver_grid.CellSize() * ring);
 }
 
-void FarFieldKernel::Compact(const geom::UniformGrid& grid,
-                             std::span<const geom::Vec2> pts,
-                             std::vector<CellAgg>* cells,
-                             std::vector<int>* grouped,
-                             std::vector<int>* cell_of) {
-  cells->clear();
-  grouped->clear();
-  grouped->reserve(pts.size());
-  cell_of->assign(pts.size(), -1);
+FarFieldKernel::Pyramid FarFieldKernel::BuildPyramid(
+    const geom::UniformGrid& grid, std::span<const geom::Vec2> pts,
+    double near) {
+  Pyramid py;
+  py.near = near;
+  py.leaf_of.assign(pts.size(), -1);
+  // Level 0: the occupied cells in row-major order, with their grid
+  // coordinates for the merge below.
+  std::vector<int> cx;
+  std::vector<int> cy;
   const int num = grid.NumCells();
   for (int c = 0; c < num; ++c) {
     const std::span<const int> ids = grid.CellContents(c);
     if (ids.empty()) continue;
-    CellAgg agg;
-    agg.first = static_cast<int>(grouped->size());
-    agg.count = static_cast<int>(ids.size());
+    Node leaf;
     const geom::Vec2 p0 = pts[static_cast<std::size_t>(ids[0])];
-    agg.min_x = agg.max_x = p0.x;
-    agg.min_y = agg.max_y = p0.y;
-    const int index = static_cast<int>(cells->size());
+    leaf.min_x = leaf.max_x = p0.x;
+    leaf.min_y = leaf.max_y = p0.y;
+    const int index = static_cast<int>(py.nodes.size());
     for (const int id : ids) {
       const geom::Vec2 p = pts[static_cast<std::size_t>(id)];
-      agg.min_x = std::min(agg.min_x, p.x);
-      agg.min_y = std::min(agg.min_y, p.y);
-      agg.max_x = std::max(agg.max_x, p.x);
-      agg.max_y = std::max(agg.max_y, p.y);
-      grouped->push_back(id);
-      (*cell_of)[static_cast<std::size_t>(id)] = index;
+      leaf.min_x = std::min(leaf.min_x, p.x);
+      leaf.min_y = std::min(leaf.min_y, p.y);
+      leaf.max_x = std::max(leaf.max_x, p.x);
+      leaf.max_y = std::max(leaf.max_y, p.y);
+      py.leaf_of[static_cast<std::size_t>(id)] = index;
     }
-    cells->push_back(agg);
+    py.nodes.push_back(leaf);
+    cx.push_back(c % grid.Cols());
+    cy.push_back(c / grid.Cols());
   }
+  py.leaves = static_cast<int>(py.nodes.size());
+
+  // Each level above merges the 2 x 2 blocks of the one below; parents are
+  // laid out in row-major block order, each with a contiguous run of
+  // `children`.
+  int cols = grid.Cols();
+  int rows = grid.Rows();
+  int begin = 0;
+  int end = py.leaves;
+  while (end - begin > 1) {
+    const int pcols = (cols + 1) / 2;
+    const int prows = (rows + 1) / 2;
+    std::vector<int> block_size(static_cast<std::size_t>(pcols * prows), 0);
+    std::vector<int> block(static_cast<std::size_t>(end - begin));
+    for (int i = begin; i < end; ++i) {
+      const std::size_t k = static_cast<std::size_t>(i - begin);
+      block[k] = (cy[k] / 2) * pcols + cx[k] / 2;
+      ++block_size[static_cast<std::size_t>(block[k])];
+    }
+    std::vector<int> parent_of(block_size.size(), -1);
+    std::vector<int> next_cx;
+    std::vector<int> next_cy;
+    for (int b = 0; b < pcols * prows; ++b) {
+      const std::size_t sb = static_cast<std::size_t>(b);
+      if (block_size[sb] == 0) continue;
+      parent_of[sb] = static_cast<int>(py.nodes.size());
+      Node parent;
+      parent.first = static_cast<int>(py.children.size());
+      py.nodes.push_back(parent);
+      py.children.resize(py.children.size() +
+                         static_cast<std::size_t>(block_size[sb]));
+      next_cx.push_back(b % pcols);
+      next_cy.push_back(b / pcols);
+    }
+    for (int i = begin; i < end; ++i) {
+      const Node child = py.nodes[static_cast<std::size_t>(i)];
+      const int b = block[static_cast<std::size_t>(i - begin)];
+      Node& parent = py.nodes[static_cast<std::size_t>(
+          parent_of[static_cast<std::size_t>(b)])];
+      if (parent.count == 0) {
+        parent.min_x = child.min_x;
+        parent.min_y = child.min_y;
+        parent.max_x = child.max_x;
+        parent.max_y = child.max_y;
+      } else {
+        parent.min_x = std::min(parent.min_x, child.min_x);
+        parent.min_y = std::min(parent.min_y, child.min_y);
+        parent.max_x = std::max(parent.max_x, child.max_x);
+        parent.max_y = std::max(parent.max_y, child.max_y);
+      }
+      py.children[static_cast<std::size_t>(parent.first + parent.count++)] = i;
+    }
+    begin = end;
+    end = static_cast<int>(py.nodes.size());
+    cx.swap(next_cx);
+    cy.swap(next_cy);
+    cols = pcols;
+    rows = prows;
+  }
+  py.parent.assign(py.nodes.size(), -1);
+  for (int i = py.leaves; i < static_cast<int>(py.nodes.size()); ++i) {
+    for (const int child : py.Children(i)) {
+      py.parent[static_cast<std::size_t>(child)] = i;
+    }
+  }
+  return py;
 }
 
-void FarFieldKernel::BoxDistance(const CellAgg& c, geom::Vec2 p, double* lo,
+long long FarFieldKernel::Pyramid::MemoryBytes() const noexcept {
+  auto bytes = [](const auto& v) {
+    return static_cast<long long>(v.capacity() * sizeof(v[0]));
+  };
+  return bytes(nodes) + bytes(children) + bytes(parent) + bytes(leaf_of);
+}
+
+void FarFieldKernel::BoxDistance(const Node& c, geom::Vec2 p, double* lo,
                                  double* hi) {
   // sqrt of the squared sum, not hypot: this feeds bound arithmetic only
   // (kGuard absorbs the ulp-level difference) and hypot's overflow-safe
@@ -208,7 +286,7 @@ void FarFieldKernel::BoxDistance(const CellAgg& c, geom::Vec2 p, double* lo,
   *hi = std::sqrt(dx_hi * dx_hi + dy_hi * dy_hi);
 }
 
-double FarFieldKernel::BoxDistanceSqLower(const CellAgg& c, geom::Vec2 p) {
+double FarFieldKernel::BoxDistanceSqLower(const Node& c, geom::Vec2 p) {
   const double dx = std::max({0.0, c.min_x - p.x, p.x - c.max_x});
   const double dy = std::max({0.0, c.min_y - p.y, p.y - c.max_y});
   return dx * dx + dy * dy;
@@ -240,12 +318,13 @@ double FarFieldKernel::InAffectanceRawExact(std::span<const int> S,
 
 FarFieldKernel::SenderGroups FarFieldKernel::GroupBySenderCell(
     std::span<const int> S) const {
-  const std::size_t num_cells = sender_cells_.size();
+  const std::size_t num_cells =
+      static_cast<std::size_t>(senders_py_.leaves);
   SenderGroups g;
   g.offset.assign(num_cells + 1, 0);
   for (int w : S) {
     ++g.offset[static_cast<std::size_t>(
-                   sender_cell_of_[static_cast<std::size_t>(w)]) +
+                   senders_py_.leaf_of[static_cast<std::size_t>(w)]) +
                1];
   }
   for (std::size_t c = 0; c < num_cells; ++c) {
@@ -256,7 +335,7 @@ FarFieldKernel::SenderGroups FarFieldKernel::GroupBySenderCell(
   std::vector<int> cursor(g.offset.begin(), g.offset.end() - 1);
   for (int w : S) {
     const std::size_t c =
-        static_cast<std::size_t>(sender_cell_of_[static_cast<std::size_t>(w)]);
+        static_cast<std::size_t>(senders_py_.leaf_of[static_cast<std::size_t>(w)]);
     g.ids[static_cast<std::size_t>(cursor[c]++)] = w;
   }
   return g;
@@ -269,7 +348,7 @@ FarFieldKernel::Interval FarFieldKernel::RefineInAffectance(
   const std::size_t sv = static_cast<std::size_t>(v);
   const geom::Vec2 p = receivers_[sv];
   const double k = cf_[sv];
-  const int own = sender_cell_of_[sv];
+  const int own = senders_py_.leaf_of[sv];
   // Near + refined cells, summed pairwise through the cheap bound spelling
   // (AffectanceNear): the sum only feeds the guarded certified interval,
   // and undecided callers re-fold with the exact path anyway.
@@ -286,10 +365,10 @@ FarFieldKernel::Interval FarFieldKernel::RefineInAffectance(
   for (int c : groups.cells) {
     double lo = 0.0;
     double hi = 0.0;
-    BoxDistance(sender_cells_[static_cast<std::size_t>(c)], p, &lo, &hi);
+    BoxDistance(senders_py_.nodes[static_cast<std::size_t>(c)], p, &lo, &hi);
     // v's own sender cell is never pooled: its entries equal to v must
     // contribute 0, as in the dense row, and AffectanceNear says so.
-    if (lo <= sender_near_ || c == own) {
+    if (lo <= senders_py_.near || c == own) {
       near_sum += pairwise(c);
       continue;
     }
@@ -378,9 +457,7 @@ long long FarFieldKernel::MemoryBytes() const noexcept {
   };
   return bytes(senders_) + bytes(receivers_) + bytes(link_decay_) +
          bytes(can_overcome_) + bytes(noise_factor_) + bytes(cf_) +
-         bytes(sender_cells_) + bytes(receiver_cells_) +
-         bytes(sender_cell_ids_) + bytes(receiver_cell_ids_) +
-         bytes(sender_cell_of_) + bytes(receiver_cell_of_);
+         senders_py_.MemoryBytes() + receivers_py_.MemoryBytes();
 }
 
 // --- FarFieldAccumulator -----------------------------------------------------
@@ -392,12 +469,14 @@ FarFieldAccumulator::FarFieldAccumulator(const FarFieldKernel& kernel)
   in_m_.assign(n, 0.0);
   in_raw_m_.assign(n, 0.0);
   upto_.assign(n, 0);
-  in_lo_.assign(n, 0.0);
-  in_hi_.assign(n, 0.0);
-  scell_members_.resize(kernel.sender_cells_.size());
-  rcell_members_.resize(kernel.receiver_cells_.size());
-  rcell_cf_sum_.assign(kernel.receiver_cells_.size(), 0.0);
-  rcell_cf_max_.assign(kernel.receiver_cells_.size(), 0.0);
+  const FarFieldKernel::Pyramid& spy = kernel.senders_py_;
+  const FarFieldKernel::Pyramid& rpy = kernel.receivers_py_;
+  sleaf_members_.resize(static_cast<std::size_t>(spy.leaves));
+  rleaf_members_.resize(static_cast<std::size_t>(rpy.leaves));
+  snode_count_.assign(spy.nodes.size(), 0);
+  rnode_count_.assign(rpy.nodes.size(), 0);
+  rnode_cf_sum_.assign(rpy.nodes.size(), 0.0);
+  rnode_cf_max_.assign(rpy.nodes.size(), 0.0);
   sep_mark_.assign(n, 0);
 }
 
@@ -405,45 +484,13 @@ void FarFieldAccumulator::Add(int v) {
   DL_CHECK(!Contains(v), "link already in the accumulator");
   const FarFieldKernel& k = *kernel_;
   const std::size_t sv = static_cast<std::size_t>(v);
-  const bool pooled = k.uniform_power_ && k.epsilon_ > 0.0;
-  if (pooled) {
+  if (Pooling()) {
     // Lazily-exact sums: the new member starts with an empty fold prefix
     // (CatchUp replays the dense accumulator's additions on demand), and
-    // the existing members' exact folds are simply left behind -- only
-    // their certified in-raw brackets advance here, pooled per receiver
-    // cell with no libm call on the hot path.
+    // the existing members' exact folds are simply left behind.
     in_raw_m_[sv] = 0.0;
     in_m_[sv] = 0.0;
     upto_[sv] = 0;
-    const FarFieldKernel::Interval b = CandidateInRawBounds(v);
-    in_lo_[sv] = b.lower;
-    in_hi_[sv] = b.upper;
-    constexpr double g = FarFieldKernel::kGuard;
-    const geom::Vec2 s = k.senders_[sv];
-    for (int c : rcell_touched_) {
-      const std::size_t sc = static_cast<std::size_t>(c);
-      const auto& mem = rcell_members_[sc];
-      double lo = 0.0;
-      double hi = 0.0;
-      FarFieldKernel::BoxDistance(k.receiver_cells_[sc], s, &lo, &hi);
-      if (lo <= k.receiver_near_) {
-        for (int w : mem) {
-          const std::size_t sw = static_cast<std::size_t>(w);
-          const double a = k.AffectanceNear(v, w);
-          in_lo_[sw] += a * (1.0 - g);
-          in_hi_[sw] += a * (1.0 + g);
-        }
-        continue;
-      }
-      const double inv_lo = 1.0 / k.BoundPow(hi);
-      const double inv_hi = 1.0 / k.BoundPow(lo);
-      for (int w : mem) {
-        const std::size_t sw = static_cast<std::size_t>(w);
-        const double cf = k.cf_[sw];
-        in_lo_[sw] += cf * inv_lo * (1.0 - g);
-        in_hi_[sw] += cf * inv_hi * (1.0 + g);
-      }
-    }
   } else {
     // Fold the new member's in-sums over the existing members in insertion
     // order, and push its pressure onto each existing member's running
@@ -467,32 +514,30 @@ void FarFieldAccumulator::Add(int v) {
   members_.push_back(v);
   in_set_[sv] = 1;
 
-  const int sc = k.sender_cell_of_[sv];
-  if (scell_members_[static_cast<std::size_t>(sc)].empty()) {
-    scell_touched_.push_back(sc);
+  // Membership along both leaves' ancestor chains.
+  const FarFieldKernel::Pyramid& spy = k.senders_py_;
+  const FarFieldKernel::Pyramid& rpy = k.receivers_py_;
+  const int sleaf = spy.leaf_of[sv];
+  sleaf_members_[static_cast<std::size_t>(sleaf)].push_back(v);
+  for (int node = sleaf; node >= 0;
+       node = spy.parent[static_cast<std::size_t>(node)]) {
+    ++snode_count_[static_cast<std::size_t>(node)];
   }
-  scell_members_[static_cast<std::size_t>(sc)].push_back(v);
-  const int rc = k.receiver_cell_of_[sv];
-  if (rcell_members_[static_cast<std::size_t>(rc)].empty()) {
-    rcell_touched_.push_back(rc);
-  }
-  rcell_members_[static_cast<std::size_t>(rc)].push_back(v);
+  const int rleaf = rpy.leaf_of[sv];
+  rleaf_members_[static_cast<std::size_t>(rleaf)].push_back(v);
   const double cf = k.cf_[sv];
-  rcell_cf_sum_[static_cast<std::size_t>(rc)] += cf;
-  if (cf > rcell_cf_max_[static_cast<std::size_t>(rc)]) {
-    rcell_cf_max_[static_cast<std::size_t>(rc)] = cf;
-  }
-  if (pooled) {
-    t2_pass_.push_back(0.0);
-    t2_fail_.push_back(0.0);
-    pass_limit_.push_back(0.0);
-    RefreshHeadroom(members_.size() - 1);
+  for (int node = rleaf; node >= 0;
+       node = rpy.parent[static_cast<std::size_t>(node)]) {
+    const std::size_t sn = static_cast<std::size_t>(node);
+    ++rnode_count_[sn];
+    rnode_cf_sum_[sn] += cf;
+    if (cf > rnode_cf_max_[sn]) rnode_cf_max_[sn] = cf;
   }
 }
 
 void FarFieldAccumulator::CatchUp(int w) const {
+  if (!Pooling()) return;  // eager modes
   const FarFieldKernel& k = *kernel_;
-  if (!k.uniform_power_ || k.epsilon_ == 0.0) return;  // eager modes
   const std::size_t sw = static_cast<std::size_t>(w);
   const std::size_t end = members_.size();
   if (static_cast<std::size_t>(upto_[sw]) == end) return;
@@ -507,20 +552,20 @@ void FarFieldAccumulator::CatchUp(int w) const {
     in_m_[sw] += au_w < 1.0 ? au_w : 1.0;
   }
   upto_[sw] = static_cast<int>(end);
-  // The exact fold is the tightest certificate there is: collapse the
-  // brackets onto it (the decision band absorbs fold-vs-real rounding).
-  in_lo_[sw] = in_raw_m_[sw];
-  in_hi_[sw] = in_raw_m_[sw];
 }
 
 bool FarFieldAccumulator::InWithinOne(int v) const {
   DL_CHECK(Contains(v), "far-field sums are member-only");
-  const FarFieldKernel& k = *kernel_;
   const std::size_t sv = static_cast<std::size_t>(v);
-  if (k.uniform_power_ && k.epsilon_ > 0.0) {
-    // Clamped sum <= raw sum <= in_hi_: the bracket certifies acceptance
-    // only (a raw sum above 1 may still clamp to at most 1).
-    if (in_hi_[sv] <= 1.0 - FarFieldKernel::kBand) {
+  if (Pooling()) {
+    // Clamped sum <= raw sum <= upper: v's raw in-sum interval certifies
+    // acceptance only (a raw sum above 1 may still clamp to at most 1).
+    constexpr Term kTerms[] = {Term::kInRaw};
+    const FarFieldKernel::Interval b =
+        CandidateBounds(v, kTerms, [](const FarFieldKernel::Interval& i) {
+          return i.upper <= 1.0 - FarFieldKernel::kBand;
+        });
+    if (b.upper <= 1.0 - FarFieldKernel::kBand) {
       FarFieldCertifiedAcceptCounter().Add();
       return true;
     }
@@ -530,103 +575,209 @@ bool FarFieldAccumulator::InWithinOne(int v) const {
   return in_m_[sv] <= 1.0;
 }
 
-FarFieldKernel::Interval FarFieldAccumulator::CandidateInRawBounds(
-    int v) const {
-  const FarFieldKernel& k = *kernel_;
-  const geom::Vec2 p = k.receivers_[static_cast<std::size_t>(v)];
-  const double kv = k.cf_[static_cast<std::size_t>(v)];
-  double near_sum = 0.0;  // cheap bound spelling; in-band callers re-fold exact
-  double far_lo = 0.0;
-  double far_hi = 0.0;
-  for (int c : scell_touched_) {
-    const auto& cell = k.sender_cells_[static_cast<std::size_t>(c)];
-    const auto& mem = scell_members_[static_cast<std::size_t>(c)];
-    double lo = 0.0;
-    double hi = 0.0;
-    FarFieldKernel::BoxDistance(cell, p, &lo, &hi);
-    if (lo <= k.sender_near_) {
-      for (int w : mem) near_sum += k.AffectanceNear(w, v);
-      continue;
-    }
-    const double cnt = static_cast<double>(mem.size());
-    far_hi += cnt * (kv / k.BoundPow(lo));
-    far_lo += cnt * (kv / k.BoundPow(hi));
-  }
-  return {(near_sum + far_lo) * (1.0 - FarFieldKernel::kGuard),
-          (near_sum + far_hi) * (1.0 + FarFieldKernel::kGuard)};
+// --- FarFieldFeasibilityAccumulator --------------------------------------
+
+FarFieldFeasibilityAccumulator::FarFieldFeasibilityAccumulator(
+    const FarFieldKernel& kernel)
+    : FarFieldAccumulator(kernel) {
+  const std::size_t n = static_cast<std::size_t>(kernel.NumLinks());
+  in_lo_.assign(n, 0.0);
+  in_hi_.assign(n, 0.0);
 }
 
-FarFieldKernel::Interval FarFieldAccumulator::CandidateInClampedBounds(
-    int v) const {
-  const FarFieldKernel& k = *kernel_;
-  const geom::Vec2 p = k.receivers_[static_cast<std::size_t>(v)];
-  const double kv = k.cf_[static_cast<std::size_t>(v)];
-  double near_sum = 0.0;  // cheap bound spelling; in-band callers re-fold exact
-  double far_lo = 0.0;
-  double far_hi = 0.0;
-  for (int c : scell_touched_) {
-    const auto& cell = k.sender_cells_[static_cast<std::size_t>(c)];
-    const auto& mem = scell_members_[static_cast<std::size_t>(c)];
-    double lo = 0.0;
-    double hi = 0.0;
-    FarFieldKernel::BoxDistance(cell, p, &lo, &hi);
-    if (lo <= k.sender_near_) {
-      for (int w : mem) {
-        const double a = k.AffectanceNear(w, v);
-        near_sum += a < 1.0 ? a : 1.0;
+void FarFieldFeasibilityAccumulator::Add(int v) {
+  const bool pooled = Pooling();
+  if (pooled) {
+    const FarFieldKernel& k = *kernel_;
+    const std::size_t sv = static_cast<std::size_t>(v);
+    // The new member's bracket, opened until its width is at most the
+    // headroom it certifies (1 - upper): the true headroom then lies
+    // within 2x of the certified one, the slack RefreshHeadroom already
+    // gives away by certifying the pass side at half the headroom.  A sum
+    // too close to 1 for that opens down to the leaves.
+    constexpr Term kTerms[] = {Term::kInRaw};
+    const FarFieldKernel::Interval b =
+        CandidateBounds(v, kTerms, [](const FarFieldKernel::Interval& i) {
+          return i.upper - i.lower <= 1.0 - i.upper;
+        });
+    in_lo_[sv] = b.lower;
+    in_hi_[sv] = b.upper;
+    // v's pressure onto every member's bracket, leaf by leaf of the
+    // receiver pyramid: pairwise within the near ring, one pooled distance
+    // range per leaf beyond it.
+    constexpr double g = FarFieldKernel::kGuard;
+    const FarFieldKernel::Pyramid& rpy = k.receivers_py_;
+    const geom::Vec2 s = k.senders_[sv];
+    stack_.assign(1, rpy.Root());
+    while (!stack_.empty()) {
+      const int node = stack_.back();
+      stack_.pop_back();
+      const std::size_t sn = static_cast<std::size_t>(node);
+      if (rnode_count_[sn] == 0) continue;
+      if (!rpy.IsLeaf(node)) {
+        const std::span<const int> children = rpy.Children(node);
+        stack_.insert(stack_.end(), children.begin(), children.end());
+        continue;
       }
-      continue;
+      const auto& mem = rleaf_members_[sn];
+      double lo = 0.0;
+      double hi = 0.0;
+      FarFieldKernel::BoxDistance(rpy.nodes[sn], s, &lo, &hi);
+      if (lo <= rpy.near) {
+        for (int w : mem) {
+          const std::size_t sw = static_cast<std::size_t>(w);
+          const double a = k.AffectanceNear(v, w);
+          in_lo_[sw] += a * (1.0 - g);
+          in_hi_[sw] += a * (1.0 + g);
+        }
+        continue;
+      }
+      const double inv_lo = 1.0 / k.BoundPow(hi);
+      const double inv_hi = 1.0 / k.BoundPow(lo);
+      for (int w : mem) {
+        const std::size_t sw = static_cast<std::size_t>(w);
+        const double cf = k.cf_[sw];
+        in_lo_[sw] += cf * inv_lo * (1.0 - g);
+        in_hi_[sw] += cf * inv_hi * (1.0 + g);
+      }
     }
-    const double cnt = static_cast<double>(mem.size());
-    const double phi = kv / k.BoundPow(lo);
-    const double plo = kv / k.BoundPow(hi);
-    far_hi += cnt * (phi < 1.0 ? phi : 1.0);
-    far_lo += cnt * (plo < 1.0 ? plo : 1.0);
   }
-  return {(near_sum + far_lo) * (1.0 - FarFieldKernel::kGuard),
-          (near_sum + far_hi) * (1.0 + FarFieldKernel::kGuard)};
+  FarFieldAccumulator::Add(v);
+  if (pooled) {
+    t2_pass_.push_back(0.0);
+    t2_fail_.push_back(0.0);
+    pass_limit_.push_back(0.0);
+    RefreshHeadroom(members_.size() - 1);
+  }
 }
 
-FarFieldKernel::Interval FarFieldAccumulator::CandidateOutClampedBounds(
-    int v) const {
+bool FarFieldAccumulator::Open(Term term, int node, int v,
+                               double* near) const {
   const FarFieldKernel& k = *kernel_;
-  const geom::Vec2 q = k.senders_[static_cast<std::size_t>(v)];
-  double near_sum = 0.0;  // cheap bound spelling; in-band callers re-fold exact
-  double far_lo = 0.0;
-  double far_hi = 0.0;
-  for (int c : rcell_touched_) {
-    const std::size_t sc = static_cast<std::size_t>(c);
-    const auto& cell = k.receiver_cells_[sc];
-    const auto& mem = rcell_members_[sc];
-    double lo = 0.0;
-    double hi = 0.0;
-    FarFieldKernel::BoxDistance(cell, q, &lo, &hi);
-    // A cell pools only when the per-member *lower* ends cannot clamp
+  const bool out = term == Term::kOutClamped;
+  const FarFieldKernel::Pyramid& py = out ? k.receivers_py_ : k.senders_py_;
+  const std::size_t sn = static_cast<std::size_t>(node);
+  const int members = out ? rnode_count_[sn] : snode_count_[sn];
+  if (members == 0) return true;
+  ++visited_;
+  const std::size_t sv = static_cast<std::size_t>(v);
+  double lo = 0.0;
+  double hi = 0.0;
+  FarFieldKernel::BoxDistance(py.nodes[sn], out ? k.senders_[sv] : k.receivers_[sv],
+                              &lo, &hi);
+  const bool leaf = py.IsLeaf(node);
+  // A member's own sender leaf always runs pairwise, where its self-term is
+  // 0 as in the dense row (pooled, the leaf would count it).
+  if (leaf && (lo <= py.near ||
+               (!out && in_set_[sv] && node == k.senders_py_.leaf_of[sv]))) {
+    // The cheap bound spelling; in-band callers re-fold exact.
+    double sum = 0.0;
+    if (term == Term::kInRaw) {
+      for (int w : sleaf_members_[sn]) sum += k.AffectanceNear(w, v);
+    } else if (term == Term::kInClamped) {
+      for (int w : sleaf_members_[sn]) {
+        const double a = k.AffectanceNear(w, v);
+        sum += a < 1.0 ? a : 1.0;
+      }
+    } else {
+      for (int w : rleaf_members_[sn]) {
+        const double a = k.AffectanceNear(v, w);
+        sum += a < 1.0 ? a : 1.0;
+      }
+    }
+    *near += sum;
+    return true;
+  }
+  const double cnt = static_cast<double>(members);
+  Pooled pooled{node, term, leaf, 0.0, 0.0};
+  if (term == Term::kOutClamped) {
+    // A node pools only when the per-member *lower* ends cannot clamp
     // (cf_max / d_hi^alpha <= 1).  When they can, the member holding
     // cf_max takes pressure cf_max / d^alpha > 1 from v, clamped to exactly
-    // 1, so a_v(X) >= 1 > 1/2 already decides the budget: return that
-    // certified reject interval instead of folding the cell pairwise.
-    if (lo > k.receiver_near_) {
-      const double inv_hi = 1.0 / k.BoundPow(hi);
-      if (rcell_cf_max_[sc] * inv_hi > 1.0) {
-        FarFieldClampRejectCounter().Add();
-        return {1.0 - FarFieldKernel::kGuard,
-                static_cast<double>(members_.size()) *
-                    (1.0 + FarFieldKernel::kGuard)};
-      }
-      const double cnt = static_cast<double>(mem.size());
-      const double phi_sum = rcell_cf_sum_[sc] / k.BoundPow(lo);
-      far_hi += phi_sum < cnt ? phi_sum : cnt;
-      far_lo += rcell_cf_sum_[sc] * inv_hi;
-      continue;
-    }
-    for (int w : mem) {
-      const double a = k.AffectanceNear(v, w);
-      near_sum += a < 1.0 ? a : 1.0;
+    // 1, so a_v(X) >= 1 > 1/2 already decides the budget.
+    const double inv_hi = 1.0 / k.BoundPow(hi);
+    if (rnode_cf_max_[sn] * inv_hi > 1.0) return false;
+    const double phi_sum = rnode_cf_sum_[sn] / k.BoundPow(lo);
+    pooled.hi = phi_sum < cnt ? phi_sum : cnt;
+    pooled.lo = rnode_cf_sum_[sn] * inv_hi;
+  } else {
+    const double kv = k.cf_[sv];
+    const double phi = kv / k.BoundPow(lo);
+    const double plo = kv / k.BoundPow(hi);
+    if (term == Term::kInRaw) {
+      pooled.hi = cnt * phi;
+      pooled.lo = cnt * plo;
+    } else {
+      pooled.hi = cnt * (phi < 1.0 ? phi : 1.0);
+      pooled.lo = cnt * (plo < 1.0 ? plo : 1.0);
     }
   }
-  return {(near_sum + far_lo) * (1.0 - FarFieldKernel::kGuard),
-          (near_sum + far_hi) * (1.0 + FarFieldKernel::kGuard)};
+  frontier_.push_back(pooled);
+  return true;
+}
+
+FarFieldKernel::Interval FarFieldAccumulator::FrontierInterval(
+    double near) const {
+  double far_lo = 0.0;
+  double far_hi = 0.0;
+  for (const Pooled& f : frontier_) {
+    far_lo += f.lo;
+    far_hi += f.hi;
+  }
+  return {(near + far_lo) * (1.0 - FarFieldKernel::kGuard),
+          (near + far_hi) * (1.0 + FarFieldKernel::kGuard)};
+}
+
+template <class Done>
+FarFieldKernel::Interval FarFieldAccumulator::CandidateBounds(
+    int v, std::span<const Term> terms, Done done) const {
+  const FarFieldKernel& k = *kernel_;
+  const bool silent = k.cf_[static_cast<std::size_t>(v)] == 0.0;
+  frontier_.clear();
+  visited_ = 0;
+  double near = 0.0;
+  bool clamped = false;
+  for (const Term term : terms) {
+    if (term != Term::kOutClamped && silent) continue;  // in-sums are 0
+    const FarFieldKernel::Pyramid& py =
+        term == Term::kOutClamped ? k.receivers_py_ : k.senders_py_;
+    if (!Open(term, py.Root(), v, &near)) clamped = true;
+  }
+  FarFieldKernel::Interval b;
+  while (!clamped) {
+    // Totals are resummed per round so the bounds never inherit
+    // subtraction cancellation.
+    b = FrontierInterval(near);
+    if (done(b)) break;
+    std::size_t widest = frontier_.size();
+    double width = -1.0;
+    for (std::size_t i = 0; i < frontier_.size(); ++i) {
+      const Pooled& f = frontier_[i];
+      if (!f.leaf && f.hi - f.lo > width) {
+        widest = i;
+        width = f.hi - f.lo;
+      }
+    }
+    if (widest == frontier_.size()) break;  // only leaves are pooled
+    const Pooled open = frontier_[widest];
+    frontier_[widest] = frontier_.back();
+    frontier_.pop_back();
+    const FarFieldKernel::Pyramid& py =
+        open.term == Term::kOutClamped ? k.receivers_py_ : k.senders_py_;
+    for (const int child : py.Children(open.node)) {
+      if (!Open(open.term, child, v, &near)) {
+        clamped = true;
+        break;
+      }
+    }
+  }
+  FarFieldCellsVisitedCounter().Add(visited_);
+  if (clamped) {
+    FarFieldClampRejectCounter().Add();
+    return {1.0 - FarFieldKernel::kGuard,
+            std::numeric_limits<double>::infinity()};
+  }
+  return b;
 }
 
 double FarFieldAccumulator::ExactInRaw(int v) const {
@@ -652,16 +803,21 @@ double FarFieldAccumulator::ExactBudget(int v) const {
   return out + in;
 }
 
-bool FarFieldAccumulator::CanAddFeasibly(int v) const {
+bool FarFieldFeasibilityAccumulator::CanAddFeasibly(int v) const {
   FarFieldAdmissionCheckCounter().Add();
   DL_CHECK(!Contains(v), "candidate already in the accumulator");
   const FarFieldKernel& k = *kernel_;
-  const bool pooled = k.uniform_power_ && k.epsilon_ > 0.0;
+  const bool pooled = Pooling();
 
   // (a) candidate's raw in-sum vs 1 (dense: InRaw(v) > 1.0).
   bool decided = false;
   if (pooled) {
-    const FarFieldKernel::Interval b = CandidateInRawBounds(v);
+    constexpr Term kTerms[] = {Term::kInRaw};
+    const FarFieldKernel::Interval b =
+        CandidateBounds(v, kTerms, [](const FarFieldKernel::Interval& i) {
+          return i.lower > 1.0 + FarFieldKernel::kBand ||
+                 i.upper <= 1.0 - FarFieldKernel::kBand;
+        });
     if (b.lower > 1.0 + FarFieldKernel::kBand) {
       FarFieldCertifiedRejectCounter().Add();
       return false;
@@ -690,10 +846,13 @@ bool FarFieldAccumulator::CanAddFeasibly(int v) const {
       if (d2 > t2_pass_[i]) continue;
       if (d2 < t2_fail_[i]) return false;
       // Inside the certification band: the dense comparison, on the
-      // caught-up exact fold.  The catch-up collapses the member's
-      // brackets, so refresh its thresholds afterwards -- they may have
-      // been conservative from bracket slack.
+      // caught-up exact fold.  The exact fold is the tightest certificate
+      // there is, so the member's bracket collapses onto it (the decision
+      // band absorbs fold-vs-real rounding) and its thresholds are
+      // refreshed -- they may have been conservative from bracket slack.
       CatchUp(w);
+      in_lo_[sw] = in_raw_m_[sw];
+      in_hi_[sw] = in_raw_m_[sw];
       if (in_raw_m_[sw] + k.AffectanceExact(v, w) > 1.0) {
         return false;
       }
@@ -710,7 +869,7 @@ bool FarFieldAccumulator::CanAddFeasibly(int v) const {
   return true;
 }
 
-void FarFieldAccumulator::RefreshHeadroom(std::size_t i) const {
+void FarFieldFeasibilityAccumulator::RefreshHeadroom(std::size_t i) const {
   // Member w rejects a candidate at real pressure a > h and passes at
   // a < h for headroom h = 1 - InRaw(w); in the distance domain
   // a = cf_w / d^alpha, so d^2 thresholds certify each side outside an
@@ -762,17 +921,18 @@ void FarFieldAccumulator::RefreshHeadroom(std::size_t i) const {
 }
 
 bool FarFieldAccumulator::BudgetWithinHalf(int v) const {
-  const FarFieldKernel& k = *kernel_;
-  if (k.uniform_power_ && k.epsilon_ > 0.0) {
-    const FarFieldKernel::Interval in_b = CandidateInClampedBounds(v);
-    const FarFieldKernel::Interval out_b = CandidateOutClampedBounds(v);
-    const double lower = in_b.lower + out_b.lower;
-    const double upper = in_b.upper + out_b.upper;
-    if (upper <= 0.5 - FarFieldKernel::kBand) {
+  if (Pooling()) {
+    constexpr Term kTerms[] = {Term::kInClamped, Term::kOutClamped};
+    const FarFieldKernel::Interval b =
+        CandidateBounds(v, kTerms, [](const FarFieldKernel::Interval& i) {
+          return i.lower > 0.5 + FarFieldKernel::kBand ||
+                 i.upper <= 0.5 - FarFieldKernel::kBand;
+        });
+    if (b.upper <= 0.5 - FarFieldKernel::kBand) {
       FarFieldCertifiedAcceptCounter().Add();
       return true;
     }
-    if (lower > 0.5 + FarFieldKernel::kBand) {
+    if (b.lower > 0.5 + FarFieldKernel::kBand) {
       FarFieldCertifiedRejectCounter().Add();
       return false;
     }
@@ -801,20 +961,32 @@ bool FarFieldAccumulator::IsSeparatedFromMembers(int v, double eta,
   const geom::Vec2 sv_pos = k.senders_[static_cast<std::size_t>(v)];
   const geom::Vec2 rv_pos = k.receivers_[static_cast<std::size_t>(v)];
 
-  // Whole member cells beyond the certification radius from both of the
+  // Whole pyramid nodes beyond the certification radius from both of the
   // candidate's endpoints are separated wholesale; only members of nearer
-  // cells (by sender or receiver) run a per-member verdict.
+  // leaves (by sender or receiver) run a per-member verdict.
   sep_scratch_.clear();
-  const auto collect = [&](const std::vector<int>& touched,
-                           const std::vector<std::vector<int>>& cell_members,
-                           const std::vector<FarFieldKernel::CellAgg>& cells) {
-    for (int c : touched) {
-      const auto& cell = cells[static_cast<std::size_t>(c)];
-      if (FarFieldKernel::BoxDistanceSqLower(cell, sv_pos) > r2_hi &&
-          FarFieldKernel::BoxDistanceSqLower(cell, rv_pos) > r2_hi) {
+  visited_ = 0;
+  const auto collect = [&](const FarFieldKernel::Pyramid& py,
+                           const std::vector<int>& count,
+                           const std::vector<std::vector<int>>& leaf_members) {
+    stack_.assign(1, py.Root());
+    while (!stack_.empty()) {
+      const int node = stack_.back();
+      stack_.pop_back();
+      const std::size_t sn = static_cast<std::size_t>(node);
+      if (count[sn] == 0) continue;
+      ++visited_;
+      const FarFieldKernel::Node& box = py.nodes[sn];
+      if (FarFieldKernel::BoxDistanceSqLower(box, sv_pos) > r2_hi &&
+          FarFieldKernel::BoxDistanceSqLower(box, rv_pos) > r2_hi) {
         continue;
       }
-      for (int w : cell_members[static_cast<std::size_t>(c)]) {
+      if (!py.IsLeaf(node)) {
+        const std::span<const int> children = py.Children(node);
+        stack_.insert(stack_.end(), children.begin(), children.end());
+        continue;
+      }
+      for (int w : leaf_members[sn]) {
         const std::size_t sw = static_cast<std::size_t>(w);
         if (!sep_mark_[sw]) {
           sep_mark_[sw] = 1;
@@ -823,8 +995,9 @@ bool FarFieldAccumulator::IsSeparatedFromMembers(int v, double eta,
       }
     }
   };
-  collect(scell_touched_, scell_members_, k.sender_cells_);
-  collect(rcell_touched_, rcell_members_, k.receiver_cells_);
+  collect(k.senders_py_, snode_count_, sleaf_members_);
+  collect(k.receivers_py_, rnode_count_, rleaf_members_);
+  FarFieldCellsVisitedCounter().Add(visited_);
 
   bool separated = true;
   for (int w : sep_scratch_) {

@@ -10,8 +10,9 @@
 // bounding box -- instead of evaluated pairwise.
 //
 // Error certification (never trusted, always carried):
-//   * Per cell, the box distance range [d_lo, d_hi] from the receiver gives
-//     count * K / d_hi^alpha  <=  sum of contributions  <=  count * K / d_lo^alpha,
+//   * Per pooled cell, the box distance range [d_lo, d_hi] from the
+//     receiver gives
+//       count * K / d_hi^alpha  <=  sum of contributions  <=  count * K / d_lo^alpha,
 //     with a multiplicative 1e-9 guard absorbing the fp rounding of the
 //     bound arithmetic itself.  Bounds are on the *raw* (unclamped)
 //     affectance, the feasibility form.
@@ -29,6 +30,45 @@
 //     refinement loop but stops as soon as the interval clears the
 //     decision band (below), which on typical inputs is before any cell
 //     is refined at all.
+//
+// The cell pyramid (candidate queries of FarFieldAccumulator):
+//   * Each endpoint grid carries a static pyramid, an implicit quadtree:
+//     level 0 holds the occupied cells, each level above merges the 2 x 2
+//     blocks of the level below, up to one root, and every node keeps the
+//     tight box of the endpoints under it.  The accumulator keeps per-node
+//     member counts (receiver side: also the sum and max of the members'
+//     c_w * f_ww), updated along one leaf-to-root chain per Add.
+//   * Opening rule.  A query starts with the roots pooled and, while its
+//     interval straddles the decision band, opens the widest pooled
+//     internal node: each child with members is pooled in turn (the same
+//     box bound at any level; a box containing the query point just has
+//     an infinite upper end), except a leaf within the near ring R0,
+//     whose members run pairwise.  A pooled leaf beyond R0 is final (its
+//     ratio-<= 2 certificate), so a query with every internal node opened
+//     holds the terms of a per-cell walk over every occupied leaf, and one
+//     still straddling the band there falls back to the exact fold.
+//     Coarse nodes inside their own ring (ratio > 2, or unbounded) are
+//     pooled too, because a decision needs the interval to clear the
+//     band, not a width: Barnes-Hut's node-local rule (open every node
+//     within diag_node / (2^{1/alpha} - 1)) opens within ~5 * 2^l cells at
+//     level l for alpha = 3, and measured 386 visited nodes per greedy
+//     check at n = 4096 (528 occupied cells) against 22 for this rule.
+//   * Cost model.  A decided check visits the nodes on the paths from the
+//     roots to the candidate's neighbourhood plus the pooled siblings
+//     along them, O(log cells) nodes when the sum sits far from the band,
+//     and at most every occupied leaf (plus its O(cells / 3) ancestors)
+//     when it does not; bench_e22_farfield prints the visited nodes per
+//     check (sinr.farfield_cells_visited).  The same walk, with its own
+//     stop rule, seeds a new member's in-sum bracket for the headroom test
+//     and certifies Algorithm 1's final filter over the whole set, so the
+//     budget role keeps no per-member bracket and its Add is O(levels).
+//     Separation prunes every node whose box lies beyond the separation
+//     radius from both endpoints, so it visits the ancestors of the few
+//     leaves near the candidate.
+//   * Descend-on-straddle keeps every decision equal to dense: each
+//     interval the walk returns is a valid certificate, a decision is
+//     taken from it only outside the band, and the exact and in-band paths
+//     (AffectanceExact, CatchUp, the exact folds) are untouched.
 //
 // Decision contract vs the dense path (what the engine's signature gate
 // relies on; the admission loops of sinr/admission.h run unchanged over
@@ -98,6 +138,8 @@ class FarFieldKernel {
   const SinrConfig& config() const noexcept { return config_; }
   const PowerAssignment& power() const noexcept { return power_; }
   bool HasUniformPower() const noexcept { return uniform_power_; }
+  // Occupied cells of the sender grid: the leaves of the sender pyramid.
+  int SenderCells() const noexcept { return senders_py_.leaves; }
   geom::Vec2 Sender(int v) const { return senders_[static_cast<std::size_t>(v)]; }
   geom::Vec2 Receiver(int v) const {
     return receivers_[static_cast<std::size_t>(v)];
@@ -146,15 +188,37 @@ class FarFieldKernel {
 
  private:
   friend class FarFieldAccumulator;
+  friend class FarFieldFeasibilityAccumulator;
 
-  // Tight bounding box + id range of one occupied grid cell.
-  struct CellAgg {
+  // One node of an endpoint pyramid (an implicit quadtree over the grid).
+  // Level 0 holds the occupied grid cells; each level above merges the 2 x
+  // 2 blocks of the level below, up to a single root.  The box is tight
+  // over the endpoints under the node.
+  struct Node {
     double min_x = 0.0;
     double min_y = 0.0;
     double max_x = 0.0;
     double max_y = 0.0;
-    int first = 0;  // offset into the grouped id array
-    int count = 0;
+    int first = 0;  // offset into children (internal nodes)
+    int count = 0;  // child count; 0 at a leaf
+  };
+  struct Pyramid {
+    std::vector<Node> nodes;    // leaves [0, leaves), then level by level
+    std::vector<int> children;  // internal nodes' children, node by node
+    std::vector<int> parent;    // per node; -1 at the root
+    std::vector<int> leaf_of;   // link -> leaf
+    int leaves = 0;
+    // Exact near ring radius of a leaf: within it, a leaf's members are
+    // always evaluated pairwise.
+    double near = 0.0;
+
+    bool IsLeaf(int node) const noexcept { return node < leaves; }
+    int Root() const noexcept { return static_cast<int>(nodes.size()) - 1; }
+    std::span<const int> Children(int node) const {
+      const Node& n = nodes[static_cast<std::size_t>(node)];
+      return {children.data() + n.first, static_cast<std::size_t>(n.count)};
+    }
+    long long MemoryBytes() const noexcept;
   };
 
   // Absolute decision band around thresholds (1.0 feasibility, 0.5 budget):
@@ -171,7 +235,7 @@ class FarFieldKernel {
   // A link set grouped by occupied sender cell (CSR over the compact cell
   // index), built once per set and read by every member's query.
   struct SenderGroups {
-    std::vector<int> offset;  // sender_cells_.size() + 1 entries
+    std::vector<int> offset;  // one entry per sender leaf, plus one
     std::vector<int> ids;     // the set's entries, cell by cell
     std::vector<int> cells;   // cells holding an entry, ascending
   };
@@ -192,16 +256,15 @@ class FarFieldKernel {
   template <class Done>
   Interval RefineInAffectance(const SenderGroups& groups, int v, Done done,
                               std::vector<PooledCell>* far) const;
-  static void Compact(const geom::UniformGrid& grid,
-                      std::span<const geom::Vec2> pts,
-                      std::vector<CellAgg>* cells, std::vector<int>* grouped,
-                      std::vector<int>* cell_of);
-  // Euclidean distance range from p to cell c's tight box (lo = 0 when p is
+  // The pyramid over `grid`'s occupied cells, with leaf near ring `near`.
+  static Pyramid BuildPyramid(const geom::UniformGrid& grid,
+                              std::span<const geom::Vec2> pts, double near);
+  // Euclidean distance range from p to a node's tight box (lo = 0 when p is
   // inside the box).
-  static void BoxDistance(const CellAgg& c, geom::Vec2 p, double* lo,
+  static void BoxDistance(const Node& c, geom::Vec2 p, double* lo,
                           double* hi);
-  // Squared distance lower bound to the box, pow-free (cell pruning).
-  static double BoxDistanceSqLower(const CellAgg& c, geom::Vec2 p);
+  // Squared distance lower bound to the box, pow-free (node pruning).
+  static double BoxDistanceSqLower(const Node& c, geom::Vec2 p);
 
   // pow(d, alpha) for the *bound* arithmetic only: integral alpha (the
   // common 2..8 path-loss exponents) runs as repeated multiplication --
@@ -244,37 +307,32 @@ class FarFieldKernel {
   std::vector<double> noise_factor_;  // c_v (0 when !can_overcome_)
   std::vector<double> cf_;            // c_v * f_vv (0 when !can_overcome_)
 
-  // Occupied-cell aggregates over both endpoint sets.  The grids themselves
-  // are kept only for CellIndex addressing.
-  geom::UniformGrid sender_grid_;
-  geom::UniformGrid receiver_grid_;
-  std::vector<CellAgg> sender_cells_;
-  std::vector<CellAgg> receiver_cells_;
-  std::vector<int> sender_cell_ids_;    // link ids grouped by occupied cell
-  std::vector<int> receiver_cell_ids_;
-  std::vector<int> sender_cell_of_;     // link -> occupied sender cell index
-  std::vector<int> receiver_cell_of_;
-  // Exact near ring radii: within them a cell is always evaluated pairwise.
-  double sender_near_ = 0.0;
-  double receiver_near_ = 0.0;
+  // Pyramids over both endpoint sets (senders pool in-affectance,
+  // receivers out-pressure).
+  Pyramid senders_py_;
+  Pyramid receivers_py_;
 };
 
 // Running exact in-affectance sums over a growing admitted set, plus
-// certified candidate checks against the member set pooled by grid cell --
-// the far-field side of the accumulator contract in admission.h.  The member
-// sums accumulate in insertion order with the dense entry expressions, so
-// for members they are bit-identical to the dense accumulators' (a
-// non-member contributes +0.0 at its own Add in the dense version, which
-// cannot change an IEEE sum of non-negative terms).  There is deliberately
-// no Remove: the admission loops only ever grow, and removal would reopen
-// the ulp-drift caveat the dense accumulator documents.
+// certified candidate checks against the member set pooled per pyramid
+// node -- the far-field side of the accumulator contract in admission.h.
+// This class is the budget role (Algorithm 1's loop and its separation
+// test); FarFieldFeasibilityAccumulator below adds the feasibility role.
+// The member sums accumulate in insertion order with the dense entry
+// expressions, so for members they are bit-identical to the dense
+// accumulators' (a non-member contributes +0.0 at its own Add in the dense
+// version, which cannot change an IEEE sum of non-negative terms).  There
+// is deliberately no Remove: the admission loops only ever grow, and
+// removal would reopen the ulp-drift caveat the dense accumulator
+// documents.
 class FarFieldAccumulator {
  public:
   explicit FarFieldAccumulator(const FarFieldKernel& kernel);
 
   // O(|members|) exact updates (one distance + pow per member and
-  // direction) in the exact modes; pooled brackets per cell otherwise.  The
-  // caller must have checked kernel.CanOvercomeNoise(v).
+  // direction) in the exact modes; O(levels) pyramid counts in the pooled
+  // mode, where member sums fold lazily.  The caller must have checked
+  // kernel.CanOvercomeNoise(v).
   void Add(int v);
 
   const std::vector<int>& members() const noexcept { return members_; }
@@ -285,41 +343,64 @@ class FarFieldAccumulator {
 
   // Algorithm 1's final filter a_X(v) <= 1 for a member v (DL_CHECKed):
   // the dense In(v) <= 1.0 decision.  Pooled mode certifies acceptance
-  // from the raw in-sum bracket (clamped <= raw <= in_hi_) outside the
-  // 1e-9 band; otherwise the member's clamped fold is caught up -- it is
-  // then bit-identical to the dense accumulator's -- and compared exactly.
+  // from v's raw in-sum interval over the other members (clamped <= raw),
+  // walked over the sender pyramid like a candidate's, outside the 1e-9
+  // band; otherwise the member's clamped fold is caught up -- it is then
+  // bit-identical to the dense accumulator's -- and compared exactly.
   bool InWithinOne(int v) const;
 
-  // Dense FeasibilityAccumulator::CanAddFeasibly decisions: candidate raw
-  // in-sum vs 1, then every member's headroom vs the candidate's pressure.
-  // Certified pooled bounds decide both tests outside the 1e-9 band; the
-  // exact dense expressions decide inside it (and everywhere at epsilon = 0
-  // or non-uniform power).
-  bool CanAddFeasibly(int v) const;
-
   // Algorithm 1's admission budget a_v(X) + a_X(v) <= 0.5 (the dense
-  // Out(v) + In(v)), certified the same way (clamped sums pooled per cell
-  // with clamp-safe bounds).  A far member cell in which some member's
+  // Out(v) + In(v)), certified from clamped sums pooled per pyramid node
+  // with clamp-safe bounds, one walk over both pyramids; the exact dense
+  // expressions decide inside the 1e-9 band (and everywhere at epsilon = 0
+  // or non-uniform power).  A pooled member node in which some member's
   // pressure from v certainly clamps to 1 rejects at once (a_v(X) >= 1),
   // counted in sinr.farfield_clamp_rejects.
   bool BudgetWithinHalf(int v) const;
 
-  // Dense SeparationOracle::IsSeparatedFrom(v, members()) decisions: cells
-  // whose box clears the candidate's separation radius are skipped whole;
-  // members in nearer cells run the dense knife-edge expressions.  Always
-  // bit-identical to the dense oracle's decision.
+  // Dense SeparationOracle::IsSeparatedFrom(v, members()) decisions:
+  // pyramid nodes whose box clears the candidate's separation radius from
+  // both endpoints are skipped whole; members in nearer leaves run the
+  // dense knife-edge expressions.  Always bit-identical to the dense
+  // oracle's decision.
   bool IsSeparatedFromMembers(int v, double eta, double zeta) const;
 
- private:
-  FarFieldKernel::Interval CandidateInRawBounds(int v) const;
-  FarFieldKernel::Interval CandidateInClampedBounds(int v) const;
-  FarFieldKernel::Interval CandidateOutClampedBounds(int v) const;
+ protected:
+  // The sums a query bounds: v's raw or clamped in-sum over the sender
+  // pyramid, or its clamped out-pressure over the receiver pyramid.
+  enum class Term : char { kInRaw, kInClamped, kOutClamped };
+  // A pooled node on a query's frontier: its bounds on the term's sum over
+  // the members under it.
+  struct Pooled {
+    int node = 0;
+    Term term = Term::kInRaw;
+    bool leaf = false;  // pooled leaves are final; internal nodes open
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+
+  bool Pooling() const noexcept {
+    return kernel_->uniform_power_ && kernel_->epsilon_ > 0.0;
+  }
+  // Certified interval for the sum of `terms` at v over the members.  The
+  // walk starts from the pyramid roots and, while done(interval) fails,
+  // opens the widest pooled internal node; it stops once done holds or
+  // only leaves are pooled.  A budget clamp (some member's pressure from v
+  // certainly clamps to 1) returns the certified reject interval [1, inf)
+  // at once.  For a member v (the final filter) only the upper end is a
+  // certificate: a pooled node above v's own sender leaf counts v itself,
+  // whose dense self-term is 0.
+  template <class Done>
+  FarFieldKernel::Interval CandidateBounds(int v, std::span<const Term> terms,
+                                           Done done) const;
+  // Opens `node` for `term`: a leaf within the near ring (or, for a
+  // member's in-sum, the leaf holding its own sender) runs pairwise into
+  // *near, any other node is pooled onto frontier_.  Returns false when
+  // the node certifies a budget clamp.  Counts one visited node.
+  bool Open(Term term, int node, int v, double* near) const;
+  FarFieldKernel::Interval FrontierInterval(double near) const;
   double ExactInRaw(int v) const;
   double ExactBudget(int v) const;
-  // Recomputes member i's certified d^2 headroom thresholds.  Called for
-  // the new member on Add and lazily from CanAddFeasibly when a member's
-  // in-raw sum has outgrown its pass threshold's validity (pass_limit_).
-  void RefreshHeadroom(std::size_t i) const;
   // Extends member w's exact in-sums over the members appended since the
   // last catch-up, replaying the same additions in the same order the
   // dense accumulator performs eagerly -- the folded values are
@@ -333,22 +414,60 @@ class FarFieldAccumulator {
   // Member in-sums (clamped and raw), indexed by link id (valid only for
   // members).  In the pooled mode they are lazily exact: each fold is
   // current only through the first upto_[w] entries of members_, and
-  // CatchUp(w) extends it on demand (mutable for that reason).  The
-  // certified brackets in_lo_/in_hi_ of the raw in-sum ARE maintained
-  // eagerly -- cheaply, pooled per receiver cell with no libm -- so
-  // headroom thresholds and their staleness triggers never force an exact
-  // fold.
+  // CatchUp(w) extends it on demand (mutable for that reason).
   mutable std::vector<double> in_m_, in_raw_m_;
   mutable std::vector<int> upto_;
+  // Members grouped by pyramid leaf, and per-node member counts (on the
+  // receiver side also the running sum / max of the members' c_w * f_ww),
+  // kept along the leaf's ancestor chain on Add: O(levels).
+  std::vector<std::vector<int>> sleaf_members_;
+  std::vector<std::vector<int>> rleaf_members_;
+  std::vector<int> snode_count_;
+  std::vector<int> rnode_count_;
+  std::vector<double> rnode_cf_sum_;
+  std::vector<double> rnode_cf_max_;
+  // Query scratch: the pooled frontier, the nodes visited by the current
+  // query, and the pyramid walks' node stack and member collection.
+  mutable std::vector<Pooled> frontier_;
+  mutable long long visited_ = 0;
+  mutable std::vector<int> stack_;
+  mutable std::vector<int> sep_scratch_;
+  mutable std::vector<char> sep_mark_;
+};
+
+// The feasibility role (admit-while-feasible): FarFieldAccumulator plus the
+// dense FeasibilityAccumulator::CanAddFeasibly test, whose member headroom
+// side reads a certified bracket of every member's raw in-sum.  The
+// brackets are kept eagerly -- seeded on Add from the new member's pyramid
+// interval, opened until its width is at most the headroom it certifies,
+// then advanced by each later member's pressure, pooled per receiver leaf
+// with no libm -- so headroom thresholds and their staleness triggers never
+// force an exact fold.
+class FarFieldFeasibilityAccumulator : public FarFieldAccumulator {
+ public:
+  explicit FarFieldFeasibilityAccumulator(const FarFieldKernel& kernel);
+
+  // FarFieldAccumulator::Add, plus in the pooled mode the new member's
+  // bracket (one pyramid walk) and its pressure on every member's bracket:
+  // O(member leaves + |members|).
+  void Add(int v);
+
+  // Dense FeasibilityAccumulator::CanAddFeasibly decisions: candidate raw
+  // in-sum vs 1, then every member's headroom vs the candidate's pressure.
+  // Certified pooled bounds decide both tests outside the 1e-9 band; the
+  // exact dense expressions decide inside it (and everywhere at epsilon = 0
+  // or non-uniform power).
+  bool CanAddFeasibly(int v) const;
+
+ private:
+  // Recomputes member i's certified d^2 headroom thresholds.  Called for
+  // the new member on Add and lazily from CanAddFeasibly when a member's
+  // in-raw sum has outgrown its pass threshold's validity (pass_limit_).
+  void RefreshHeadroom(std::size_t i) const;
+
+  // Certified brackets of the members' raw in-sums, indexed by link id; a
+  // CatchUp collapses them onto the exact fold.
   mutable std::vector<double> in_lo_, in_hi_;
-  // Members grouped by kernel cell, for pooled candidate bounds.
-  std::vector<std::vector<int>> scell_members_;
-  std::vector<std::vector<int>> rcell_members_;
-  std::vector<int> scell_touched_;
-  std::vector<int> rcell_touched_;
-  // Per receiver cell: running sum / max of members' c_w * f_ww.
-  std::vector<double> rcell_cf_sum_;
-  std::vector<double> rcell_cf_max_;
   // Per member (parallel to members_): d^2 thresholds certifying the
   // headroom test each way outside the decision band.  Maintained lazily
   // (mutable): a member's in-raw sum only grows, so a stale fail
@@ -358,18 +477,15 @@ class FarFieldAccumulator {
   mutable std::vector<double> t2_pass_;
   mutable std::vector<double> t2_fail_;
   mutable std::vector<double> pass_limit_;
-  // Scratch for separation member collection.
-  mutable std::vector<int> sep_scratch_;
-  mutable std::vector<char> sep_mark_;
 };
 
 // The far-field backend of the admission loops (admission.h).
 template <>
 struct Backend<FarFieldKernel> {
-  // One accumulator serves both roles: it keeps sums for members only, and
-  // in the pooled mode folds them lazily, so neither role pays for the
-  // other's.
-  using Feasibility = FarFieldAccumulator;
+  // Both roles keep sums for members only and, in the pooled mode, fold
+  // them lazily; only the feasibility role keeps the in-sum brackets its
+  // headroom test reads.
+  using Feasibility = FarFieldFeasibilityAccumulator;
   using Budget = FarFieldAccumulator;
   class Separation {
    public:

@@ -550,6 +550,43 @@ TEST(FarFieldCertificateTest, OwnSenderCellNeverPoolsTheLinkItself) {
   EXPECT_TRUE(ff.IsFeasibleCertified(S));
 }
 
+TEST_F(FarFieldFallbackTest, FinalFilterNeverPoolsTheMemberItself) {
+  // Algorithm 1's final filter walks a member's in-sum over the sender
+  // pyramid, which holds the member's own sender too.  Link v is 60 long,
+  // so its own sender leaf -- shared with the first filler's sender -- lies
+  // far beyond the near ring from v's receiver.  Pooled, that leaf would
+  // count v's own ~1 into the upper end and the filter could never certify
+  // v's in-sum of ~0.998 (the filler's pressure): it must run pairwise and
+  // accept v with no exact fallback, as the dense accumulator does.
+  const double alpha = 3.0;
+  LatticeDeployment dep;
+  const int v = dep.Add({2.5, 0.0}, {2.5, 60.0});
+  const int filler = static_cast<int>(dep.links.size());
+  dep.AddFillers();
+  const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, alpha);
+  const SinrConfig config{1.0, 0.0};
+  const LinkSystem system(space, dep.links, config);
+  const KernelCache dense(system, UniformPower(system));
+  const FarFieldKernel ff(dep.points, dep.links, alpha, config,
+                          UniformPower(system), {1e-3, 1});
+  const CellRange own =
+      RangeToCellOf(dep.Endpoints(true), v, dep.points[1], alpha);
+  ASSERT_EQ(own.members, (std::vector<int>{v, filler}));
+  ASSERT_GT(own.lo, own.ring);
+
+  AffectanceAccumulator dense_acc(dense);
+  FarFieldAccumulator ff_acc(ff);
+  for (const int u : {v, filler}) {
+    dense_acc.Add(u);
+    ff_acc.Add(u);
+  }
+  ASSERT_GT(dense_acc.In(v), 0.99);
+  ASSERT_TRUE(dense_acc.InWithinOne(v));
+  const long long fallbacks = Count("sinr.farfield_exact_fallbacks");
+  EXPECT_TRUE(ff_acc.InWithinOne(v));
+  EXPECT_EQ(Count("sinr.farfield_exact_fallbacks") - fallbacks, 0);
+}
+
 TEST(FarFieldPipelineTest, ClampingFarCellRunsPairwiseAndMatchesDense) {
   // A member receiver cell beyond the exact near ring can still hold a
   // member the candidate's pressure clamps for: member w is a 60-long link
@@ -903,6 +940,44 @@ TEST(FarFieldEngineTest, EngineScaleInstanceMatchesDense) {
   for (const std::vector<int>& slot : dense_sched.slots) {
     EXPECT_EQ(ff.IsFeasibleCertified(slot), dense.IsFeasible(slot));
   }
+}
+
+TEST_F(FarFieldFallbackTest, PyramidReachesLeafTightnessWithoutFallbacks) {
+  // A constant-density deployment at unit link scale, where every
+  // admission and budget check certifies from per-cell bounds (near-ring
+  // cells pairwise, every other occupied cell pooled).  Candidate queries
+  // start from the pyramid roots and open pooled nodes only while the
+  // interval straddles the decision band, but leaves inside the exact near
+  // ring always run pairwise, so a fully opened interval is that per-cell
+  // one: no check may fall back to the exact fold, and a greedy check
+  // visits under a quarter of the occupied cells.
+  geom::Rng rng(81);
+  const int n = 1024;
+  const Deployment dep = MakeDeployment(n, 4.0 * std::sqrt(n), false, rng);
+  const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, 3.0);
+  const SinrConfig config{1.0, 0.0};
+  const LinkSystem system(space, dep.links, config);
+  const KernelCache dense(system, UniformPower(system));
+  const FarFieldKernel ff(dep.points, dep.links, 3.0, config,
+                          UniformPower(system), {1e-3, 8});
+  const std::vector<int> all = AllLinks(n);
+
+  const long long fallbacks = Count("sinr.farfield_exact_fallbacks");
+  const long long checks = Count("sinr.farfield_admission_checks");
+  const long long visited = Count("sinr.farfield_cells_visited");
+  EXPECT_EQ(capacity::GreedyFeasible(ff, all),
+            capacity::GreedyFeasible(dense, all));
+  const long long greedy_checks =
+      Count("sinr.farfield_admission_checks") - checks;
+  ASSERT_GT(greedy_checks, 0);
+  EXPECT_LT(static_cast<double>(Count("sinr.farfield_cells_visited") - visited) /
+                static_cast<double>(greedy_checks),
+            0.25 * ff.SenderCells());
+  const capacity::Algorithm1Result alg1 = capacity::RunAlgorithm1(dense, 3.0);
+  const FarFieldAlg1Result ff_alg1 = FarFieldRunAlgorithm1(ff, 3.0);
+  EXPECT_EQ(ff_alg1.admitted, alg1.admitted);
+  EXPECT_EQ(ff_alg1.selected, alg1.selected);
+  EXPECT_EQ(Count("sinr.farfield_exact_fallbacks") - fallbacks, 0);
 }
 
 TEST_F(FarFieldFallbackTest, FinalFilterInBandCatchesUpAndMatchesDense) {

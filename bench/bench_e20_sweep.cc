@@ -256,6 +256,24 @@ int main(int argc, char** argv) {
         shape.links, bench::Fmt(1000.0 * reps / arena_rebuild_ms, 1).c_str(),
         bench::Fmt(1000.0 * reps / fresh_ms, 1).c_str(),
         bench::Fmt(fresh_ms / arena_rebuild_ms, 3).c_str());
+    // What one arena slot retains (the affectance planes and per-link
+    // arrays), against the link planes every kernel on this geometry shares.
+    const sinr::LinkPlanes* planes = inst.system().planes();
+    constexpr double kKiB = 1.0 / 1024.0;
+    std::printf(
+        "kernel memory at n=%d: %s KiB per arena slot "
+        "(KernelCache::MemoryBytes), %s KiB of shared link planes\n",
+        shape.links,
+        bench::Fmt(static_cast<double>(
+                       arena.Rebuild(inst.system(), inst.power()).MemoryBytes()) *
+                       kKiB,
+                   1)
+            .c_str(),
+        bench::Fmt(planes != nullptr
+                       ? static_cast<double>(planes->MemoryBytes()) * kKiB
+                       : 0.0,
+                   1)
+            .c_str());
   }
 
   // Instance-generation A/B on a power/beta-only grid: the cost of getting

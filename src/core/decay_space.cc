@@ -116,6 +116,12 @@ DecaySpace::DecaySpace(std::vector<geom::Vec2> points, double alpha)
 
 void DecaySpace::Materialize() const { (void)Matrix(); }
 
+double DecaySpace::LazyEntry(int p, int q) const {
+  if (p == q) return 0.0;
+  return geom::GeometricDecay(points_[static_cast<std::size_t>(p)],
+                              points_[static_cast<std::size_t>(q)], alpha_);
+}
+
 void DecaySpace::Fill() const {
   const std::lock_guard<std::mutex> lock(fill_mutex_);
   if (filled_.load()) return;

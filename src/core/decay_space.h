@@ -26,7 +26,12 @@
 // failure propagates as std::bad_alloc, so entry accessors are not
 // noexcept.  Spaces built any other way are filled at construction.
 // Consumers that need only the geometry (sinr::FarFieldKernel,
-// engine::PairLinksByDecayGrid) read the points directly and never fill.
+// engine::PairLinksByDecayGrid, sinr::BuildLinkPlanes) read the points
+// directly and never fill.  Entry(p, q) is the one non-filling entry read:
+// a lazy space evaluates the entry from its points (the expression Fill
+// stores, so the bits are the same), a filled one reads its matrix.
+// LinkSystem::LinkDecay reads through it, so O(n) per-link reads (power
+// laws, noise rescaling, kernel builds) leave a lazy space lazy.
 #pragma once
 
 #include <atomic>
@@ -78,6 +83,26 @@ class DecaySpace {
     return Matrix()[static_cast<std::size_t>(p) * static_cast<std::size_t>(n_) +
                     static_cast<std::size_t>(q)];
   }
+
+  // f(p, q) without filling a lazy space: geom::GeometricDecay(points[p],
+  // points[q], alpha) while lazy (0 on the diagonal), the matrix entry once
+  // filled -- bit-identical to operator() either way.  Costs one pow per
+  // call on a lazy space, so it is for O(n) reads, not O(n^2) scans.
+  double Entry(int p, int q) const {
+    if (filled_.load()) [[likely]] {
+      return f_[static_cast<std::size_t>(p) * static_cast<std::size_t>(n_) +
+                static_cast<std::size_t>(q)];
+    }
+    return LazyEntry(p, q);
+  }
+
+  // The points and exponent of a space built by Geometric() (empty / 0 for
+  // matrix-built spaces).  Never fills.
+  std::span<const geom::Vec2> points() const noexcept { return points_; }
+  double alpha() const noexcept { return alpha_; }
+
+  // False while a lazy geometric space has not been filled.
+  bool filled() const noexcept { return filled_.load(); }
 
   // Sets f(p, q).  Requires p != q and value > 0 (identity of
   // indiscernibles: zero decay is reserved for p == q).
@@ -139,6 +164,7 @@ class DecaySpace {
     return f_.data();
   }
   void Fill() const;
+  double LazyEntry(int p, int q) const;  // Entry on an unfilled space
 
   int n_;
   // Geometric spaces: the points and exponent that define every entry

@@ -66,6 +66,9 @@ geom::Rng TaskRng(const ScenarioSpec& spec, std::uint64_t salt, int index) {
                        (static_cast<std::uint64_t>(index) + 1));
 }
 
+// The stage of RunOne's serial work outside the worker pool.
+constexpr const char* kBookkeepingStage = "batch_bookkeeping";
+
 constexpr std::uint64_t kWeightStreamSalt = 0xa5b35705f00dfeedULL;
 constexpr std::uint64_t kQueueStreamSalt = 0x517cc1b727220a95ULL;
 constexpr std::uint64_t kRegretStreamSalt = 0x2545f4914f6cdd1dULL;
@@ -437,11 +440,16 @@ void MetricSummary::Add(double v) {
 BatchRunner::BatchRunner(BatchConfig config) : config_(std::move(config)) {}
 
 ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
+  ScenarioResult result;
+  // RunOne's own serial work around the pool -- validation and setup here,
+  // the merge and aggregation after it -- is timed as one stage, so a
+  // serial run's stages account for its wall time.
+  obs::Span setup_span(kBookkeepingStage, nullptr, "stage",
+                       &result.stage_stats);
   // Runtime input is rejected as a recoverable error before any worker
   // starts; an invalid lambda, say, would otherwise flow straight into
   // Rng::Chance and silently distort the Bernoulli arrival process.
   core::ThrowIfError(ValidateScenarioSpec(spec));
-  ScenarioResult result;
   result.spec = spec;
   result.instances.resize(static_cast<std::size_t>(spec.instances));
 
@@ -465,6 +473,7 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
   if (config_.geometry != nullptr) config_.geometry->Prepare(spec);
 
   EngineInstruments::Get().threads.Set(threads);
+  setup_span.Finish();
   obs::Span batch_span("batch." + spec.name, nullptr, "batch");
   // Work stealing over instance indices; records land in their own slot, so
   // nothing about the interleaving survives into the results.  A worker
@@ -503,6 +512,8 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
   }
   result.batch_wall_ms = batch_span.Finish();
 
+  obs::Span reduce_span(kBookkeepingStage, nullptr, "stage",
+                        &result.stage_stats);
   for (int i = 0; i < spec.instances; ++i) {
     if (failed[static_cast<std::size_t>(i)]) {
       throw core::StatusError(core::Status::Internal(
@@ -516,6 +527,7 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
     result.stage_stats.Merge(rec.stages);
   }
   Aggregate(result);
+  reduce_span.Finish();
   return result;
 }
 

@@ -163,7 +163,8 @@ struct ScenarioResult {
   // Non-deterministic timing.
   double batch_wall_ms = 0.0;  // wall time of the whole batch section
   // Worker-summed per-stage breakdown: every instance's `stages`, merged in
-  // instance order after the pool drains.  Like every *_ms field it is
+  // instance order after the pool drains, plus batch_bookkeeping -- RunOne's
+  // serial work around the pool (validation, setup, merge, aggregation).  Like every *_ms field it is
   // non-deterministic and never enters AggregateSignature.
   obs::StageStats stage_stats;
 
@@ -205,8 +206,10 @@ std::string AggregateSignature(std::span<const ScenarioResult> results);
 
 // The three layers reports group a stage breakdown into, in worker-summed
 // ms: geometry (geometry_build + geometry_reuse), kernel (kernel_build +
-// farfield_build) and tasks (every task.<kind>).  Sweep-level stages
-// (checkpoint_write, resume_restore) belong to none of them.
+// farfield_build) and tasks (every task.<kind>).  RunOne's own serial work
+// (batch_bookkeeping: validation, setup, merge and aggregation) and the
+// sweep-level stages (checkpoint_write, resume_restore) belong to none of
+// them.
 struct StageGroups {
   double geometry_ms = 0.0;
   double kernel_ms = 0.0;

@@ -137,14 +137,34 @@ sinr::Link OrientPair(const Decay& decay, int i, int j) {
   return {j, i};
 }
 
+// Whether a geometry carries shared link planes for `spec`: dense specs
+// over distance-pure decay, where the planes are computed from the points
+// and replace the node-matrix fill.  A shadowed space is filled at
+// sampling anyway, and its kernels gather private planes from the matrix:
+// shared planes beside the matrix would add 2 n^2 doubles to the peak of a
+// measured-zeta instance, whose metricity scratch is allocated after
+// sampling (+0.8 MB on the 192-link shadowed_power benchmark workload).
+bool SharesPlanes(const ScenarioSpec& spec, const ScenarioGeometry& geometry) {
+  return spec.kernel_mode == KernelMode::kDense && spec.sigma_db == 0.0 &&
+         !geometry.points.empty();
+}
+
+// Builds the geometry's link planes, shared by every dense kernel on it.
+void AttachPlanes(ScenarioGeometry& geometry) {
+  auto planes = std::make_shared<sinr::LinkPlanes>();
+  sinr::BuildLinkPlanes(*geometry.space, geometry.links, *planes);
+  geometry.planes = std::move(planes);
+}
+
 }  // namespace
 
 ScenarioInstance::ScenarioInstance(
     std::shared_ptr<const core::DecaySpace> space,
-    std::vector<sinr::Link> links, sinr::SinrConfig config, double zeta)
+    std::vector<sinr::Link> links, sinr::SinrConfig config, double zeta,
+    std::shared_ptr<const sinr::LinkPlanes> planes)
     : space_(std::move(space)),
-      system_(std::make_unique<sinr::LinkSystem>(*space_, std::move(links),
-                                                 config)),
+      system_(std::make_unique<sinr::LinkSystem>(
+          *space_, std::move(links), config, std::move(planes))),
       power_(sinr::UniformPower(*system_)),
       zeta_(zeta) {}
 
@@ -405,10 +425,6 @@ ScenarioGeometry BuildGeometry(const ScenarioSpec& spec, int index,
   geometry.space = std::make_shared<const core::DecaySpace>(
       std::move(sampled.space));
   geometry.points = std::move(sampled.points);
-  // Dense specs pay the O(n^2) matrix here, as they always have.  A
-  // far-field spec's tasks read the points, so its (lazy, geometric) space
-  // fills only if something reads an entry (DecaySpace header comment).
-  if (spec.kernel_mode != KernelMode::kFarField) geometry.space->Materialize();
 
   // Grid/MNN pairing requires decay to be a monotone function of point
   // distance, which shadowing destroys (the matrix is then arbitrary even
@@ -419,6 +435,11 @@ ScenarioGeometry BuildGeometry(const ScenarioSpec& spec, int index,
       (pairing == PairingMode::kAuto && monotone_geometry)
           ? PairLinksByDecayGrid(geometry.points, spec.alpha)
           : PairLinksByDecay(*geometry.space);
+  // Dense geometric specs pay the O(n^2) link planes here, once per
+  // geometry, from the points: the matrix stays unfilled (DecaySpace
+  // header comment).  A far-field spec's tasks read the points, so it
+  // builds none.
+  if (SharesPlanes(spec, geometry)) AttachPlanes(geometry);
   return geometry;
 }
 
@@ -445,7 +466,7 @@ ScenarioInstance ConfigureInstance(const ScenarioSpec& spec,
   }
 
   ScenarioInstance instance(geometry.space, geometry.links,
-                            {spec.beta, spec.noise}, zeta);
+                            {spec.beta, spec.noise}, zeta, geometry.planes);
 
   // The constructor's default power is already uniform; only replace it
   // when the spec asks for a power law or a noise-overcoming rescale.
@@ -524,6 +545,10 @@ const ScenarioGeometry& GeometryCache::Acquire(const ScenarioSpec& spec,
     builds_.fetch_add(1, std::memory_order_relaxed);
   } else {
     reuses_.fetch_add(1, std::memory_order_relaxed);
+    // A slot sampled for a far-field spec has no planes yet.
+    if (slot.geometry.planes == nullptr && SharesPlanes(spec, slot.geometry)) {
+      AttachPlanes(slot.geometry);
+    }
   }
   // The measurement is a geometry property; memoise it in the slot so a
   // grid that sweeps zeta across negative and explicit values pays the

@@ -11,8 +11,9 @@
 // Instance construction is split along the axis the sweep layer exploits:
 //   * BuildGeometry samples everything that consumes randomness or scales
 //     super-linearly -- the decay space (with its planar points, when the
-//     topology is coordinate-backed), the greedy link pairing, and the
-//     lazily measured metricity.  Geometry depends only on the spec fields
+//     topology is coordinate-backed), the greedy link pairing, the link
+//     planes every dense kernel on the geometry shares, and the lazily
+//     measured metricity.  Geometry depends only on the spec fields
 //     collected in GeometryKey plus the instance index.
 //   * ConfigureInstance applies the cheap per-cell knobs (beta, noise,
 //     power_tau, the zeta policy) to a geometry, costing O(links).
@@ -89,10 +90,10 @@ struct DynamicsSpec {
 //     are bit-identical to dense.  Requires a coordinate-backed,
 //     shadowing-free spec with uniform base power (sigma_db == 0,
 //     power_tau == 0; ValidateScenarioSpec rejects the rest).  Tasks
-//     without a far-field path still build the dense kernel lazily, and
-//     the geometry's decay matrix is filled only when something reads it
-//     (BuildGeometry), so an instance whose tasks all run far-field stays
-//     O(n) end to end.
+//     without a far-field path still build the dense kernel lazily (its
+//     private link planes fill the decay matrix and gather from it), and
+//     the matrix is filled only when something reads it (BuildGeometry),
+//     so an instance whose tasks all run far-field stays O(n) end to end.
 enum class KernelMode { kDense, kFarField };
 
 // Stable name of a kernel mode ("dense" / "farfield"), and its inverse for
@@ -157,14 +158,21 @@ enum class PairingMode {
 
 // The sampled, cell-invariant part of an instance: the decay space, the
 // planar points behind it (empty for matrix-only spaces), the greedy link
-// pairing, and -- measured lazily, only when a spec's zeta policy asks --
-// the metricity of the space.  Everything downstream of the spec's
+// pairing, the link planes (cross and min-pair decays, sinr::LinkPlanes)
+// and -- measured lazily, only when a spec's zeta policy asks -- the
+// metricity of the space.  Everything downstream of the spec's
 // GeometryKey and the instance index; nothing here depends on beta, noise,
 // power_tau or the (explicit) zeta.
 struct ScenarioGeometry {
   std::shared_ptr<const core::DecaySpace> space;
   std::vector<geom::Vec2> points;  // 2 * links entries when coordinate-backed
   std::vector<sinr::Link> links;
+  // Shared read-only by every dense kernel configured from this geometry,
+  // and freed with it.  Built for dense specs over distance-pure decay
+  // (coordinate-backed, sigma_db == 0) only: by BuildGeometry, or by
+  // GeometryCache::Acquire when a dense spec reuses a far-field slot.  Null
+  // otherwise; kernels then build private planes from the (filled) matrix.
+  std::shared_ptr<const sinr::LinkPlanes> planes;
   double measured_zeta = 0.0;  // valid iff zeta_measured
   bool zeta_measured = false;
 };
@@ -189,15 +197,16 @@ struct GeometryKey {
 GeometryKey GeometryKeyOf(const ScenarioSpec& spec);
 
 // One realised deployment: a decay space, a link system over it, a power
-// assignment and the resolved zeta.  The space is held behind a shared
-// pointer so instances configured from a cached geometry alias its matrix
-// instead of copying it; the LinkSystem holds a reference into it, so
-// instances stay freely movable either way.
+// assignment and the resolved zeta.  The space (and the link planes, when
+// given) are held behind shared pointers so instances configured from a
+// cached geometry alias them instead of copying; the LinkSystem holds a
+// reference into the space, so instances stay freely movable either way.
 class ScenarioInstance {
  public:
   ScenarioInstance(std::shared_ptr<const core::DecaySpace> space,
                    std::vector<sinr::Link> links, sinr::SinrConfig config,
-                   double zeta);
+                   double zeta,
+                   std::shared_ptr<const sinr::LinkPlanes> planes = nullptr);
 
   const core::DecaySpace& space() const noexcept { return *space_; }
   const sinr::LinkSystem& system() const noexcept { return *system_; }
@@ -229,14 +238,18 @@ bool IsRegisteredTopology(const std::string& topology);
 core::Status ValidateScenarioSpec(const ScenarioSpec& spec);
 
 // Samples the geometry of instance `index`: decay space (+ points), link
-// pairing.  Deterministic in (GeometryKeyOf(spec), index, pairing is
+// pairing and, for a dense spec over distance-pure decay, the link planes.
+// Deterministic in (GeometryKeyOf(spec), index, pairing is
 // result-invisible).  Does NOT measure metricity; see EnsureMeasuredZeta.
-// The space's matrix is filled here unless spec.kernel_mode is kFarField;
-// then a geometric space stays lazy (points only) until its first entry
-// read -- measured zeta, sort pairing, noise rescaling, a dense kernel or
-// an exact re-check -- which fills it once, whoever reads it.  The spec's
-// kernel_mode is not part of GeometryKey: the entries are the same either
-// way.
+// A geometric space stays lazy (points only): the planes are computed from
+// the points, and per-link reads (power laws, noise rescaling) do not fill
+// it.  Its first full entry read -- measured zeta, sort pairing, an exact
+// far-field re-check, a private-plane kernel -- fills it once, whoever reads
+// it.  Shadowed spaces
+// are filled at sampling and carry no planes: each of their kernels
+// gathers private ones from the matrix.  The spec's kernel_mode is not part
+// of GeometryKey: the entries are the same either way, and a far-field
+// slot gains its planes when a dense spec reuses it.
 ScenarioGeometry BuildGeometry(const ScenarioSpec& spec, int index,
                                PairingMode pairing = PairingMode::kAuto);
 

@@ -25,6 +25,12 @@ obs::Counter& KernelBuildCounter() {
   return counter;
 }
 
+obs::Counter& KernelEntryCounter() {
+  static obs::Counter& counter =
+      obs::Registry::Global().GetCounter("sinr.kernel_entries");
+  return counter;
+}
+
 obs::Counter& ArenaRebuildCounter() {
   static obs::Counter& counter =
       obs::Registry::Global().GetCounter("sinr.arena_rebuilds");
@@ -46,19 +52,16 @@ obs::Counter& AdmissionCheckCounter() {
 }  // namespace
 
 KernelCache::KernelCache(const LinkSystem& system, PowerAssignment power) {
-  std::vector<double> scratch;
-  Build(system, std::move(power), scratch);
+  Build(system, std::move(power));
 }
 
-void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
-                        std::vector<double>& scratch) {
+void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
   KernelBuildCounter().Add();
   system_ = &system;
   power_ = std::move(power);
   n_ = system.NumLinks();
   DL_CHECK(static_cast<int>(power_.size()) == n_, "one power entry per link");
   const std::size_t n = static_cast<std::size_t>(n_);
-  const core::DecaySpace& space = system.space();
   const double beta = system.config().beta;
   const double noise = system.config().noise;
 
@@ -87,119 +90,65 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
     }
   }
 
-  // Endpoint index arrays.  Every pass below reads *rows* of the decay
-  // matrix with contiguous writes; the one inherently transposed quantity,
-  // the cross-decay f(s_w, r_v) indexed v-major, is produced by a blocked
-  // n x n transpose of the w-major cross matrix rather than by stride-m
-  // column walks over the (potentially much larger) node matrix.
-  const std::size_t sm = static_cast<std::size_t>(space.size());
-  const double* fd = space.Raw().data();
-  std::vector<int> snd(n), rcv(n);
-  for (int v = 0; v < n_; ++v) {
-    snd[static_cast<std::size_t>(v)] = system.link(v).sender;
-    rcv[static_cast<std::size_t>(v)] = system.link(v).receiver;
+  // The link planes: the system's shared ones, else private ones built by
+  // the same builder (reusing this slot's buffers unless a copy of the
+  // cache still reads them).  Private planes are gathered from the matrix,
+  // filling a lazy space first: kernels built again on the same system
+  // then pay the O(n^2) pows once, in the fill, not once per build.
+  const LinkPlanes* planes = system.planes();
+  if (planes == nullptr) {
+    if (own_planes_ == nullptr || own_planes_.use_count() > 1) {
+      own_planes_ = std::make_shared<LinkPlanes>();
+    }
+    system.space().Materialize();
+    BuildLinkPlanes(system.space(), system.links(), *own_planes_);
+    planes = own_planes_.get();
   }
+  DL_CHECK(planes->n == n_, "link planes must cover every link");
+  cross_decay_ = planes->cross.data();
+  min_pair_decay_ = planes->min_pair.data();
 
-  // cross_decay_[w*n + v] = f(s_w, r_v) = CrossDecay(w, v), plus its
-  // transpose into the arena scratch.  The cross matrix is kept as a member:
-  // it backs the CrossDecay query and the power-control kernels below.
-  //
-  // Entries are bit-identical to LinkSystem::AffectanceRaw / CrossDecay and
-  // to the min over the four endpoint decays -- same expressions, with c_v
-  // and f_vv hoisted (tests/kernel_test.cc checks every entry).  Under
-  // uniform power the P_w / P_v factor equals exactly 1.0 (IEEE
-  // x / x == 1.0), so the two extra ops can be skipped without changing the
-  // rounded result.  Every n x n matrix writes its zero entries explicitly
-  // instead of pre-clearing with assign: on a warm arena slab the resize is
-  // then a no-op, saving one full memset pass per matrix per rebuild (a
-  // fresh vector still zero-initialises, so the cold path is unchanged).
-  cross_decay_.resize(n * n);
+  // aff_raw_[w*n + v] = a_w(v), the same expression as
+  // LinkSystem::AffectanceRaw with c_v and f_vv hoisted (tests/kernel_test.cc
+  // checks every entry).  Under uniform power the P_w / P_v factor equals
+  // exactly 1.0 (IEEE x / x == 1.0), so the two extra ops can be skipped
+  // without changing the rounded result.  Both n x n matrices write their
+  // zero entries explicitly instead of pre-clearing with assign: on a warm
+  // arena slab the resize is then a no-op, saving a memset pass per matrix
+  // per rebuild (a fresh vector still zero-initialises).
   aff_raw_.resize(n * n);
   aff_raw_t_.resize(n * n);
-  min_pair_decay_.resize(n * n);
-  scratch.resize(n * n);
-  double* cross = cross_decay_.data();
-  double* cross_t = scratch.data();
-
-  // Pass 1 (w-major) derives the aff_raw row from the cross row while the
-  // freshly written cross values are still in registers/L1 -- at n = 16k
-  // each n x n slab is 2 GB, so a second sweep re-reads it all from DRAM.
-  for (int w = 0; w < n_; ++w) {
-    const std::size_t sw = static_cast<std::size_t>(w);
-    double* out_cross = cross + sw * n;
-    double* out_aff = aff_raw_.data() + sw * n;
-    const double* row_sw =
-        fd + static_cast<std::size_t>(snd[sw]) * sm;
-    const double pw = power_[sw];
-    for (int v = 0; v < n_; ++v) {
-      const std::size_t sv = static_cast<std::size_t>(v);
-      const double cross_wv =
-          row_sw[static_cast<std::size_t>(rcv[sv])];
-      out_cross[sv] = cross_wv;
-      if (v == w || !can_overcome_[sv]) {
-        out_aff[sv] = 0.0;
+  for (std::size_t w = 0; w < n; ++w) {
+    const double* cross_w = cross_decay_ + w * n;
+    double* out_aff = aff_raw_.data() + w * n;
+    const double pw = power_[w];
+    for (std::size_t v = 0; v < n; ++v) {
+      if (v == w || !can_overcome_[v]) {
+        out_aff[v] = 0.0;
       } else if (uniform_power_) {
-        out_aff[sv] = noise_factor_[sv] * (link_decay_[sv] / cross_wv);
+        out_aff[v] = noise_factor_[v] * (link_decay_[v] / cross_w[v]);
       } else {
-        out_aff[sv] =
-            noise_factor_[sv] * (pw / power_[sv] * link_decay_[sv] / cross_wv);
+        out_aff[v] =
+            noise_factor_[v] * (pw / power_[v] * link_decay_[v] / cross_w[v]);
       }
     }
   }
 
-  // Blocked transpose of the cross matrix.
+  // aff_raw_t_[v*n + w] = a_w(v): a blocked 32 x 32 transpose, copying the
+  // entries' bits rather than re-deriving them.
   constexpr std::size_t kTile = 32;
+  const double* aff = aff_raw_.data();
+  double* aff_t = aff_raw_t_.data();
   for (std::size_t wb = 0; wb < n; wb += kTile) {
+    const std::size_t we = std::min(n, wb + kTile);
     for (std::size_t vb = 0; vb < n; vb += kTile) {
-      const std::size_t we = std::min(n, wb + kTile);
       const std::size_t ve = std::min(n, vb + kTile);
       for (std::size_t w = wb; w < we; ++w) {
-        for (std::size_t v = vb; v < ve; ++v) {
-          cross_t[v * n + w] = cross[w * n + v];
-        }
+        for (std::size_t v = vb; v < ve; ++v) aff_t[v * n + w] = aff[w * n + v];
       }
     }
   }
-
-  // Pass 2 (v-major) fills aff_raw_t and the min-endpoint-decay matrix (the
-  // zeta-independent part of the link quasi-distance) from one read of the
-  // cross_t row.  The min matrix is stored for ordered (v, w): in an
-  // asymmetric space the sender-sender and receiver-receiver legs are
-  // ordered pairs, so d(l_v, l_w) need not equal d(l_w, l_v).
-  for (int v = 0; v < n_; ++v) {
-    const std::size_t sv = static_cast<std::size_t>(v);
-    double* out_t = aff_raw_t_.data() + sv * n;
-    double* out_min = min_pair_decay_.data() + sv * n;
-    const double* cross_v = cross_t + sv * n;  // f(s_w, r_v) over w
-    const double* row_sv = fd + static_cast<std::size_t>(snd[sv]) * sm;
-    const double* row_rv = fd + static_cast<std::size_t>(rcv[sv]) * sm;
-    const bool overcomes = can_overcome_[sv] != 0;
-    const double cv = noise_factor_[sv];
-    const double fvv = link_decay_[sv];
-    const double pv = power_[sv];
-    for (int w = 0; w < n_; ++w) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      if (w == v) {
-        out_t[sw] = 0.0;
-        out_min[sw] = 0.0;
-        continue;
-      }
-      const double sw_rv = cross_v[sw];  // f(s_w, r_v)
-      if (!overcomes) {
-        out_t[sw] = 0.0;
-      } else if (uniform_power_) {
-        out_t[sw] = cv * (fvv / sw_rv);
-      } else {
-        out_t[sw] = cv * (power_[sw] / pv * fvv / sw_rv);
-      }
-      const std::size_t w_snd = static_cast<std::size_t>(snd[sw]);
-      const std::size_t w_rcv = static_cast<std::size_t>(rcv[sw]);
-      const double sv_rw = row_sv[w_rcv];  // f(s_v, r_w)
-      const double sv_sw = row_sv[w_snd];  // f(s_v, s_w)
-      const double rv_rw = row_rv[w_rcv];  // f(r_v, r_w)
-      out_min[sw] = std::min(std::min(sv_rw, sw_rv), std::min(sv_sw, rv_rw));
-    }
-  }
+  KernelEntryCounter().Add(static_cast<long long>(2 * n * n));
 }
 
 // --- KernelArena -------------------------------------------------------------
@@ -210,7 +159,7 @@ const KernelCache& KernelArena::Rebuild(const LinkSystem& system,
   // resize inside Build is then a no-op and no allocation happens.
   const bool warm =
       slot_.system_ != nullptr && slot_.n_ == system.NumLinks();
-  slot_.Build(system, std::move(power), scratch_);
+  slot_.Build(system, std::move(power));
   ++rebuilds_;
   if (warm) ++warm_skips_;
   ArenaRebuildCounter().Add();
@@ -238,7 +187,7 @@ bool KernelCache::IsKFeasible(std::span<const int> S, double K) const {
   const double budget = 1.0 / K;
   for (int v : S) {
     if (!CanOvercomeNoise(v)) return false;
-    const double* row = aff_raw_t_.data() + Idx(v, 0, n_);
+    const double* row = AffectanceIntoRow(v).data();
     double total = 0.0;
     for (int w : S) total += row[static_cast<std::size_t>(w)];
     if (total > budget) return false;
@@ -271,8 +220,9 @@ double KernelCache::LinkLength(int v, double zeta) const {
 }
 
 double KernelCache::LinkDistance(int v, int w, double zeta) const {
-  // pow is weakly monotone, so pow(min f, s) == min pow(f, s): one pow per
-  // pair reproduces the naive min over four quasi-distances bit-for-bit.
+  // One pow of the min decay, where the naive path takes the min of four
+  // pows: equal wherever pow(., 1/zeta) keeps the order of the four decays
+  // (header comment).
   return std::pow(MinPairDecay(v, w), 1.0 / zeta);
 }
 
@@ -342,7 +292,7 @@ void AffectanceAccumulator::Add(int v) {
   const int n = kernel_->NumLinks();
   // Row v of the matrix is a_v(.), row v of the transpose is a_.(v).
   const double* from_v = kernel_->aff_raw_.data() + Idx(v, 0, n);
-  const double* into_v = kernel_->aff_raw_t_.data() + Idx(v, 0, n);
+  const double* into_v = kernel_->AffectanceIntoRow(v).data();
   for (int u = 0; u < n; ++u) {
     const std::size_t su = static_cast<std::size_t>(u);
     const double av_u = from_v[su];  // a_v(u): v's pressure on u
@@ -406,11 +356,10 @@ bool SeparationOracle::ConflictMaxLength(int v, int w) const {
 
 long long KernelCache::MemoryBytes() const noexcept {
   const std::size_t doubles = aff_raw_.capacity() + aff_raw_t_.capacity() +
-                              min_pair_decay_.capacity() +
-                              cross_decay_.capacity() + link_decay_.capacity() +
-                              noise_factor_.capacity();
+                              link_decay_.capacity() + noise_factor_.capacity();
   return static_cast<long long>(doubles * sizeof(double) +
-                                can_overcome_.capacity() * sizeof(char));
+                                can_overcome_.capacity() * sizeof(char)) +
+         (own_planes_ != nullptr ? own_planes_->MemoryBytes() : 0);
 }
 
 }  // namespace decaylib::sinr

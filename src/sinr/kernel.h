@@ -7,27 +7,46 @@
 // sums.  The naive LinkSystem methods recompute every kernel entry on every
 // query -- AffectanceRaw re-derives the noise factor c_v per pair, and
 // LinkDistance performs four std::pow calls per pair per call.  KernelCache
-// materialises the n x n matrices once so that queries become O(1) lookups;
+// holds the n x n matrices once so that queries become O(1) lookups;
 // two running-sum accumulators turn the O(|S|) re-summations of greedy
 // admission loops into O(1) reads with O(n) per-admission updates --
 // FeasibilityAccumulator keeps the raw in-sums the admit-while-feasible
 // loops read, AffectanceAccumulator the clamped in/out-sums of Algorithm
 // 1's 1/2-budget, and each Add streams only its own arrays; SeparationOracle
 // evaluates eta/zeta separation predicates in the decay domain without any
-// pow on the hot path.  The cache also materialises the cross-decay kernel
-// and derives the normalised-gain kernel from it, which back the cached
-// power-control oracle (power_control.h overloads); KernelArena rebuilds a
-// cache slot in place so batched/swept runs stop paying the allocator per
-// instance.
+// pow on the hot path.
+//
+// The matrices fall into two kinds:
+//   * the link planes (LinkPlanes, link_system.h): the cross decays
+//     f(s_w, r_v) and the min-endpoint decays.  They depend only on the
+//     space and the links, so a system may carry one shared copy (the
+//     engine builds it once per sampled geometry, from the points) that
+//     every cache over it reads; a cache on a system without them builds
+//     private planes with the same builder, gathered from the space's
+//     matrix (filling a lazy space once, so later caches on the system
+//     only gather);
+//   * the affectance planes aff_raw (w-major) and its transpose
+//     (v-major), which depend on power and beta.  A build writes only
+//     these: aff_raw from the cross plane, the transpose as a blocked copy
+//     of its bits.
+// The cross plane also backs the CrossDecay query and the normalised-gain
+// kernel of the cached power-control oracle (power_control.h overloads);
+// KernelArena rebuilds a cache slot in place so batched/swept runs stop
+// paying the allocator per instance.
 //
 // Bit-exactness contract: for the same (system, power), every query method
 // here returns *bit-for-bit* the same double as the corresponding naive
 // LinkSystem method.  The cached entries are computed with the identical
 // floating-point expression (same association order), and aggregate sums run
-// in the same iteration order.  Two non-obvious identities make this work:
-//   * min over the four endpoint quasi-distances commutes with pow:
-//     pow is weakly monotone, so min_i pow(f_i, s) == pow(min_i f_i, s) --
-//     the distance matrix therefore needs one pow per pair, not four;
+// in the same iteration order.  Two non-obvious points:
+//   * LinkDistance takes one pow of the min endpoint decay, where the naive
+//     method takes the min of four pows.  The two agree whenever
+//     pow(., 1/zeta) keeps the order of the four decays; IEEE does not
+//     promise that of pow, so it is not assumed -- tests/kernel_test.cc
+//     checks the equality on every pair of its instance sweep (zeta 1, 2.2
+//     and 3), and the separation predicates the algorithms run decide in
+//     the decay domain instead (SeparationOracle below).  The min-pair plane
+//     itself keeps the min of the four decays, with no pow at all;
 //   * x / x == 1.0 exactly in IEEE arithmetic, so under uniform power the
 //     ratio P_w / P_v can be elided from the affectance expression without
 //     changing the rounded result.
@@ -39,6 +58,7 @@
 // inputs engineered to sit within ~1e-9 of a separation threshold.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -48,8 +68,10 @@
 namespace decaylib::sinr {
 
 // Precomputed affectance/distance kernels for one (LinkSystem, power) pair.
-// Holds a reference to the system; the system (and its decay space) must
-// outlive the cache.  Construction costs O(n^2) time and memory.
+// Holds a reference to the system; the system (and its decay space and
+// shared link planes) must outlive the cache.  Construction costs O(n^2)
+// time and memory: 2 n^2 affectance entries, plus 2 n^2 plane entries when
+// the system carries no shared planes.
 class KernelCache {
  public:
   KernelCache(const LinkSystem& system, PowerAssignment power);
@@ -86,7 +108,15 @@ class KernelCache {
     return raw < 1.0 ? raw : 1.0;
   }
 
-  // f_wv = f(s_w, r_v), cached; bit-identical to LinkSystem::CrossDecay.
+  // a_w(v) for every w, contiguous: row v of the transposed plane, whose
+  // entries are AffectanceRaw(w, v)'s bits.  The in-sum loops read it.
+  std::span<const double> AffectanceIntoRow(int v) const {
+    const std::size_t n = static_cast<std::size_t>(n_);
+    return {aff_raw_t_.data() + static_cast<std::size_t>(v) * n, n};
+  }
+
+  // f_wv = f(s_w, r_v), from the cross plane; bit-identical to
+  // LinkSystem::CrossDecay.
   double CrossDecay(int w, int v) const {
     return cross_decay_[static_cast<std::size_t>(w) *
                             static_cast<std::size_t>(n_) +
@@ -95,9 +125,9 @@ class KernelCache {
 
   // Normalised-gain kernel of the power-control fixed point (Foschini-
   // Miljanic): B(v, w) = beta * f_vv / f(s_w, r_v), zero diagonal.
-  // Computed on demand from the cached decay/cross matrices with exactly
-  // the per-entry expression FeasibleWithPowerControl's naive path builds
-  // (beta * f_ii / CrossDecay), so the cached fixed point stays
+  // Computed on demand from the cached decays and the cross plane with
+  // exactly the per-entry expression FeasibleWithPowerControl's naive path
+  // builds (beta * f_ii / CrossDecay), so the cached fixed point stays
   // bit-identical -- without charging every KernelCache build an n x n
   // matrix only the power-control oracle reads.
   double NormalizedGain(int v, int w) const {
@@ -145,8 +175,10 @@ class KernelCache {
   // ratio-elision fast path during construction; queries are unaffected).
   bool HasUniformPower() const noexcept { return uniform_power_; }
 
-  // Bytes held by the dense matrices and per-link arrays (capacity, so a
-  // warm arena slot reports what it actually retains).
+  // Bytes the cache itself holds: the affectance matrices, the per-link
+  // arrays and any private link planes (capacity, so a warm arena slot
+  // reports what it actually retains).  Shared planes are not counted:
+  // their owner (the system's creator) holds them.
   long long MemoryBytes() const noexcept;
 
  private:
@@ -159,13 +191,12 @@ class KernelCache {
   // Rebuilds before handing the cache out -- may construct one.
   KernelCache() = default;
 
-  // (Re)builds every matrix for (system, power) in two fused sweeps: the
-  // w-major pass derives the aff_raw row from the cross row while it is
-  // still in cache, and the v-major pass fills aff_raw_t and min_pair_decay
-  // from one read of the (blocked 32x32) transposed cross row.  `scratch`
-  // holds that transpose, so arena rebuilds allocate nothing once warm.
-  void Build(const LinkSystem& system, PowerAssignment power,
-             std::vector<double>& scratch);
+  // (Re)builds the cache for (system, power): the per-link arrays, the
+  // private link planes when the system has no shared ones, then aff_raw
+  // row by row from the cross plane and aff_raw_t as its blocked
+  // transpose.  Counts 2 n^2 sinr.kernel_entries events.  Warm rebuilds
+  // allocate nothing.
+  void Build(const LinkSystem& system, PowerAssignment power);
 
   const LinkSystem* system_ = nullptr;
   PowerAssignment power_;
@@ -176,17 +207,23 @@ class KernelCache {
   std::vector<double> noise_factor_;  // c_v (0 when !can_overcome_)
   std::vector<double> aff_raw_;       // [w*n + v] = a_w(v), unclamped
   std::vector<double> aff_raw_t_;     // [v*n + w] = a_w(v)  (transpose)
-  std::vector<double> min_pair_decay_;  // [v*n + w], symmetric
-  std::vector<double> cross_decay_;     // [w*n + v] = f(s_w, r_v)
+  // Private link planes, built only for a system without shared ones and
+  // kept across arena rebuilds.  Heap-held, so the plane pointers below
+  // stay valid when the cache is copied or moved.
+  std::shared_ptr<LinkPlanes> own_planes_;
+  const double* cross_decay_ = nullptr;     // [w*n + v] = f(s_w, r_v)
+  const double* min_pair_decay_ = nullptr;  // [v*n + w]
 };
 
-// Reusable KernelCache storage: one cache slot plus the build scratch,
-// rebuilt in place instead of reallocated.  Same-shape rebuilds (the batch
-// and sweep runners build thousands of caches of identical n) touch the
-// allocator zero times once the slot is warm; different shapes simply
-// re-grow.  The rebuilt cache is bit-identical to a freshly constructed
-// KernelCache over the same (system, power) -- Build overwrites every
-// entry, so nothing of the previous instance survives.  One arena per
+// Reusable KernelCache storage: one cache slot, rebuilt in place instead of
+// reallocated.  Same-shape rebuilds (the batch and sweep runners build
+// thousands of caches of identical n) touch the allocator zero times once
+// the slot is warm; different shapes simply re-grow.  The rebuilt cache is
+// bit-identical to a freshly constructed KernelCache over the same
+// (system, power) -- Build overwrites every entry, so nothing of the
+// previous instance survives.  The slot points at a system's shared planes
+// without owning them, so they die with their owner (the engine's
+// geometry cache), not with the arena's last build.  One arena per
 // worker thread; the returned reference is valid until the next Rebuild.
 class KernelArena {
  public:
@@ -207,7 +244,6 @@ class KernelArena {
 
  private:
   KernelCache slot_;
-  std::vector<double> scratch_;
   long long rebuilds_ = 0;
   long long warm_skips_ = 0;
 };

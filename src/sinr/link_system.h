@@ -23,6 +23,7 @@
 // the partition lemmas.
 #pragma once
 
+#include <memory>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -50,12 +51,43 @@ struct SinrConfig {
 // Power assignments index by link id.
 using PowerAssignment = std::vector<double>;
 
+// The power- and beta-independent planes of a link set over a decay
+// space, indexed by link:
+//   cross[w*n + v]    = f(s_w, r_v)                     (LinkSystem::CrossDecay)
+//   min_pair[v*n + w] = min{f(s_v,r_w), f(s_w,r_v), f(s_v,s_w), f(r_v,r_w)},
+//                       0 on the diagonal (the link quasi-distance before
+//                       its ^{1/zeta}; ordered, since the sender-sender and
+//                       receiver-receiver legs are ordered pairs).
+// Every KernelCache over the same (space, links) reads the same planes,
+// whatever its power and beta, so they can be built once and shared
+// read-only: engine::ScenarioGeometry does so per sampled geometry.
+struct LinkPlanes {
+  int n = 0;
+  std::vector<double> cross;
+  std::vector<double> min_pair;
+
+  long long MemoryBytes() const noexcept;  // capacity of both planes
+};
+
+// (Re)builds the planes of `links` over `space` into `out`, reusing its
+// buffers.  A lazy geometric space is read from its points with
+// geom::GeometricDecay -- the expression DecaySpace's fill stores -- and
+// stays lazy; a filled space is gathered from its matrix.  Entries are
+// bit-identical either way (tests/kernel_test.cc).  Counts one
+// sinr.plane_builds and 2 n^2 sinr.plane_entries events.
+void BuildLinkPlanes(const core::DecaySpace& space, std::span<const Link> links,
+                     LinkPlanes& out);
+
 // A set of links over a decay space, with the SINR machinery.
 // Holds a reference to the space: the space must outlive the system.
 class LinkSystem {
  public:
+  // `planes`, when given, must be BuildLinkPlanes(space, links): every
+  // KernelCache built on this system then shares them instead of building
+  // its own (the naive methods here never read them).
   LinkSystem(const core::DecaySpace& space, std::vector<Link> links,
-             SinrConfig config = {});
+             SinrConfig config = {},
+             std::shared_ptr<const LinkPlanes> planes = nullptr);
 
   int NumLinks() const noexcept { return static_cast<int>(links_.size()); }
   const core::DecaySpace& space() const noexcept { return *space_; }
@@ -63,7 +95,11 @@ class LinkSystem {
   const Link& link(int v) const { return links_[static_cast<std::size_t>(v)]; }
   const std::vector<Link>& links() const noexcept { return links_; }
 
-  // f_vv = f(s_v, r_v): the decay (inverse gain) of link v itself.
+  // The shared link planes, or null when none were attached.
+  const LinkPlanes* planes() const noexcept { return planes_.get(); }
+
+  // f_vv = f(s_v, r_v): the decay (inverse gain) of link v itself.  Reads
+  // through DecaySpace::Entry, so it never fills a lazy space.
   double LinkDecay(int v) const;
 
   // f_wv = f(s_w, r_v): decay from w's sender to v's receiver.
@@ -139,6 +175,7 @@ class LinkSystem {
   const core::DecaySpace* space_;
   std::vector<Link> links_;
   SinrConfig config_;
+  std::shared_ptr<const LinkPlanes> planes_;
 };
 
 // All link ids of a system or kernel: {0, 1, ..., NumLinks() - 1}.

@@ -690,7 +690,8 @@ TEST(BatchRunnerTest, ObservabilityOnOffLeavesSignatureBitIdentical) {
 // The stage breakdown is measured with observability off.  Every record
 // carries one geometry, one kernel_build and one task.<kind> stage per
 // configured task, nothing else; the result merges the records in instance
-// order.
+// order, plus one batch_bookkeeping stage (two spans: setup before the
+// pool, merge and aggregation after it).
 TEST(BatchRunnerTest, StageStatsCoverEveryInstanceAndTask) {
   BatchConfig config;
   config.threads = 2;
@@ -734,8 +735,14 @@ TEST(BatchRunnerTest, StageStatsCoverEveryInstanceAndTask) {
     EXPECT_LE(task_sum, rec.stages.TotalMs());
     merged.Merge(rec.stages);
   }
-  ASSERT_EQ(merged.stages.size(), r.stage_stats.stages.size());
+  const obs::StageStats::Stage* bookkeeping =
+      r.stage_stats.Find("batch_bookkeeping");
+  ASSERT_NE(bookkeeping, nullptr);
+  EXPECT_EQ(bookkeeping->count, 2);
+  EXPECT_EQ(merged.Find("batch_bookkeeping"), nullptr);
+  ASSERT_EQ(merged.stages.size() + 1, r.stage_stats.stages.size());
   for (const obs::StageStats::Stage& stage : r.stage_stats.stages) {
+    if (stage.name == "batch_bookkeeping") continue;
     ASSERT_NE(merged.Find(stage.name), nullptr) << stage.name;
     EXPECT_EQ(merged.Find(stage.name)->total_ms, stage.total_ms) << stage.name;
   }
@@ -804,9 +811,87 @@ TEST(BatchRunnerTest, TraceEventNamesEqualStageNames) {
   }
   EXPECT_EQ(traced, expected);
   for (const char* stage : {"geometry_build", "geometry_reuse",
-                            "kernel_build", "farfield_build"}) {
+                            "kernel_build", "farfield_build",
+                            "batch_bookkeeping"}) {
     EXPECT_EQ(expected.count(stage), 1u) << stage;
   }
+}
+
+// --- the matrix fill and the link planes -------------------------------------
+
+// Counter deltas over one batch, with obs on for its duration.
+struct WorkDeltas {
+  long long fills = 0;
+  long long plane_builds = 0;
+  long long kernel_builds = 0;
+};
+
+WorkDeltas RunCounted(const BatchConfig& config, const ScenarioSpec& spec) {
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter& fills = registry.GetCounter("core.decay_space_fills");
+  obs::Counter& planes = registry.GetCounter("sinr.plane_builds");
+  obs::Counter& kernels = registry.GetCounter("sinr.kernel_builds");
+  obs::SetEnabled(true);
+  const WorkDeltas before{fills.value(), planes.value(), kernels.value()};
+  const ScenarioResult result = BatchRunner(config).RunOne(spec);
+  const WorkDeltas after{fills.value(), planes.value(), kernels.value()};
+  obs::SetEnabled(false);
+  EXPECT_TRUE(AggregateHealth(result).ok());
+  return {after.fills - before.fills, after.plane_builds - before.plane_builds,
+          after.kernel_builds - before.kernel_builds};
+}
+
+// dense_sweep's task set on a dense geometric instance reads the link
+// planes, which come from the points: the node matrix is never filled,
+// under uniform power, a power law, and a noise rescale alike, and each
+// instance builds its planes once whatever its kernel count.
+TEST(BatchRunnerTest, DenseGeometricInstancesNeverFillTheMatrix) {
+  BatchConfig config;
+  config.threads = 2;
+  config.tasks = {TaskKind::kAlgorithm1, TaskKind::kGreedyBaseline,
+                  TaskKind::kWeighted, TaskKind::kPartitions,
+                  TaskKind::kSchedule};
+  for (const double tau : {0.0, 0.5}) {
+    for (const double noise : {0.0, 0.01}) {
+      SCOPED_TRACE("tau " + std::to_string(tau) + " noise " +
+                   std::to_string(noise));
+      ScenarioSpec spec = Small(BuiltinScenarios().front(), 16, 3);
+      spec.power_tau = tau;
+      spec.noise = noise;
+      const WorkDeltas d = RunCounted(config, spec);
+      EXPECT_EQ(d.fills, 0);
+      EXPECT_EQ(d.plane_builds, spec.instances);
+      EXPECT_EQ(d.kernel_builds, spec.instances);
+    }
+  }
+}
+
+// Measured zeta still reads the whole matrix: it fills each instance's
+// space exactly once.
+TEST(BatchRunnerTest, MeasuredZetaFillsEachSpaceOnce) {
+  BatchConfig config;
+  config.threads = 2;
+  config.tasks = {TaskKind::kAlgorithm1, TaskKind::kGreedyBaseline};
+  ScenarioSpec spec = Small(BuiltinScenarios().front(), 12, 2);
+  spec.zeta = -1.0;
+  const WorkDeltas d = RunCounted(config, spec);
+  EXPECT_EQ(d.fills, spec.instances);
+  EXPECT_EQ(d.plane_builds, spec.instances);
+}
+
+// A far-field instance whose tasks all have a far-field path builds no
+// dense kernel, so no planes and no matrix.
+TEST(BatchRunnerTest, FarFieldInstancesBuildNoPlanes) {
+  BatchConfig config;
+  config.threads = 2;
+  config.tasks = {TaskKind::kAlgorithm1, TaskKind::kGreedyBaseline,
+                  TaskKind::kSchedule};
+  ScenarioSpec spec = Small(BuiltinScenarios().front(), 16, 2);
+  spec.kernel_mode = KernelMode::kFarField;
+  const WorkDeltas d = RunCounted(config, spec);
+  EXPECT_EQ(d.plane_builds, 0);
+  EXPECT_EQ(d.kernel_builds, 0);
+  EXPECT_EQ(d.fills, 0);
 }
 
 }  // namespace

@@ -743,8 +743,8 @@ TEST(FarFieldEngineTest, FarFieldModeAtEpsilonZeroMatchesDenseSignature) {
   ff_spec.kernel_mode = engine::KernelMode::kFarField;
   ff_spec.farfield_epsilon = 0.0;
 
-  // Every task (the dense-only ones fill the matrix and build the dense
-  // kernel on first use), then the far-field set alone.
+  // Every task (the dense-only ones build the dense kernel, with private
+  // link planes, on first use), then the far-field set alone.
   for (const std::vector<engine::TaskKind>& tasks :
        {engine::AllTasks(), FarFieldTasks()}) {
     SCOPED_TRACE("tasks=" + std::to_string(tasks.size()));
@@ -793,26 +793,43 @@ TEST(FarFieldEngineTest, DenseBatchFillsACachedFarFieldGeometryOnce) {
   dense_spec.kernel_mode = engine::KernelMode::kDense;
   ASSERT_TRUE(engine::GeometryKeyOf(ff_spec) ==
               engine::GeometryKeyOf(dense_spec));
+  // Measured zeta reads every entry, so it fills; the dense kernel reads
+  // the link planes, which come from the points and fill nothing.
+  engine::ScenarioSpec measured_spec = dense_spec;
+  measured_spec.zeta = -1.0;
 
   obs::SetEnabled(true);
   obs::Counter& fills =
       obs::Registry::Global().GetCounter("core.decay_space_fills");
+  obs::Counter& planes =
+      obs::Registry::Global().GetCounter("sinr.plane_builds");
   const long long fills_before = fills.value();
+  const long long planes_before = planes.value();
 
   engine::GeometryCache cache;
   const engine::BatchRunner ff_runner(
       {.threads = 2, .tasks = FarFieldTasks(), .geometry = &cache});
   (void)ff_runner.Run(std::vector<engine::ScenarioSpec>{ff_spec});
   EXPECT_EQ(fills.value() - fills_before, 0);
+  EXPECT_EQ(planes.value() - planes_before, 0);
 
-  // The dense batch reuses the lazy slots and fills each matrix on its
-  // first read -- once per slot, not once per reader.
+  // The dense batch reuses the lazy slots: each gains its link planes once,
+  // and no matrix fills.
   const engine::BatchRunner cached_runner({.threads = 2, .geometry = &cache});
   const std::vector<engine::ScenarioResult> cached =
       cached_runner.Run(std::vector<engine::ScenarioSpec>{dense_spec});
   EXPECT_EQ(cache.builds(), spec.instances);
   EXPECT_EQ(cache.reuses(), spec.instances);
+  EXPECT_EQ(fills.value() - fills_before, 0);
+  EXPECT_EQ(planes.value() - planes_before, spec.instances);
+
+  // The measured-zeta batch is the first full reader: each matrix fills on
+  // it -- once per slot, not once per reader (two passes run).
+  for (int pass = 0; pass < 2; ++pass) {
+    (void)cached_runner.Run(std::vector<engine::ScenarioSpec>{measured_spec});
+  }
   EXPECT_EQ(fills.value() - fills_before, spec.instances);
+  EXPECT_EQ(planes.value() - planes_before, spec.instances);
   obs::SetEnabled(false);
 
   const std::vector<engine::ScenarioResult> fresh =

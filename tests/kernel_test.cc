@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "core/decay_space.h"
 #include "geom/rng.h"
 #include "geom/samplers.h"
+#include "obs/registry.h"
 #include "sinr/power.h"
 #include "spaces/samplers.h"
 
@@ -346,6 +350,156 @@ TEST_P(KernelBitExactness, FeasibilityClearThenReuseMatchesFresh) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelBitExactness, ::testing::Range(1, 9));
+
+// --- shared link planes -------------------------------------------------------
+//
+// A kernel on a system that carries shared planes, a fresh
+// KernelCache(system, power) that builds private ones, and the naive
+// LinkSystem must agree bit for bit on every (w, v) entry: CrossDecay,
+// MinPairDecay, AffectanceRaw and the transposed affectance row.
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Alternating orientation, so half the senders carry the larger node id.
+std::vector<Link> MixedLinks(int count) {
+  std::vector<Link> links;
+  for (int i = 0; i < count; ++i) {
+    links.push_back(i % 2 == 0 ? Link{2 * i, 2 * i + 1} : Link{2 * i + 1, 2 * i});
+  }
+  return links;
+}
+
+enum class PlaneSpace { kLazyGeometric, kFilledGeometric, kShadowedAsymmetric };
+
+core::DecaySpace MakePlaneSpace(PlaneSpace kind, std::uint64_t seed, int nodes) {
+  geom::Rng rng(seed);
+  const auto pts = geom::SampleUniform(nodes, 12.0, 12.0, rng);
+  if (kind == PlaneSpace::kShadowedAsymmetric) {
+    return spaces::ShadowedGeometric(pts, 3.0, 6.0, rng, /*symmetric=*/false);
+  }
+  core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
+  if (kind == PlaneSpace::kFilledGeometric) space.Materialize();
+  return space;
+}
+
+class SharedPlanes : public ::testing::TestWithParam<int> {};
+
+TEST_P(SharedPlanes, KernelEntriesMatchFreshCacheAndNaive) {
+  constexpr int kLinks = 24;
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  for (const PlaneSpace kind :
+       {PlaneSpace::kLazyGeometric, PlaneSpace::kFilledGeometric,
+        PlaneSpace::kShadowedAsymmetric}) {
+    for (const double tau : {0.0, 0.5}) {
+      for (const double noise : {0.0, 0.02}) {
+        SCOPED_TRACE("space " + std::to_string(static_cast<int>(kind)) +
+                     " tau " + std::to_string(tau) + " noise " +
+                     std::to_string(noise));
+        const core::DecaySpace space = MakePlaneSpace(kind, seed, 2 * kLinks);
+        const std::vector<Link> links = MixedLinks(kLinks);
+        auto planes = std::make_shared<LinkPlanes>();
+        BuildLinkPlanes(space, links, *planes);
+        const SinrConfig config{1.5, noise};
+        const LinkSystem shared_system(space, links, config, planes);
+        const LinkSystem system(space, links, config);
+        // Uniform power 1 leaves some links unable to overcome the noise.
+        const PowerAssignment power =
+            tau == 0.0 ? UniformPower(system) : PowerLaw(system, tau);
+        // Neither the shared-plane build nor the power law fills a lazy
+        // space; a private-plane build gathers from the matrix, filling it.
+        const KernelCache shared(shared_system, power);
+        EXPECT_EQ(space.filled(), kind != PlaneSpace::kLazyGeometric);
+        const KernelCache fresh(system, power);
+        EXPECT_TRUE(space.filled());
+        EXPECT_LT(shared.MemoryBytes(), fresh.MemoryBytes());
+
+        for (int v = 0; v < kLinks; ++v) {
+          const Link& lv = system.link(v);
+          const std::span<const double> into_shared = shared.AffectanceIntoRow(v);
+          const std::span<const double> into_fresh = fresh.AffectanceIntoRow(v);
+          for (int w = 0; w < kLinks; ++w) {
+            const Link& lw = system.link(w);
+            const double cross = system.CrossDecay(w, v);
+            EXPECT_EQ(Bits(shared.CrossDecay(w, v)), Bits(cross));
+            EXPECT_EQ(Bits(fresh.CrossDecay(w, v)), Bits(cross));
+            const double min_pair =
+                w == v ? 0.0
+                       : std::min(std::min(space(lv.sender, lw.receiver),
+                                           space(lw.sender, lv.receiver)),
+                                  std::min(space(lv.sender, lw.sender),
+                                           space(lv.receiver, lw.receiver)));
+            EXPECT_EQ(Bits(shared.MinPairDecay(v, w)), Bits(min_pair));
+            EXPECT_EQ(Bits(fresh.MinPairDecay(v, w)), Bits(min_pair));
+            const double raw = shared.CanOvercomeNoise(v) && w != v
+                                   ? system.AffectanceRaw(w, v, power)
+                                   : 0.0;
+            EXPECT_EQ(Bits(shared.AffectanceRaw(w, v)), Bits(raw));
+            EXPECT_EQ(Bits(fresh.AffectanceRaw(w, v)), Bits(raw));
+            EXPECT_EQ(Bits(into_shared[static_cast<std::size_t>(w)]), Bits(raw));
+            EXPECT_EQ(Bits(into_fresh[static_cast<std::size_t>(w)]), Bits(raw));
+          }
+        }
+      }
+    }
+  }
+}
+
+// Planes read from a lazy space's points equal planes gathered from the
+// same space's filled matrix, entry for entry, and leave the space lazy.
+TEST_P(SharedPlanes, LazyPlanesEqualGatheredPlanes) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const core::DecaySpace lazy =
+      MakePlaneSpace(PlaneSpace::kLazyGeometric, seed, 64);
+  const core::DecaySpace filled =
+      MakePlaneSpace(PlaneSpace::kFilledGeometric, seed, 64);
+  const std::vector<Link> links = MixedLinks(32);
+  LinkPlanes from_points;
+  LinkPlanes gathered;
+  BuildLinkPlanes(lazy, links, from_points);
+  BuildLinkPlanes(filled, links, gathered);
+  EXPECT_FALSE(lazy.filled());
+  ASSERT_EQ(from_points.n, 32);
+  ASSERT_EQ(gathered.n, 32);
+  for (std::size_t i = 0; i < from_points.cross.size(); ++i) {
+    EXPECT_EQ(Bits(from_points.cross[i]), Bits(gathered.cross[i])) << i;
+    EXPECT_EQ(Bits(from_points.min_pair[i]), Bits(gathered.min_pair[i])) << i;
+  }
+}
+
+// A system's shared planes serve every kernel built on it: a rebuild into
+// an arena reads them instead of building private ones.
+TEST(SharedPlanesArena, ArenaRebuildReadsSharedPlanes) {
+  const core::DecaySpace space =
+      MakePlaneSpace(PlaneSpace::kLazyGeometric, 5, 40);
+  const std::vector<Link> links = MixedLinks(20);
+  auto planes = std::make_shared<LinkPlanes>();
+  BuildLinkPlanes(space, links, *planes);
+  const LinkSystem shared_system(space, links, {1.0, 0.0}, planes);
+  const LinkSystem system(space, links, {1.0, 0.0});
+  obs::SetEnabled(true);
+  obs::Counter& plane_builds =
+      obs::Registry::Global().GetCounter("sinr.plane_builds");
+  const long long before = plane_builds.value();
+  KernelArena arena;
+  const KernelCache& rebuilt =
+      arena.Rebuild(shared_system, PowerLaw(shared_system, 0.5));
+  EXPECT_EQ(plane_builds.value(), before);
+  EXPECT_FALSE(space.filled());
+  const KernelCache fresh(system, PowerLaw(system, 0.5));
+  EXPECT_EQ(plane_builds.value(), before + 1);
+  obs::SetEnabled(false);
+  for (int v = 0; v < 20; ++v) {
+    for (int w = 0; w < 20; ++w) {
+      EXPECT_EQ(Bits(rebuilt.CrossDecay(w, v)), Bits(fresh.CrossDecay(w, v)));
+      EXPECT_EQ(Bits(rebuilt.AffectanceRaw(w, v)),
+                Bits(fresh.AffectanceRaw(w, v)));
+      EXPECT_EQ(Bits(rebuilt.MinPairDecay(v, w)),
+                Bits(fresh.MinPairDecay(v, w)));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SharedPlanes, ::testing::Range(1, 5));
 
 // --- algorithm-level agreement ---------------------------------------------
 

@@ -573,6 +573,46 @@ TEST(SweepRunnerTest, StageBreakdownCoversCellWallTimeSerially) {
   }
 }
 
+// The kernel layer's work counters over a TinySweep-shaped grid whose inner
+// axis is non-geometric: the link planes are built once per sampled
+// geometry, not once per kernel, and every cell's kernel build writes
+// exactly its two n x n affectance planes (aff_raw and its transpose).
+TEST(SweepRunnerTest, PlanesBuiltOncePerGeometryKernelsWriteTwoPlanes) {
+  SweepSpec spec = TinySweep();
+  spec.axes = {{"links", {10, 14}}, {"beta", {1.0, 1.5}}};
+  SweepConfig config;
+  config.threads = 2;
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter& plane_builds = registry.GetCounter("sinr.plane_builds");
+  obs::Counter& plane_entries = registry.GetCounter("sinr.plane_entries");
+  obs::Counter& kernel_builds = registry.GetCounter("sinr.kernel_builds");
+  obs::Counter& kernel_entries = registry.GetCounter("sinr.kernel_entries");
+  obs::SetEnabled(true);
+  const long long planes0 = plane_builds.value();
+  const long long plane_entries0 = plane_entries.value();
+  const long long kernels0 = kernel_builds.value();
+  const long long kernel_entries0 = kernel_entries.value();
+  const SweepResult result = SweepRunner(config).Run(spec);
+  obs::SetEnabled(false);
+
+  long long cell_builds = 0;
+  long long cell_entries = 0;
+  for (const SweepCellResult& cell : result.cells) {
+    ASSERT_TRUE(cell.outcome.ok) << cell.cell.spec.name;
+    const long long n = cell.cell.spec.links;
+    cell_builds += cell.cell.spec.instances;
+    cell_entries += cell.cell.spec.instances * 2 * n * n;
+  }
+  // links {10, 14} x 2 instances sampled; the beta cells reuse them.
+  EXPECT_EQ(result.geometry_builds, 2 * 2);
+  EXPECT_EQ(plane_builds.value() - planes0, result.geometry_builds);
+  EXPECT_EQ(plane_entries.value() - plane_entries0,
+            2 * (2 * 10 * 10 + 2 * 14 * 14));
+  EXPECT_EQ(kernel_builds.value() - kernels0, cell_builds);
+  EXPECT_EQ(cell_builds, 4 * 2);
+  EXPECT_EQ(kernel_entries.value() - kernel_entries0, cell_entries);
+}
+
 TEST(SweepReportTest, JsonReportWritesEngineCompatibleFile) {
   SweepSpec spec = TinySweep();
   spec.tasks = {engine::TaskKind::kAlgorithm1};

@@ -42,7 +42,8 @@ int main() {
             core::DecaySpace::Geometric(dep.points, alpha);
         const double zeta = std::max(1.0, core::Metricity(space));
         const sinr::LinkSystem system(space, dep.links, {1.0, 0.0});
-        const auto S = capacity::GreedyFeasible(system);
+        const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+        const auto S = capacity::GreedyFeasible(kernel, sinr::AllLinks(system));
         const auto witness =
             capacity::BuildAmicabilityWitness(system, S, zeta);
         zeta_acc += zeta;
@@ -81,13 +82,15 @@ int main() {
       const core::DecaySpace space =
           core::DecaySpace::Geometric(dep.points, alpha);
       const sinr::LinkSystem system(space, dep.links, {2.0, 0.0});
-      const auto greedy = capacity::GreedyFeasible(system);
+      const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+      const auto greedy =
+          capacity::GreedyFeasible(kernel, sinr::AllLinks(system));
       distributed::RegretConfig config;
       config.rounds = 3000;
       config.measure_tail = 500;
       geom::Rng game_rng(9);
       const auto result =
-          distributed::RunRegretGame(system, config, game_rng);
+          distributed::RunRegretGame(kernel, config, game_rng);
       table.AddRow({bench::Fmt(alpha, 1),
                     bench::FmtInt(static_cast<long long>(greedy.size())),
                     bench::Fmt(result.average_successes, 2),

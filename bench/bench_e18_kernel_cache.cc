@@ -30,6 +30,7 @@
 #include "capacity/algorithm1.h"
 #include "core/metricity.h"
 #include "obs/bench_harness.h"
+#include "oracles/oracles.h"
 #include "scheduling/scheduler.h"
 #include "sinr/kernel.h"
 #include "geom/samplers.h"
@@ -95,7 +96,10 @@ int main(int argc, char** argv) {
     capacity::Algorithm1Result cached;
     const obs::SampleStats cold_stats = report.Time(
         "alg1_cached_cold", n_links,
-        [&] { cached = capacity::RunAlgorithm1(system, zeta); });
+        [&] {
+          const sinr::KernelCache cold(system, sinr::UniformPower(system));
+          cached = capacity::RunAlgorithm1(cold, zeta);
+        });
 
     const sinr::KernelCache kernel(system, sinr::UniformPower(system));
     capacity::Algorithm1Result warm;
@@ -134,8 +138,11 @@ int main(int argc, char** argv) {
     scheduling::Schedule schedule;
     const obs::SampleStats sched_stats = report.Time(
         "schedule_alg1", n_sched, [&] {
-          schedule = scheduling::ScheduleLinks(
-              system, 3.0, scheduling::Extractor::kAlgorithm1);
+          const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+          schedule =
+              scheduling::ScheduleLinks(kernel, 3.0,
+                                        scheduling::Extractor::kAlgorithm1,
+                                        sinr::AllLinks(system));
         });
     std::printf("%zu slots in %s ms\n", schedule.slots.size(),
                 bench::Fmt(sched_stats.min_ms, 2).c_str());

@@ -44,6 +44,7 @@
 #include "distributed/regret_game.h"
 #include "dynamics/queue_system.h"
 #include "obs/bench_harness.h"
+#include "oracles/oracles.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
 #include "tool_args.h"
@@ -259,38 +260,6 @@ int main(int argc, char** argv) {
       std::printf("ERROR: regret warm path not faster than naive (warm "
                   "%.2f ms vs naive %.2f ms at n=%d)\n",
                   warm_ms, naive_ms, links);
-      return 1;
-    }
-
-    // The LinkSystem entry point's size dispatch (kRegretKernelCrossover):
-    // below the crossover it must route to the naive path, so a standalone
-    // small game never pays an O(n^2) kernel build it cannot amortise.
-    // Gate bits first, then that "auto" does not regress against naive at
-    // this size (generous slack -- the two are the same code below the
-    // crossover, so anything past noise means the dispatch broke).
-    distributed::RegretResult auto_res;
-    {
-      geom::Rng rng(kSeed + 13);
-      auto_res = distributed::RunRegretGame(system, config, rng);
-    }
-    if (!(auto_res == naive_res)) {
-      std::printf("ERROR: regret: auto dispatch differs from the naive "
-                  "reference\n");
-      return 1;
-    }
-    const double auto_ms = best_of("regret_auto", [&] {
-      geom::Rng rng(kSeed + 13);
-      volatile double sink =
-          distributed::RunRegretGame(system, config, rng).average_successes;
-      (void)sink;
-    });
-    table.AddRow({"regret auto", bench::Fmt(auto_ms, 1), "-", "-",
-                  bench::Fmt(naive_ms / auto_ms, 2) + "x"});
-    if (links < distributed::kRegretKernelCrossover &&
-        auto_ms > naive_ms * 1.3 + 0.2) {
-      std::printf("ERROR: regret auto dispatch slower than naive below the "
-                  "crossover (auto %.2f ms vs naive %.2f ms at n=%d)\n",
-                  auto_ms, naive_ms, links);
       return 1;
     }
   }

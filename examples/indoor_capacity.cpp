@@ -11,6 +11,7 @@
 #include "env/antenna.h"
 #include "env/propagation.h"
 #include "scheduling/scheduler.h"
+#include "sinr/kernel.h"
 #include "sinr/power.h"
 
 using namespace decaylib;
@@ -70,14 +71,17 @@ int main() {
                 system.CanOvercomeNoise(v, power) ? "yes" : "NO");
   }
 
-  const auto chosen = capacity::RunAlgorithm1(system, zeta).selected;
-  const auto greedy = capacity::GreedyFeasible(system);
+  // One cached kernel serves every algorithm below.
+  const sinr::KernelCache kernel(system, power);
+  const auto all = sinr::AllLinks(system);
+  const auto chosen = capacity::RunAlgorithm1(kernel, zeta).selected;
+  const auto greedy = capacity::GreedyFeasible(kernel, all);
   std::printf("\none-shot capacity: Algorithm 1 -> %zu links, greedy -> %zu "
               "links (of %d)\n",
               chosen.size(), greedy.size(), system.NumLinks());
 
   const auto schedule = scheduling::ScheduleLinks(
-      system, zeta, scheduling::Extractor::kAlgorithm1);
+      kernel, zeta, scheduling::Extractor::kAlgorithm1, all);
   std::printf("full traffic schedule: %d slots\n", schedule.Length());
   for (int s = 0; s < schedule.Length(); ++s) {
     std::printf("  slot %d:", s);

@@ -14,6 +14,7 @@
 #include "core/metricity.h"
 #include "geom/rng.h"
 #include "geom/samplers.h"
+#include "sinr/kernel.h"
 #include "sinr/power.h"
 #include "spaces/samplers.h"
 
@@ -59,12 +60,14 @@ int main() {
   //    Its separation test is deliberately conservative -- that is what buys
   //    the worst-case guarantee; the greedy baseline shows the typical-case
   //    headroom.
-  const auto result = capacity::RunAlgorithm1(system, zeta);
+  //    Both run on one cached kernel (uniform power).
+  const sinr::KernelCache kernel(system, power);
+  const auto result = capacity::RunAlgorithm1(kernel, zeta);
   std::printf("Algorithm 1 selected %zu links:", result.selected.size());
   for (int v : result.selected) std::printf(" %d", v);
   std::printf("\nmax in-affectance of the selection: %.3f (must be <= 1)\n",
               system.MaxInAffectance(result.selected, power));
-  const auto greedy = capacity::GreedyFeasible(system);
+  const auto greedy = capacity::GreedyFeasible(kernel, everyone);
   std::printf("greedy baseline selected %zu links (no worst-case guarantee "
               "in decay spaces)\n",
               greedy.size());

@@ -1,70 +1,11 @@
 #include "auction/auction.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/check.h"
 #include "sinr/admission.h"
-#include "sinr/power.h"
 
 namespace decaylib::auction {
-
-namespace {
-
-// Deterministic tie-breaking: higher bid first, then lower id.
-std::vector<int> BidOrder(std::span<const double> bids) {
-  std::vector<int> order(bids.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return bids[static_cast<std::size_t>(a)] >
-           bids[static_cast<std::size_t>(b)];
-  });
-  return order;
-}
-
-// The critical-value bisection, shared by the cached and naive paths so
-// both produce the identical sequence of probes (and hence the identical
-// rounded payment).  `wins_with(bid)` must answer whether `link` wins when
-// bidding `bid`, holding the other bids fixed.
-template <typename WinsWith>
-double BisectCriticalBid(std::span<const double> bids, double tol,
-                         WinsWith&& wins_with) {
-  const double max_bid = *std::max_element(bids.begin(), bids.end()) + 1.0;
-  if (!wins_with(2.0 * max_bid)) return 2.0 * max_bid;  // cannot win
-  double lo = 0.0;
-  double hi = 2.0 * max_bid;
-  while (hi - lo > tol) {
-    const double mid = 0.5 * (lo + hi);
-    if (wins_with(mid)) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return hi;
-}
-
-// Winners + payments from any winner-determination / critical-bid pair;
-// the accumulation order (sorted winners) is shared so welfare and revenue
-// sums associate identically on every path.
-template <typename Winners, typename Critical>
-AuctionResult RunMechanism(std::span<const double> bids, Winners&& winners,
-                           Critical&& critical) {
-  AuctionResult result;
-  result.winners = winners(bids);
-  result.payments.assign(bids.size(), 0.0);
-  for (int v : result.winners) {
-    result.social_welfare += bids[static_cast<std::size_t>(v)];
-    const double payment = critical(bids, v);
-    result.payments[static_cast<std::size_t>(v)] = payment;
-    result.revenue += payment;
-  }
-  return result;
-}
-
-}  // namespace
-
-// --- cached path -------------------------------------------------------------
 
 std::vector<int> DetermineWinners(const sinr::KernelCache& kernel,
                                   std::span<const double> bids) {
@@ -73,7 +14,7 @@ std::vector<int> DetermineWinners(const sinr::KernelCache& kernel,
   // Admission through the accumulator decides exactly as the naive
   // push-IsFeasible-pop loop (sinr/admission.h); non-positive bids never
   // win.
-  std::vector<int> order = BidOrder(bids);
+  std::vector<int> order = detail::BidOrder(bids);
   std::erase_if(order, [&](int v) {
     return bids[static_cast<std::size_t>(v)] <= 0.0;
   });
@@ -82,19 +23,10 @@ std::vector<int> DetermineWinners(const sinr::KernelCache& kernel,
   return winners;
 }
 
-double CriticalBidRescan(const sinr::KernelCache& kernel,
-                         std::span<const double> bids, int link, double tol) {
-  DL_CHECK(link >= 0 && link < kernel.NumLinks(), "link out of range");
-  std::vector<double> trial(bids.begin(), bids.end());
-  return BisectCriticalBid(bids, tol, [&](double bid) {
-    trial[static_cast<std::size_t>(link)] = bid;
-    const auto winners = DetermineWinners(kernel, trial);
-    return std::binary_search(winners.begin(), winners.end(), link);
-  });
-}
-
 double CriticalBid(const sinr::KernelCache& kernel,
                    std::span<const double> bids, int link, double tol) {
+  DL_CHECK(static_cast<int>(bids.size()) == kernel.NumLinks(),
+           "one bid per link");
   DL_CHECK(link >= 0 && link < kernel.NumLinks(), "link out of range");
   // The others' relative order is fixed across probes: stable_sort keeps it
   // whatever the link bids, so the trial order is always `others` with the
@@ -103,7 +35,7 @@ double CriticalBid(const sinr::KernelCache& kernel,
   // the smaller id (stable tie-break on original index).  That predicate is
   // monotone along `others` (sorted by bid desc, ties by id asc), so p(bid)
   // is a partition point.
-  std::vector<int> others = BidOrder(bids);
+  std::vector<int> others = detail::BidOrder(bids);
   others.erase(std::find(others.begin(), others.end(), link));
   const int m = static_cast<int>(others.size());
 
@@ -129,7 +61,7 @@ double CriticalBid(const sinr::KernelCache& kernel,
     }
   };
 
-  return BisectCriticalBid(bids, tol, [&](double bid) {
+  return detail::BisectCriticalBid(bids, tol, [&](double bid) {
     // Same per-link skips DetermineWinners applies when it reaches the link.
     if (bid <= 0.0) return false;
     if (!kernel.CanOvercomeNoise(link)) return false;
@@ -161,72 +93,11 @@ double CriticalBid(const sinr::KernelCache& kernel,
 
 AuctionResult RunAuction(const sinr::KernelCache& kernel,
                          std::span<const double> bids, double tol) {
-  return RunMechanism(
+  return detail::RunMechanism(
       bids,
       [&](std::span<const double> b) { return DetermineWinners(kernel, b); },
       [&](std::span<const double> b, int v) {
         return CriticalBid(kernel, b, v, tol);
-      });
-}
-
-// --- LinkSystem entry points (uniform power, one kernel build) ---------------
-
-std::vector<int> DetermineWinners(const sinr::LinkSystem& system,
-                                  std::span<const double> bids) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return DetermineWinners(kernel, bids);
-}
-
-double CriticalBid(const sinr::LinkSystem& system,
-                   std::span<const double> bids, int link, double tol) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return CriticalBid(kernel, bids, link, tol);
-}
-
-AuctionResult RunAuction(const sinr::LinkSystem& system,
-                         std::span<const double> bids, double tol) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return RunAuction(kernel, bids, tol);
-}
-
-// --- naive references --------------------------------------------------------
-
-std::vector<int> DetermineWinnersNaive(const sinr::LinkSystem& system,
-                                       std::span<const double> bids) {
-  DL_CHECK(static_cast<int>(bids.size()) == system.NumLinks(),
-           "one bid per link");
-  const sinr::PowerAssignment power = sinr::UniformPower(system);
-  std::vector<int> winners;
-  for (int v : BidOrder(bids)) {
-    if (bids[static_cast<std::size_t>(v)] <= 0.0) continue;
-    if (!system.CanOvercomeNoise(v, power)) continue;
-    winners.push_back(v);
-    if (!system.IsFeasible(winners, power)) winners.pop_back();
-  }
-  std::sort(winners.begin(), winners.end());
-  return winners;
-}
-
-double CriticalBidNaive(const sinr::LinkSystem& system,
-                        std::span<const double> bids, int link, double tol) {
-  DL_CHECK(link >= 0 && link < system.NumLinks(), "link out of range");
-  std::vector<double> trial(bids.begin(), bids.end());
-  return BisectCriticalBid(bids, tol, [&](double bid) {
-    trial[static_cast<std::size_t>(link)] = bid;
-    const auto winners = DetermineWinnersNaive(system, trial);
-    return std::binary_search(winners.begin(), winners.end(), link);
-  });
-}
-
-AuctionResult RunAuctionNaive(const sinr::LinkSystem& system,
-                              std::span<const double> bids, double tol) {
-  return RunMechanism(
-      bids,
-      [&](std::span<const double> b) {
-        return DetermineWinnersNaive(system, b);
-      },
-      [&](std::span<const double> b, int v) {
-        return CriticalBidNaive(system, b, v, tol);
       });
 }
 

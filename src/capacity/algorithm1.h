@@ -13,14 +13,13 @@
 // earlier link's in-affectance past the admission margin; Markov's
 // inequality guarantees |S| >= |X| / 2 (Eqn. 5 in the proof of Theorem 5).
 //
-// The default entry points run on the cached SINR kernel (sinr::KernelCache):
-// separation tests become decay-domain comparisons and the in/out-affectance
-// budgets incremental accumulator reads, so a run costs O(n^2) cache build
-// plus O(n |X|) admission work with no pow on the hot path.  The
-// FarFieldKernel overload runs the same loop (sinr/admission.h) against the
-// matrix-free kernel.  The *Naive variants recompute every kernel entry
-// through the LinkSystem methods; they are kept as the reference path that
-// property tests compare against.
+// One template runs the loop (sinr/admission.h) on either kernel backend:
+// on sinr::KernelCache the separation tests are decay-domain comparisons
+// and the in/out-affectance budgets incremental accumulator reads, so a run
+// costs O(n^2) cache build plus O(n |X|) admission work with no pow on the
+// hot path; on sinr::FarFieldKernel the same decisions come from certified
+// pooled bounds.  A caller holding only a LinkSystem builds the paper's
+// uniform-power kernel once: KernelCache(system, UniformPower(system)).
 #pragma once
 
 #include <span>
@@ -29,7 +28,6 @@
 #include "sinr/admission.h"
 #include "sinr/farfield.h"
 #include "sinr/kernel.h"
-#include "sinr/link_system.h"
 
 namespace decaylib::capacity {
 
@@ -38,31 +36,18 @@ namespace decaylib::capacity {
 using Algorithm1Result = sinr::AdmissionResult;
 
 // Runs Algorithm 1 on the candidate links (defaults to all links) with the
-// given metricity zeta of the underlying space.  Uses uniform power 1.
-Algorithm1Result RunAlgorithm1(const sinr::LinkSystem& system, double zeta,
-                               std::span<const int> candidates);
+// given metricity zeta of the underlying space, under the kernel's power
+// assignment (UniformPower for the paper's algorithm).
+template <sinr::AdmissionKernel Kernel>
+Algorithm1Result RunAlgorithm1(const Kernel& kernel, double zeta,
+                               std::span<const int> candidates) {
+  return sinr::HalfBudgetAdmission(
+      kernel, sinr::DecayOrder(kernel, candidates), zeta);
+}
 
-Algorithm1Result RunAlgorithm1(const sinr::LinkSystem& system, double zeta);
-
-// Cached-kernel entry points: reuse a prebuilt kernel (e.g. across the slots
-// of a schedule).  The kernel's power assignment is used as-is; build it
-// with UniformPower for the paper's algorithm.
-Algorithm1Result RunAlgorithm1(const sinr::KernelCache& kernel, double zeta,
-                               std::span<const int> candidates);
-
-Algorithm1Result RunAlgorithm1(const sinr::KernelCache& kernel, double zeta);
-
-Algorithm1Result RunAlgorithm1(const sinr::FarFieldKernel& kernel, double zeta,
-                               std::span<const int> candidates);
-
-// Reference implementation on the naive LinkSystem methods; recomputes every
-// affectance and separation from scratch.  Kept for property tests and
-// speedup benchmarks.
-Algorithm1Result RunAlgorithm1Naive(const sinr::LinkSystem& system,
-                                    double zeta,
-                                    std::span<const int> candidates);
-
-Algorithm1Result RunAlgorithm1Naive(const sinr::LinkSystem& system,
-                                    double zeta);
+template <sinr::AdmissionKernel Kernel>
+Algorithm1Result RunAlgorithm1(const Kernel& kernel, double zeta) {
+  return RunAlgorithm1(kernel, zeta, sinr::AllLinks(kernel));
+}
 
 }  // namespace decaylib::capacity

@@ -11,39 +11,33 @@
 //    separation condition (the source of the plane's polynomial bound).
 //  * RandomFeasible: admit in random order while feasible; a sanity floor.
 //
-// All baselines use uniform power and return feasible sets.  Each has a
-// cached-kernel overload running on sinr::KernelCache (incremental
-// feasibility: O(|S|) per candidate instead of O(|S|^2) re-summation); the
-// LinkSystem overloads build the kernel internally and produce identical
-// results.  GreedyFeasible also runs on the far-field kernel; every loop is
-// the shared one of sinr/admission.h.
+// All baselines run on a prebuilt kernel (KernelCache(system,
+// UniformPower(system)) for the paper's setting) and return feasible sets;
+// every loop is the shared one of sinr/admission.h (incremental
+// feasibility: O(|S|) per candidate instead of O(|S|^2) re-summation).
+// GreedyFeasible is one template over either kernel backend.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "geom/rng.h"
+#include "sinr/admission.h"
 #include "sinr/farfield.h"
 #include "sinr/kernel.h"
-#include "sinr/link_system.h"
 
 namespace decaylib::capacity {
 
-std::vector<int> GreedyFeasible(const sinr::KernelCache& kernel,
-                                std::span<const int> candidates);
-std::vector<int> GreedyFeasible(const sinr::FarFieldKernel& kernel,
-                                std::span<const int> candidates);
-std::vector<int> GreedyFeasible(const sinr::LinkSystem& system,
-                                std::span<const int> candidates);
-std::vector<int> GreedyFeasible(const sinr::LinkSystem& system);
+template <sinr::AdmissionKernel Kernel>
+std::vector<int> GreedyFeasible(const Kernel& kernel,
+                                std::span<const int> candidates) {
+  return sinr::AdmitWhileFeasible(kernel, sinr::DecayOrder(kernel, candidates));
+}
 
 std::vector<int> GreedyHalfAffectance(const sinr::KernelCache& kernel,
                                       std::span<const int> candidates);
-std::vector<int> GreedyHalfAffectance(const sinr::LinkSystem& system,
-                                      std::span<const int> candidates);
-std::vector<int> GreedyHalfAffectance(const sinr::LinkSystem& system);
 
-std::vector<int> RandomFeasible(const sinr::LinkSystem& system,
+std::vector<int> RandomFeasible(const sinr::KernelCache& kernel,
                                 std::span<const int> candidates,
                                 geom::Rng& rng);
 

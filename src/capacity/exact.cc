@@ -72,6 +72,8 @@ std::vector<int> ExactCapacityUniform(const sinr::LinkSystem& system) {
 std::vector<int> ExactCapacityPowerControl(const sinr::LinkSystem& system,
                                            std::span<const int> candidates) {
   std::vector<int> universe(candidates.begin(), candidates.end());
+  // Every oracle below is power-invariant; the kernel only caches decays.
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   // Precompute pairwise obstructions: pairs that no power assignment can
   // serve together.  They turn most infeasible branches into O(1) rejections
   // before the iterative oracle runs.
@@ -83,7 +85,7 @@ std::vector<int> ExactCapacityPowerControl(const sinr::LinkSystem& system,
     for (std::size_t j = i + 1; j < universe.size(); ++j) {
       const int v = universe[i];
       const int w = universe[j];
-      if (sinr::PairwiseAffectanceProduct(system, v, w) > beta2) {
+      if (sinr::PairwiseAffectanceProduct(kernel, v, w) > beta2) {
         blocked[static_cast<std::size_t>(v)][static_cast<std::size_t>(w)] = 1;
         blocked[static_cast<std::size_t>(w)][static_cast<std::size_t>(v)] = 1;
       }
@@ -97,7 +99,7 @@ std::vector<int> ExactCapacityPowerControl(const sinr::LinkSystem& system,
         return false;
       }
     }
-    return sinr::FeasibleWithPowerControl(system, S).feasible;
+    return sinr::FeasibleWithPowerControl(kernel, S).feasible;
   };
   return Solver(std::move(universe), feasible).Solve();
 }

@@ -105,8 +105,8 @@ MetricityResult ComputeMetricity(const DecaySpace& space, double tol) {
   // ~tol (plus pow rounding, covered by the 1e-13 floor).  Pruning against
   // incumbent / (1 + slack) guarantees that every triple whose *recorded*
   // zeta could beat the incumbent is still bisected, keeping the scan's
-  // update sequence -- and hence value and witness -- identical to
-  // ComputeMetricityNaive's.
+  // update sequence -- and hence value and witness -- identical to the
+  // exhaustive reference scan's (tests/oracles).
   const double slack = 1.0 + 4.0 * tol + 1e-13;
 
   // Power-domain prefilter (soundness argument in metricity.h).  gt holds
@@ -210,31 +210,6 @@ MetricityResult ComputeMetricity(const DecaySpace& space, double tol) {
   return result;
 }
 
-MetricityResult ComputeMetricityNaive(const DecaySpace& space, double tol) {
-  const int n = space.size();
-  MetricityResult result;
-  for (int x = 0; x < n; ++x) {
-    for (int y = 0; y < n; ++y) {
-      if (y == x) continue;
-      const double a = space(x, y);
-      for (int z = 0; z < n; ++z) {
-        if (z == x || z == y) continue;
-        const double b = space(x, z);
-        const double c = space(z, y);
-        if (a <= b || a <= c) continue;
-        const double zeta = TripletZeta(a, b, c, tol);
-        if (zeta > result.zeta) {
-          result.zeta = zeta;
-          result.arg_x = x;
-          result.arg_y = y;
-          result.arg_z = z;
-        }
-      }
-    }
-  }
-  return result;
-}
-
 double Metricity(const DecaySpace& space, double tol) {
   return ComputeMetricity(space, tol).zeta;
 }
@@ -288,7 +263,7 @@ PhiResult ComputePhi(const DecaySpace& space) {
   // which dwarfs the few-ulp disagreement between `fxz <= g * denom` and
   // `fxz / denom <= g`); everything near or above it is decided by the
   // naive division comparison, so the update sequence -- value and
-  // witness -- matches ComputePhiNaive's exactly.
+  // witness -- matches the exhaustive reference scan's exactly.
   ParallelChunks(n, workers, [&](int chunk, int begin, int end) {
     PhiResult local;
     for (int x = begin; x < end; ++x) {
@@ -363,30 +338,6 @@ PhiResult ComputePhi(const DecaySpace& space) {
       result.arg_x = p.arg_x;
       result.arg_y = p.arg_y;
       result.arg_z = p.arg_z;
-    }
-  }
-  result.phi = result.phi_factor > 0.0 ? std::log2(result.phi_factor) : 0.0;
-  return result;
-}
-
-PhiResult ComputePhiNaive(const DecaySpace& space) {
-  const int n = space.size();
-  PhiResult result;
-  for (int x = 0; x < n; ++x) {
-    for (int z = 0; z < n; ++z) {
-      if (z == x) continue;
-      const double fxz = space(x, z);
-      for (int y = 0; y < n; ++y) {
-        if (y == x || y == z) continue;
-        const double denom = space(x, y) + space(y, z);
-        const double factor = fxz / denom;
-        if (factor > result.phi_factor) {
-          result.phi_factor = factor;
-          result.arg_x = x;
-          result.arg_y = y;
-          result.arg_z = z;
-        }
-      }
     }
   }
   result.phi = result.phi_factor > 0.0 ? std::log2(result.phi_factor) : 0.0;

@@ -39,8 +39,8 @@
 // threads with chunk-local incumbents.  Every prune carries a tolerance
 // slack, so the optimised scans return the *same* extremum and the same
 // witness triplet as the naive references -- exactly, not approximately;
-// the equality tests compare with EXPECT_EQ.  The *Naive variants keep the
-// original exhaustive scans as the reference path for those tests.
+// the equality tests compare with EXPECT_EQ against the original exhaustive
+// scans, which live with the tests (tests/oracles).
 #pragma once
 
 #include "core/decay_space.h"
@@ -68,12 +68,6 @@ struct MetricityResult {
 // core.metricity.{filter_refreshes,exact_prunes,bisections} tally each scan.
 MetricityResult ComputeMetricity(const DecaySpace& space, double tol = 1e-12);
 
-// Reference implementation: bisects every constraining triplet, single
-// threaded, in the original loop order.  Kept for equality tests and
-// speedup benchmarks.
-MetricityResult ComputeMetricityNaive(const DecaySpace& space,
-                                      double tol = 1e-12);
-
 // Convenience: just the number.
 double Metricity(const DecaySpace& space, double tol = 1e-12);
 
@@ -95,11 +89,8 @@ struct PhiResult {
 // inner loops are skipped once the incumbent warms), a multiplication-only
 // per-candidate prune inside surviving blocks, transposed row access for
 // cache locality, and the outer loop split across hardware threads;
-// deterministic result, identical to ComputePhiNaive's.
+// deterministic result, identical to the exhaustive scan's.
 PhiResult ComputePhi(const DecaySpace& space);
-
-// Reference single-threaded exhaustive scan, for tests and benchmarks.
-PhiResult ComputePhiNaive(const DecaySpace& space);
 
 // The a-priori upper bound lg(max f / min f) from the remark after Def. 2.2.
 double MetricityUpperBound(const DecaySpace& space);

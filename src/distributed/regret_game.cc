@@ -6,7 +6,6 @@
 
 #include "core/check.h"
 #include "obs/registry.h"
-#include "sinr/power.h"
 
 namespace decaylib::distributed {
 
@@ -34,80 +33,6 @@ obs::Counter& RegretExactFallbackCounter() {
   static obs::Counter& c = obs::Registry::Global().GetCounter(
       "distributed.regret_exact_fallbacks");
   return c;
-}
-
-// Shared game driver: sender sampling, the multiplicative-weights update and
-// the tail accounting are common code, so at a fixed seed the naive and
-// cached paths draw the identical randomness stream and can only differ
-// through `decide_round(senders, ok)` -- which sets ok[i] to whether
-// senders[i]'s SINR clears beta against the whole round's sender set (the
-// set is fixed before any weight moves).  Senders are listed in ascending
-// link id.
-template <typename DecideRound>
-RegretResult RunRegretLoop(int n, const RegretConfig& config, geom::Rng& rng,
-                           DecideRound&& decide_round) {
-  DL_CHECK(config.rounds >= config.measure_tail && config.measure_tail >= 1,
-           "rounds must cover the measurement tail");
-  DL_CHECK(config.learning_rate > 0.0 && config.learning_rate < 1.0,
-           "learning rate must be in (0,1)");
-  DL_CHECK(std::isfinite(config.failure_penalty) &&
-               config.failure_penalty >= 0.0,
-           "failure penalty must be a non-negative finite cost");
-
-  // Weights for the two actions per link: [transmit, idle].
-  std::vector<double> w_tx(static_cast<std::size_t>(n), 1.0);
-  std::vector<double> w_idle(static_cast<std::size_t>(n), 1.0);
-  // Multiplicative weights on the realised utility of the played action
-  // (+1 on success, -penalty on failure); idle always has utility 0, so
-  // only the transmit weight moves.  exp(lr * 1.0) is exp(lr) bit-for-bit.
-  const double success_factor = std::exp(config.learning_rate);
-  const double failure_factor =
-      std::exp(config.learning_rate * -config.failure_penalty);
-
-  RegretResult result;
-  long long tail_successes = 0;
-  long long tail_transmissions = 0;
-  std::vector<int> senders;
-  std::vector<char> ok;
-  for (int round = 0; round < config.rounds; ++round) {
-    senders.clear();
-    for (int v = 0; v < n; ++v) {
-      const double p = w_tx[static_cast<std::size_t>(v)] /
-                       (w_tx[static_cast<std::size_t>(v)] +
-                        w_idle[static_cast<std::size_t>(v)]);
-      if (rng.Chance(p)) senders.push_back(v);
-    }
-    ok.assign(senders.size(), 0);
-    decide_round(senders, ok);
-    int successes = 0;
-    for (std::size_t i = 0; i < senders.size(); ++i) {
-      const std::size_t v = static_cast<std::size_t>(senders[i]);
-      if (ok[i]) ++successes;
-      w_tx[v] *= ok[i] ? success_factor : failure_factor;
-      // Keep weights bounded for numeric safety.
-      const double scale = w_tx[v] + w_idle[v];
-      if (scale > 1e100 || scale < 1e-100) {
-        w_tx[v] /= scale;
-        w_idle[v] /= scale;
-      }
-    }
-    if (round >= config.rounds - config.measure_tail) {
-      tail_successes += successes;
-      tail_transmissions += static_cast<long long>(senders.size());
-    }
-  }
-  result.average_successes =
-      static_cast<double>(tail_successes) / config.measure_tail;
-  result.transmit_rate = n == 0 ? 0.0
-                                : static_cast<double>(tail_transmissions) /
-                                      (static_cast<double>(config.measure_tail) * n);
-  result.final_transmit_probability.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    result.final_transmit_probability.push_back(
-        w_tx[static_cast<std::size_t>(v)] /
-        (w_tx[static_cast<std::size_t>(v)] + w_idle[static_cast<std::size_t>(v)]));
-  }
-  return result;
 }
 
 // Per-receiver interference sums carried across rounds, each with a
@@ -247,7 +172,7 @@ class InterferenceTracker {
 RegretResult RunRegretGame(const sinr::KernelCache& kernel,
                            const RegretConfig& config, geom::Rng& rng) {
   InterferenceTracker tracker(kernel);
-  RegretResult result = RunRegretLoop(
+  RegretResult result = detail::RunRegretLoop(
       kernel.NumLinks(), config, rng,
       [&](const std::vector<int>& senders, std::vector<char>& ok) {
         tracker.MoveTo(senders);
@@ -257,28 +182,6 @@ RegretResult RunRegretGame(const sinr::KernelCache& kernel,
       });
   tracker.FlushCounters();
   return result;
-}
-
-RegretResult RunRegretGame(const sinr::LinkSystem& system,
-                           const RegretConfig& config, geom::Rng& rng) {
-  if (system.NumLinks() < kRegretKernelCrossover) {
-    return RunRegretGameNaive(system, config, rng);
-  }
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return RunRegretGame(kernel, config, rng);
-}
-
-RegretResult RunRegretGameNaive(const sinr::LinkSystem& system,
-                                const RegretConfig& config, geom::Rng& rng) {
-  const sinr::PowerAssignment power = sinr::UniformPower(system);
-  const double beta = system.config().beta;
-  return RunRegretLoop(
-      system.NumLinks(), config, rng,
-      [&](const std::vector<int>& senders, std::vector<char>& ok) {
-        for (std::size_t i = 0; i < senders.size(); ++i) {
-          ok[i] = system.Sinr(senders[i], senders, power) >= beta;
-        }
-      });
 }
 
 }  // namespace decaylib::distributed

@@ -8,13 +8,16 @@
 #include <utility>
 
 #include "core/check.h"
-#include "sinr/power.h"
 
 namespace decaylib::dynamics {
 
 namespace {
 
 constexpr const char* kSchedulerNames[] = {"lqf", "greedy", "random"};
+
+}  // namespace
+
+namespace detail {
 
 void ValidateConfig(int n, const QueueConfig& config) {
   DL_CHECK(static_cast<int>(config.arrival_rates.size()) == n,
@@ -27,76 +30,6 @@ void ValidateConfig(int n, const QueueConfig& config) {
   }
 }
 
-// Shared simulation driver: arrivals, departures and statistics accounting
-// are common code, so at a fixed seed the naive and cached paths draw the
-// identical randomness stream and can only differ through `schedule` -- the
-// per-slot service-set selection each path implements against its own
-// feasibility machinery.
-template <typename ScheduleSlot>
-QueueStats RunQueueLoop(int n, const QueueConfig& config, geom::Rng& rng,
-                        ScheduleSlot&& schedule) {
-  ValidateConfig(n, config);
-  std::vector<long long> queue(static_cast<std::size_t>(n), 0);
-  QueueStats stats;
-  double backlog_sum = 0.0;
-  double backlog_q3 = 0.0;  // third quarter
-  double backlog_q4 = 0.0;  // fourth quarter
-  // Runs shorter than 4 slots have quarter == 0: every slot would fall into
-  // the "fourth quarter" bucket and the growth ratio would read 1e9
-  // ("unstable") off a trivially stable run.  Such runs skip the quarter
-  // accounting and report the neutral 1.0 below.
-  const int quarter = config.slots / 4;
-  std::vector<int> chosen;
-
-  for (int slot = 0; slot < config.slots; ++slot) {
-    const bool measured = slot >= config.warmup;
-    // Arrivals.
-    for (int v = 0; v < n; ++v) {
-      if (rng.Chance(config.arrival_rates[static_cast<std::size_t>(v)])) {
-        ++queue[static_cast<std::size_t>(v)];
-        ++stats.arrived_total;
-        if (measured) ++stats.arrived_measured;
-      }
-    }
-    // Schedule a service set among backlogged links.
-    chosen.clear();
-    schedule(queue, rng, chosen);
-    for (int v : chosen) {
-      --queue[static_cast<std::size_t>(v)];
-      ++stats.served_total;
-      if (measured) ++stats.served_measured;
-    }
-    const long long backlog =
-        std::accumulate(queue.begin(), queue.end(), 0LL);
-    if (measured) backlog_sum += static_cast<double>(backlog);
-    if (quarter > 0) {
-      if (slot >= 2 * quarter && slot < 3 * quarter) {
-        backlog_q3 += static_cast<double>(backlog);
-      } else if (slot >= 3 * quarter) {
-        backlog_q4 += static_cast<double>(backlog);
-      }
-    }
-  }
-
-  const int measured_slots = config.slots - config.warmup;
-  stats.mean_queue = backlog_sum / measured_slots;
-  stats.throughput =
-      static_cast<double>(stats.served_measured) / measured_slots;
-  stats.mean_delay =
-      stats.throughput > 0.0 ? stats.mean_queue / stats.throughput : 0.0;
-  stats.offered_load = std::accumulate(config.arrival_rates.begin(),
-                                       config.arrival_rates.end(), 0.0);
-  stats.final_queues = std::move(queue);
-  stats.backlog_growth = quarter == 0        ? 1.0
-                         : backlog_q3 > 0.0  ? backlog_q4 / backlog_q3
-                         : backlog_q4 > 0.0  ? 1e9
-                                             : 1.0;
-  return stats;
-}
-
-// The realised random-access transmission set: every backlogged link
-// transmits independently w.p. min(1, c / contention).  Consumes randomness
-// identically on both paths (one Chance per backlogged link, id order).
 void SampleRandomAccessSenders(const std::vector<long long>& queue,
                                double random_access_c, geom::Rng& rng,
                                std::vector<int>& senders) {
@@ -115,7 +48,7 @@ void SampleRandomAccessSenders(const std::vector<long long>& queue,
   }
 }
 
-}  // namespace
+}  // namespace detail
 
 void LongestQueueFirst(std::span<const long long> queue,
                        std::vector<int>& order, std::vector<int>& scratch) {
@@ -212,8 +145,8 @@ QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
         break;
       }
       case Scheduler::kRandomAccess: {
-        SampleRandomAccessSenders(queue, config.random_access_c, slot_rng,
-                                  senders);
+        detail::SampleRandomAccessSenders(queue, config.random_access_c,
+                                          slot_rng, senders);
         // Only links meeting the SINR threshold in the realised transmission
         // set are served.
         for (int v : senders) {
@@ -223,61 +156,7 @@ QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
       }
     }
   };
-  return RunQueueLoop(n, config, rng, schedule);
-}
-
-QueueStats RunQueueSimulation(const sinr::LinkSystem& system,
-                              const QueueConfig& config, geom::Rng& rng) {
-  // Random access checks only the few links that transmit; the kernel
-  // build never pays for itself there.
-  if (config.scheduler == Scheduler::kRandomAccess) {
-    return RunQueueSimulationNaive(system, config, rng);
-  }
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return RunQueueSimulation(kernel, config, rng);
-}
-
-QueueStats RunQueueSimulationNaive(const sinr::LinkSystem& system,
-                                   const QueueConfig& config, geom::Rng& rng) {
-  const int n = system.NumLinks();
-  const sinr::PowerAssignment power = sinr::UniformPower(system);
-  const std::vector<int> decay_order = system.OrderByDecay();
-  std::vector<int> backlogged;
-  std::vector<int> lqf_scratch;
-  std::vector<int> senders;
-
-  const auto schedule = [&](const std::vector<long long>& queue,
-                            geom::Rng& slot_rng, std::vector<int>& chosen) {
-    switch (config.scheduler) {
-      case Scheduler::kLongestQueueFirst: {
-        LongestQueueFirst(queue, backlogged, lqf_scratch);
-        for (int v : backlogged) {
-          chosen.push_back(v);
-          if (!system.IsFeasible(chosen, power)) chosen.pop_back();
-        }
-        break;
-      }
-      case Scheduler::kGreedyByDecay: {
-        for (int v : decay_order) {
-          if (queue[static_cast<std::size_t>(v)] == 0) continue;
-          chosen.push_back(v);
-          if (!system.IsFeasible(chosen, power)) chosen.pop_back();
-        }
-        break;
-      }
-      case Scheduler::kRandomAccess: {
-        SampleRandomAccessSenders(queue, config.random_access_c, slot_rng,
-                                  senders);
-        for (int v : senders) {
-          if (system.Sinr(v, senders, power) >= system.config().beta) {
-            chosen.push_back(v);
-          }
-        }
-        break;
-      }
-    }
-  };
-  return RunQueueLoop(n, config, rng, schedule);
+  return detail::RunQueueLoop(n, config, rng, schedule);
 }
 
 QueueConfig UniformArrivals(const sinr::LinkSystem& system, double lambda,

@@ -19,18 +19,17 @@
 //                            backlogged link transmits w.p. min(1, c/contention)
 //                            independently; collisions serve nothing.
 //
-// The hot path runs on a sinr::KernelCache (one O(n^2) kernel build per
-// instance): greedy admission goes through a FeasibilityAccumulator (one
-// raw in-sum array, O(n) per admission instead of the naive O(|S|^2)
-// re-summation), the LQF order is an allocation-free radix sort
-// (LongestQueueFirst), and the random-access success checks read the
-// cached cross-decay matrix.  The LinkSystem entry point keeps its
-// historical uniform-power semantics by building one kernel and delegating
-// (random access skips the build); the original per-slot implementation
-// survives as RunQueueSimulationNaive, and the cached path is bit-exact
-// against it at a fixed seed (admission decides exactly as the naive
-// push-IsFeasible-pop loop, the Sinr checks are the identical expression,
-// and both paths draw the same randomness stream).
+// The simulation runs on a prebuilt sinr::KernelCache, under its power
+// assignment (UniformPower for the classic setting; one O(n^2) build per
+// instance serves any number of runs): greedy admission goes through a
+// FeasibilityAccumulator (one raw in-sum array, O(n) per admission instead
+// of the naive O(|S|^2) re-summation), the LQF order is an allocation-free
+// radix sort (LongestQueueFirst), and the random-access success checks read
+// the cached cross-decay matrix.  It is bit-exact at a fixed seed against
+// the per-slot LinkSystem reference (tests/oracles): admission decides
+// exactly as the naive push-IsFeasible-pop loop, the Sinr checks are the
+// identical expression, and both draw one randomness stream through the
+// shared driver in `detail` below.
 //
 // Statistics semantics: `*_total` counters cover the WHOLE run including
 // warmup slots; `*_measured` counters and every derived rate (throughput,
@@ -39,9 +38,11 @@
 // slots would mix the cold-start transient into the rate).
 #pragma once
 
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "geom/rng.h"
@@ -105,23 +106,9 @@ struct QueueStats {
 };
 
 // Runs the queueing simulation against a warm kernel (and its power
-// assignment).  One kernel build serves any number of simulations.
+// assignment).
 QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
                               const QueueConfig& config, geom::Rng& rng);
-
-// Historical entry point (uniform power): builds one uniform-power kernel
-// and delegates to the cached overload -- except under kRandomAccess,
-// whose per-slot checks touch only the transmitting links, so a standalone
-// run never recovers the O(n^2) build (it runs the naive reference below).
-// Bit-identical to the naive reference either way.
-QueueStats RunQueueSimulation(const sinr::LinkSystem& system,
-                              const QueueConfig& config, geom::Rng& rng);
-
-// Naive reference (per-slot LinkSystem feasibility/SINR queries under
-// uniform power): kept as the test oracle and bench A/B baseline for the
-// cached path, exactly the pre-kernel behaviour.
-QueueStats RunQueueSimulationNaive(const sinr::LinkSystem& system,
-                                   const QueueConfig& config, geom::Rng& rng);
 
 // The backlogged links (queue > 0) in longest-queue-first order: queue
 // length descending, ties by link id -- std::stable_sort's order over the
@@ -134,5 +121,87 @@ void LongestQueueFirst(std::span<const long long> queue,
 // Convenience: uniform arrival rate lambda on every link (lambda in [0, 1]).
 QueueConfig UniformArrivals(const sinr::LinkSystem& system, double lambda,
                             Scheduler scheduler, int slots = 5000);
+
+namespace detail {
+
+// DL_CHECKs one arrival rate in [0, 1] per link and slots > warmup >= 0.
+void ValidateConfig(int n, const QueueConfig& config);
+
+// The realised random-access transmission set: every backlogged link
+// transmits independently w.p. min(1, c / contention).  Consumes randomness
+// identically on every path (one Chance per backlogged link, id order).
+void SampleRandomAccessSenders(const std::vector<long long>& queue,
+                               double random_access_c, geom::Rng& rng,
+                               std::vector<int>& senders);
+
+// Shared simulation driver: arrivals, departures and statistics accounting
+// are common code, so at a fixed seed the cached path and the per-slot
+// reference (tests/oracles) draw the identical randomness stream and can
+// only differ through `schedule(queue, rng, chosen)` -- the per-slot
+// service-set selection each path implements against its own feasibility
+// machinery.
+template <typename ScheduleSlot>
+QueueStats RunQueueLoop(int n, const QueueConfig& config, geom::Rng& rng,
+                        ScheduleSlot&& schedule) {
+  ValidateConfig(n, config);
+  std::vector<long long> queue(static_cast<std::size_t>(n), 0);
+  QueueStats stats;
+  double backlog_sum = 0.0;
+  double backlog_q3 = 0.0;  // third quarter
+  double backlog_q4 = 0.0;  // fourth quarter
+  // Runs shorter than 4 slots have quarter == 0: every slot would fall into
+  // the "fourth quarter" bucket and the growth ratio would read 1e9
+  // ("unstable") off a trivially stable run.  Such runs skip the quarter
+  // accounting and report the neutral 1.0 below.
+  const int quarter = config.slots / 4;
+  std::vector<int> chosen;
+
+  for (int slot = 0; slot < config.slots; ++slot) {
+    const bool measured = slot >= config.warmup;
+    // Arrivals.
+    for (int v = 0; v < n; ++v) {
+      if (rng.Chance(config.arrival_rates[static_cast<std::size_t>(v)])) {
+        ++queue[static_cast<std::size_t>(v)];
+        ++stats.arrived_total;
+        if (measured) ++stats.arrived_measured;
+      }
+    }
+    // Schedule a service set among backlogged links.
+    chosen.clear();
+    schedule(queue, rng, chosen);
+    for (int v : chosen) {
+      --queue[static_cast<std::size_t>(v)];
+      ++stats.served_total;
+      if (measured) ++stats.served_measured;
+    }
+    const long long backlog =
+        std::accumulate(queue.begin(), queue.end(), 0LL);
+    if (measured) backlog_sum += static_cast<double>(backlog);
+    if (quarter > 0) {
+      if (slot >= 2 * quarter && slot < 3 * quarter) {
+        backlog_q3 += static_cast<double>(backlog);
+      } else if (slot >= 3 * quarter) {
+        backlog_q4 += static_cast<double>(backlog);
+      }
+    }
+  }
+
+  const int measured_slots = config.slots - config.warmup;
+  stats.mean_queue = backlog_sum / measured_slots;
+  stats.throughput =
+      static_cast<double>(stats.served_measured) / measured_slots;
+  stats.mean_delay =
+      stats.throughput > 0.0 ? stats.mean_queue / stats.throughput : 0.0;
+  stats.offered_load = std::accumulate(config.arrival_rates.begin(),
+                                       config.arrival_rates.end(), 0.0);
+  stats.final_queues = std::move(queue);
+  stats.backlog_growth = quarter == 0        ? 1.0
+                         : backlog_q3 > 0.0  ? backlog_q4 / backlog_q3
+                         : backlog_q4 > 0.0  ? 1e9
+                                             : 1.0;
+  return stats;
+}
+
+}  // namespace detail
 
 }  // namespace decaylib::dynamics

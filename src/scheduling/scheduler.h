@@ -7,15 +7,19 @@
 // standard reduction the paper's transfer list relies on ([16, 17, 43]).
 // Two extractors are provided: Algorithm 1 (zeta-aware) and the
 // general-metric greedy baseline.
+//
+// ScheduleLinks and ValidateSchedule are each one template over either
+// kernel backend (sinr/admission.h); one kernel build serves every slot
+// extraction, since the kernels do not depend on the shrinking candidate
+// set.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "capacity/algorithm1.h"
+#include "capacity/baselines.h"
 #include "sinr/admission.h"
-#include "sinr/farfield.h"
-#include "sinr/kernel.h"
-#include "sinr/link_system.h"
 
 namespace decaylib::scheduling {
 
@@ -26,34 +30,31 @@ enum class Extractor {
 
 using Schedule = sinr::SlotSchedule;
 
-// Schedules all candidate links (uniform power).  `zeta` is the metricity of
-// the underlying space (used by Algorithm 1's separation test).  Guarantees
-// termination: if an extraction round returns an empty set while links
-// remain, the shortest remaining link is scheduled alone.  The kernel
-// overloads reuse a prebuilt kernel (e.g. across the tasks of a batched
-// scenario run) and run one loop (sinr/admission.h) over either backend;
-// the LinkSystem signatures build a uniform-power kernel internally and
-// produce identical schedules.
-Schedule ScheduleLinks(const sinr::KernelCache& kernel, double zeta,
-                       Extractor extractor, std::span<const int> candidates);
-Schedule ScheduleLinks(const sinr::FarFieldKernel& kernel, double zeta,
-                       Extractor extractor, std::span<const int> candidates);
+// Schedules all candidate links under the kernel's power (uniform for the
+// paper's setting).  `zeta` is the metricity of the underlying space (used
+// by Algorithm 1's separation test).  Guarantees termination: if an
+// extraction round returns an empty set while links remain, the shortest
+// remaining link is scheduled alone.
+template <sinr::AdmissionKernel Kernel>
+Schedule ScheduleLinks(const Kernel& kernel, double zeta, Extractor extractor,
+                       std::span<const int> candidates) {
+  return sinr::ScheduleByExtraction(
+      kernel, candidates,
+      [&](std::span<const int> remaining) -> std::vector<int> {
+        if (extractor == Extractor::kAlgorithm1) {
+          return capacity::RunAlgorithm1(kernel, zeta, remaining).selected;
+        }
+        return capacity::GreedyFeasible(kernel, remaining);
+      });
+}
 
-Schedule ScheduleLinks(const sinr::LinkSystem& system, double zeta,
-                       Extractor extractor, std::span<const int> candidates);
-
-Schedule ScheduleLinks(const sinr::LinkSystem& system, double zeta,
-                       Extractor extractor);
-
-// True iff every slot is feasible under the kernel's power and the slots
-// partition exactly the given candidate set (the LinkSystem signature uses
-// uniform power; the far-field kernel certifies feasibility).
-bool ValidateSchedule(const sinr::KernelCache& kernel, const Schedule& schedule,
-                      std::span<const int> candidates);
-bool ValidateSchedule(const sinr::FarFieldKernel& kernel,
-                      const Schedule& schedule,
-                      std::span<const int> candidates);
-bool ValidateSchedule(const sinr::LinkSystem& system, const Schedule& schedule,
-                      std::span<const int> candidates);
+// True iff every slot is feasible under the kernel's power (the far-field
+// kernel certifies feasibility) and the slots partition exactly the given
+// candidate set.
+template <sinr::AdmissionKernel Kernel>
+bool ValidateSchedule(const Kernel& kernel, const Schedule& schedule,
+                      std::span<const int> candidates) {
+  return sinr::ValidateSlots(kernel, schedule, candidates);
+}
 
 }  // namespace decaylib::scheduling

@@ -1,5 +1,8 @@
 // The admission loops of the capacity and scheduling layers, written once
-// over either kernel backend.
+// over either kernel backend.  AdmissionKernel names what a backend
+// provides; every capacity and scheduling entry point that runs on both
+// backends (RunAlgorithm1, GreedyFeasible, ScheduleLinks, ValidateSchedule)
+// is one template constrained by it.
 //
 // Every loop here runs against a kernel and the accumulator of its role.
 // Backend<Kernel> names two:
@@ -28,6 +31,7 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <optional>
 #include <set>
 #include <span>
@@ -61,6 +65,20 @@ struct SlotSchedule {
 // plus an IsFeasibleSet(kernel, S) overload for slot validation.
 template <class Kernel>
 struct Backend;
+
+// A kernel the loops below run on: per-link decay and noise queries, the
+// accumulator roles of its Backend, and IsFeasibleSet.
+template <class Kernel>
+concept AdmissionKernel = requires(const Kernel& kernel, int v,
+                                   std::span<const int> S) {
+  typename Backend<Kernel>::Feasibility;
+  typename Backend<Kernel>::Budget;
+  typename Backend<Kernel>::Separation;
+  { kernel.NumLinks() } -> std::convertible_to<int>;
+  { kernel.LinkDecay(v) } -> std::convertible_to<double>;
+  { kernel.CanOvercomeNoise(v) } -> std::convertible_to<bool>;
+  { IsFeasibleSet(kernel, S) } -> std::convertible_to<bool>;
+};
 
 // Works on anything with LinkDecay (LinkSystem too).
 template <class Kernel>

@@ -508,11 +508,12 @@ inline bool IsFeasibleSet(const FarFieldKernel& kernel,
 
 // There is one loop per algorithm (admission.h), run over either backend:
 // capacity::RunAlgorithm1, GreedyFeasible and scheduling::ScheduleLinks /
-// ValidateSchedule have FarFieldKernel overloads, and at epsilon = 0 their
-// outputs are bit-identical to the dense ones over the same geometry.
-// Under kernel_mode=farfield the engine runs algorithm1, greedy and
-// schedule on this kernel; the other task kinds build the dense kernel
-// lazily.  The all-links calls below are shorthands for those loops.
+// ValidateSchedule are single templates over sinr::AdmissionKernel, and at
+// epsilon = 0 their outputs on this kernel are bit-identical to the dense
+// ones over the same geometry.  Under kernel_mode=farfield the engine runs
+// algorithm1, greedy and schedule on this kernel; the other task kinds
+// build the dense kernel lazily.  The all-links shorthands below run the
+// same loops; they stay only because perfbench's traced pass calls them.
 using FarFieldAlg1Result = AdmissionResult;
 using FarFieldSchedule = SlotSchedule;
 

@@ -30,7 +30,7 @@
 //     these: aff_raw from the cross plane, the transpose as a blocked copy
 //     of its bits.
 // The cross plane also backs the CrossDecay query and the normalised-gain
-// kernel of the cached power-control oracle (power_control.h overloads);
+// kernel of the power-control oracles (power_control.h);
 // KernelArena rebuilds a cache slot in place so batched/swept runs stop
 // paying the allocator per instance.
 //
@@ -125,11 +125,10 @@ class KernelCache {
 
   // Normalised-gain kernel of the power-control fixed point (Foschini-
   // Miljanic): B(v, w) = beta * f_vv / f(s_w, r_v), zero diagonal.
-  // Computed on demand from the cached decays and the cross plane with
-  // exactly the per-entry expression FeasibleWithPowerControl's naive path
-  // builds (beta * f_ii / CrossDecay), so the cached fixed point stays
-  // bit-identical -- without charging every KernelCache build an n x n
-  // matrix only the power-control oracle reads.
+  // Computed on demand from the cached decays and the cross plane, with the
+  // expression the LinkSystem methods give (beta * LinkDecay / CrossDecay)
+  // -- without charging every KernelCache build an n x n matrix only the
+  // power-control oracle reads.
   double NormalizedGain(int v, int w) const {
     if (w == v) return 0.0;
     return system_->config().beta * LinkDecay(v) / CrossDecay(w, v);

@@ -12,9 +12,7 @@ namespace {
 // The Foschini-Miljanic loop over a prebuilt normalised-gain matrix B
 // (row-major k x k, flat: the loop runs per admitted link per sweep cell,
 // so the matrix avoids per-row allocations and indirection) and constant
-// term c.  Both the naive and the cached front ends fill (B, c)
-// entry-by-entry with the identical floating-point expression and then call
-// this, so the two paths return bit-identical results by construction.
+// term c.
 PowerControlResult RunFixedPoint(const std::vector<double>& B,
                                  const std::vector<double>& c, double noise,
                                  int max_iterations, double tol) {
@@ -134,36 +132,6 @@ PowerControlResult RunFixedPoint(const std::vector<double>& B,
 
 }  // namespace
 
-PowerControlResult FeasibleWithPowerControl(const LinkSystem& system,
-                                            std::span<const int> S,
-                                            int max_iterations, double tol) {
-  PowerControlResult result;
-  const auto k = S.size();
-  if (k == 0) {
-    result.feasible = true;
-    return result;
-  }
-  const double beta = system.config().beta;
-  const double noise = system.config().noise;
-
-  // Local matrix B[i][j] = beta * G(S[j] -> S[i]) / G(S[i] -> S[i])
-  //                      = beta * f_ii / f_ji  (decay form), zero diagonal.
-  std::vector<double> B(k * k, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const double fii = system.LinkDecay(S[i]);
-    for (std::size_t j = 0; j < k; ++j) {
-      if (i == j) continue;
-      B[i * k + j] = beta * fii / system.CrossDecay(S[j], S[i]);
-    }
-  }
-  // Constant term: beta * N * f_ii.
-  std::vector<double> c(k, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    c[i] = beta * noise * system.LinkDecay(S[i]);
-  }
-  return RunFixedPoint(B, c, noise, max_iterations, tol);
-}
-
 PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
                                             std::span<const int> S,
                                             int max_iterations, double tol) {
@@ -176,9 +144,8 @@ PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
   const double beta = kernel.system().config().beta;
   const double noise = kernel.system().config().noise;
 
-  // The kernel's normalised-gain entries are the naive per-call expression
-  // beta * f_ii / f_ji materialised once; gathering the S x S submatrix is
-  // pure loads.
+  // B[i][j] = beta * G(S[j] -> S[i]) / G(S[i] -> S[i]) = beta * f_ii / f_ji
+  // (decay form, zero diagonal): the kernel's normalised-gain entries.
   std::vector<double> B(k * k, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = 0; j < k; ++j) {
@@ -186,6 +153,7 @@ PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
       B[i * k + j] = kernel.NormalizedGain(S[i], S[j]);
     }
   }
+  // Constant term: beta * N * f_ii.
   std::vector<double> c(k, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
     c[i] = beta * noise * kernel.LinkDecay(S[i]);
@@ -193,30 +161,11 @@ PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
   return RunFixedPoint(B, c, noise, max_iterations, tol);
 }
 
-double PairwiseAffectanceProduct(const LinkSystem& system, int v, int w) {
-  DL_CHECK(v != w, "need two distinct links");
-  const double beta = system.config().beta;
-  return beta * beta * system.LinkDecay(v) * system.LinkDecay(w) /
-         (system.CrossDecay(v, w) * system.CrossDecay(w, v));
-}
-
 double PairwiseAffectanceProduct(const KernelCache& kernel, int v, int w) {
   DL_CHECK(v != w, "need two distinct links");
   const double beta = kernel.system().config().beta;
   return beta * beta * kernel.LinkDecay(v) * kernel.LinkDecay(w) /
          (kernel.CrossDecay(v, w) * kernel.CrossDecay(w, v));
-}
-
-bool HasPairwiseObstruction(const LinkSystem& system, std::span<const int> S) {
-  const double beta = system.config().beta;
-  for (std::size_t i = 0; i < S.size(); ++i) {
-    for (std::size_t j = i + 1; j < S.size(); ++j) {
-      if (PairwiseAffectanceProduct(system, S[i], S[j]) > beta * beta) {
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 bool HasPairwiseObstruction(const KernelCache& kernel,

@@ -16,17 +16,16 @@
 //    pair, no power assignment serves both links (the product is
 //    power-invariant).
 //
-// Every oracle has a cached overload running on sinr::KernelCache (the
-// normalised-gain and cross-decay kernels turn the per-call matrix build
-// into O(1) loads); both paths share one fixed-point loop and return
-// bit-identical results.
+// Every oracle runs on a prebuilt sinr::KernelCache: the normalised-gain
+// and cross-decay kernels turn the per-call matrix build into O(1) loads.
+// All three are power-invariant, so any kernel over the system serves
+// (KernelCache(system, UniformPower(system)) when there is no other).
 #pragma once
 
 #include <optional>
 #include <span>
 
 #include "sinr/kernel.h"
-#include "sinr/link_system.h"
 
 namespace decaylib::sinr {
 
@@ -41,10 +40,6 @@ struct PowerControlResult {
 // the recursion is linear and the growth rate of ||P|| estimates the
 // spectral radius; feasibility is declared when the iteration contracts
 // (radius < 1 - tol) and denied when it expands.
-PowerControlResult FeasibleWithPowerControl(const LinkSystem& system,
-                                            std::span<const int> S,
-                                            int max_iterations = 10000,
-                                            double tol = 1e-9);
 PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
                                             std::span<const int> S,
                                             int max_iterations = 10000,
@@ -53,12 +48,10 @@ PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
 // The power-invariant pairwise product beta^2 f_vv f_ww / (f_vw f_wv).
 // > beta^2 (strictly, in the no-noise model) implies l_v and l_w cannot
 // coexist under any power assignment.
-double PairwiseAffectanceProduct(const LinkSystem& system, int v, int w);
 double PairwiseAffectanceProduct(const KernelCache& kernel, int v, int w);
 
 // True iff some pair in S has PairwiseAffectanceProduct > threshold
 // (defaults to beta^2): a certificate that S is infeasible under any power.
-bool HasPairwiseObstruction(const LinkSystem& system, std::span<const int> S);
 bool HasPairwiseObstruction(const KernelCache& kernel, std::span<const int> S);
 
 }  // namespace decaylib::sinr

@@ -36,8 +36,9 @@ struct Instance {
 TEST(AmicabilityTest, WitnessStructure) {
   const Instance inst(30, 20.0, 3.0, 1);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const double zeta = std::max(1.0, core::Metricity(inst.space));
-  const auto S = GreedyFeasible(system);
+  const auto S = GreedyFeasible(kernel, sinr::AllLinks(system));
   ASSERT_GE(S.size(), 3u);
   const auto witness = BuildAmicabilityWitness(system, S, zeta);
 
@@ -66,8 +67,9 @@ TEST(AmicabilityTest, OutAffectanceBoundedByTheorem4Constant) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Instance inst(24, 18.0, 3.0, seed);
     const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
     const double zeta = std::max(1.0, core::Metricity(inst.space));
-    const auto S = GreedyFeasible(system);
+    const auto S = GreedyFeasible(kernel, sinr::AllLinks(system));
     if (S.size() < 2) continue;
     const auto witness = BuildAmicabilityWitness(system, S, zeta);
     EXPECT_LE(witness.max_out_affectance, kBound) << "seed " << seed;
@@ -89,8 +91,9 @@ TEST(AmicabilityTest, ShrinkFactorIsModest) {
   // below |S| (trivial) and typically below a small polynomial in zeta.
   const Instance inst(40, 22.0, 4.0, 2);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const double zeta = std::max(1.0, core::Metricity(inst.space));
-  const auto S = GreedyFeasible(system);
+  const auto S = GreedyFeasible(kernel, sinr::AllLinks(system));
   ASSERT_GE(S.size(), 4u);
   const auto witness = BuildAmicabilityWitness(system, S, zeta);
   ASSERT_FALSE(witness.s_prime.empty());

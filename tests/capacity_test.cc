@@ -44,7 +44,8 @@ struct Instance {
 TEST(Algorithm1Test, OutputIsFeasible) {
   const Instance inst(20, 25.0, 3.0, 1);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-  const auto result = RunAlgorithm1(system, 3.0);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto result = RunAlgorithm1(kernel, 3.0);
   const auto power = sinr::UniformPower(system);
   EXPECT_TRUE(system.IsFeasible(result.selected, power));
   EXPECT_FALSE(result.selected.empty());
@@ -53,7 +54,8 @@ TEST(Algorithm1Test, OutputIsFeasible) {
 TEST(Algorithm1Test, SelectedSubsetOfAdmitted) {
   const Instance inst(20, 25.0, 3.0, 2);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-  const auto result = RunAlgorithm1(system, 3.0);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto result = RunAlgorithm1(kernel, 3.0);
   const std::set<int> admitted(result.admitted.begin(), result.admitted.end());
   for (int v : result.selected) EXPECT_TRUE(admitted.count(v));
 }
@@ -63,7 +65,8 @@ TEST(Algorithm1Test, MarkovHalfSurvives) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Instance inst(24, 20.0, 3.5, seed);
     const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-    const auto result = RunAlgorithm1(system, 3.5);
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+    const auto result = RunAlgorithm1(kernel, 3.5);
     EXPECT_GE(2 * result.selected.size(), result.admitted.size())
         << "seed " << seed;
   }
@@ -72,16 +75,18 @@ TEST(Algorithm1Test, MarkovHalfSurvives) {
 TEST(Algorithm1Test, AdmittedSetIsSeparated) {
   const Instance inst(24, 20.0, 3.0, 3);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const double zeta = 3.0;
-  const auto result = RunAlgorithm1(system, zeta);
+  const auto result = RunAlgorithm1(kernel, zeta);
   EXPECT_TRUE(system.IsSeparatedSet(result.admitted, zeta / 2.0, zeta));
 }
 
 TEST(Algorithm1Test, EmptyCandidatesGiveEmptyResult) {
   const Instance inst(5, 10.0, 3.0, 4);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const std::vector<int> none;
-  const auto result = RunAlgorithm1(system, 3.0, none);
+  const auto result = RunAlgorithm1(kernel, 3.0, none);
   EXPECT_TRUE(result.selected.empty());
   EXPECT_TRUE(result.admitted.empty());
 }
@@ -89,7 +94,8 @@ TEST(Algorithm1Test, EmptyCandidatesGiveEmptyResult) {
 TEST(BaselinesTest, GreedyFeasibleIsFeasibleAndMaximal) {
   const Instance inst(18, 18.0, 3.0, 5);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-  const auto chosen = GreedyFeasible(system);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto chosen = GreedyFeasible(kernel, sinr::AllLinks(system));
   const auto power = sinr::UniformPower(system);
   EXPECT_TRUE(system.IsFeasible(chosen, power));
   // Maximality: adding any unchosen link breaks feasibility.
@@ -105,16 +111,18 @@ TEST(BaselinesTest, GreedyFeasibleIsFeasibleAndMaximal) {
 TEST(BaselinesTest, HalfAffectanceIsFeasible) {
   const Instance inst(18, 18.0, 3.0, 6);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-  const auto chosen = GreedyHalfAffectance(system);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto chosen = GreedyHalfAffectance(kernel, sinr::AllLinks(system));
   EXPECT_TRUE(system.IsFeasible(chosen, sinr::UniformPower(system)));
 }
 
 TEST(BaselinesTest, RandomFeasibleIsFeasible) {
   const Instance inst(18, 18.0, 3.0, 7);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   geom::Rng rng(8);
   const auto all = sinr::AllLinks(system);
-  const auto chosen = RandomFeasible(system, all, rng);
+  const auto chosen = RandomFeasible(kernel, all, rng);
   EXPECT_TRUE(system.IsFeasible(chosen, sinr::UniformPower(system)));
 }
 
@@ -122,10 +130,12 @@ TEST(ExactTest, SmallInstanceDominatesHeuristics) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Instance inst(12, 10.0, 3.0, seed);
     const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
     const auto opt = ExactCapacityUniform(system);
     EXPECT_TRUE(system.IsFeasible(opt, sinr::UniformPower(system)));
-    EXPECT_GE(opt.size(), GreedyFeasible(system).size());
-    EXPECT_GE(opt.size(), RunAlgorithm1(system, 3.0).selected.size());
+    EXPECT_GE(opt.size(),
+              GreedyFeasible(kernel, sinr::AllLinks(system)).size());
+    EXPECT_GE(opt.size(), RunAlgorithm1(kernel, 3.0).selected.size());
   }
 }
 

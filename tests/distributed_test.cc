@@ -11,6 +11,7 @@
 #include "distributed/regret_game.h"
 #include "geom/samplers.h"
 #include "obs/registry.h"
+#include "oracles/oracles.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
 #include "spaces/constructions.h"
@@ -169,9 +170,10 @@ TEST(ContentionTest, DenseInstanceTakesLonger) {
 TEST(RegretGameTest, ConvergesToPositiveThroughput) {
   const LinkFixture fixture(8, 15.0);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   RegretConfig config;
   geom::Rng rng(7);
-  const RegretResult result = RunRegretGame(system, config, rng);
+  const RegretResult result = RunRegretGame(kernel, config, rng);
   EXPECT_GT(result.average_successes, 1.0);  // well-separated: most succeed
   EXPECT_LE(result.average_successes, 8.0);
   ASSERT_EQ(result.final_transmit_probability.size(), 8u);
@@ -197,11 +199,12 @@ TEST(RegretGameTest, CrowdedLinksBackOff) {
   }
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
   const sinr::LinkSystem system(space, links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   RegretConfig config;
   config.rounds = 4000;
   config.measure_tail = 1000;
   geom::Rng rng(9);
-  const RegretResult result = RunRegretGame(system, config, rng);
+  const RegretResult result = RunRegretGame(kernel, config, rng);
   EXPECT_LE(result.average_successes, 2.0);
 }
 
@@ -209,33 +212,30 @@ TEST(RegretGameTest, CrowdedLinksBackOff) {
 // seed: identical randomness stream, identical success verdicts, identical
 // tail averages and final transmit probabilities.
 TEST(RegretGameTest, CachedPathBitIdenticalToNaive) {
-  for (const double spread : {2.0, 15.0}) {  // crowded and well-separated
-    const LinkFixture fixture(8, spread);
-    const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
-    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-    RegretConfig config;
-    config.rounds = 800;
-    config.measure_tail = 200;
-    config.failure_penalty = 0.7;
+  // The kernel path runs at every size, small ones included.
+  for (const int n : {2, 3, 5, 8}) {
+    for (const double spread : {2.0, 15.0}) {  // crowded and well-separated
+      SCOPED_TRACE(testing::Message() << "n " << n << " spread " << spread);
+      const LinkFixture fixture(n, spread);
+      const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+      const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+      RegretConfig config;
+      config.rounds = 800;
+      config.measure_tail = 200;
+      config.failure_penalty = 0.7;
 
-    geom::Rng rng_naive(31);
-    const RegretResult naive = RunRegretGameNaive(system, config, rng_naive);
-    geom::Rng rng_cached(31);
-    const RegretResult cached = RunRegretGame(kernel, config, rng_cached);
-    EXPECT_TRUE(naive == cached);  // whole struct, covers future fields
-    EXPECT_EQ(naive.average_successes, cached.average_successes);
-    EXPECT_EQ(naive.transmit_rate, cached.transmit_rate);
-    EXPECT_EQ(naive.final_transmit_probability,
-              cached.final_transmit_probability);
-    // The historical LinkSystem entry point delegates to the same path.
-    geom::Rng rng_entry(31);
-    const RegretResult entry = RunRegretGame(system, config, rng_entry);
-    EXPECT_EQ(naive.average_successes, entry.average_successes);
-    EXPECT_EQ(naive.final_transmit_probability,
-              entry.final_transmit_probability);
+      geom::Rng rng_naive(31);
+      const RegretResult naive = RunRegretGameNaive(system, config, rng_naive);
+      geom::Rng rng_cached(31);
+      const RegretResult cached = RunRegretGame(kernel, config, rng_cached);
+      EXPECT_TRUE(naive == cached);  // whole struct, covers future fields
+      EXPECT_EQ(naive.average_successes, cached.average_successes);
+      EXPECT_EQ(naive.transmit_rate, cached.transmit_rate);
+      EXPECT_EQ(naive.final_transmit_probability,
+                cached.final_transmit_probability);
+    }
   }
 }
-
 
 // The certified incremental path of RunRegretGame(KernelCache): every
 // receiver's interference sum is carried across rounds with a rounding

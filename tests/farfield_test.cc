@@ -904,6 +904,57 @@ TEST(FarFieldEngineTest, CertifiedModeAggregatesStayWithinEpsilon) {
   }
 }
 
+// Every far-field aggregate is a count or a flag (alg1_size, alg1_admitted,
+// greedy_size, schedule_slots, the feasibility flags), each from decisions
+// that equal dense outside the 1e-9 band, so at epsilon > 0 the aggregates
+// of the epsilon-bounded test above equal dense exactly, spec and grid.
+void ExpectAggregatesEqual(const engine::ScenarioResult& dense,
+                           const engine::ScenarioResult& farfield) {
+  ASSERT_EQ(dense.aggregate.size(), farfield.aggregate.size());
+  for (std::size_t i = 0; i < dense.aggregate.size(); ++i) {
+    const auto& [name, ds] = dense.aggregate[i];
+    const auto& [fname, fs] = farfield.aggregate[i];
+    EXPECT_EQ(name, fname);
+    EXPECT_EQ(ds.count, fs.count) << name;
+    EXPECT_EQ(ds.sum, fs.sum) << name;
+    EXPECT_EQ(ds.min, fs.min) << name;
+    EXPECT_EQ(ds.max, fs.max) << name;
+  }
+}
+
+TEST(FarFieldEngineTest, CertifiedModeAggregatesEqualDense) {
+  engine::ScenarioSpec spec;
+  spec.name = "farfield_engine_eps";
+  spec.topology = "uniform";
+  spec.links = 20;
+  spec.instances = 2;
+  spec.seed = 778;
+  const engine::BatchRunner runner({.threads = 1});
+  const std::vector<engine::ScenarioResult> dense =
+      runner.Run(std::vector<engine::ScenarioSpec>{spec});
+  const sweep::SweepResult dense_grid =
+      RunPooled(FarFieldGrid(engine::KernelMode::kDense, 0.0));
+  for (const double eps : {1e-3, 1e-1}) {
+    SCOPED_TRACE(testing::Message() << "epsilon " << eps);
+    engine::ScenarioSpec ff_spec = spec;
+    ff_spec.kernel_mode = engine::KernelMode::kFarField;
+    ff_spec.farfield_epsilon = eps;
+    const std::vector<engine::ScenarioResult> farfield =
+        runner.Run(std::vector<engine::ScenarioSpec>{ff_spec});
+    ASSERT_EQ(dense.size(), farfield.size());
+    ExpectAggregatesEqual(dense[0], farfield[0]);
+
+    const sweep::SweepResult ff_grid =
+        RunPooled(FarFieldGrid(engine::KernelMode::kFarField, eps));
+    ASSERT_EQ(dense_grid.cells.size(), ff_grid.cells.size());
+    for (std::size_t c = 0; c < dense_grid.cells.size(); ++c) {
+      SCOPED_TRACE(dense_grid.cells[c].cell.spec.name);
+      ExpectAggregatesEqual(dense_grid.cells[c].result,
+                            ff_grid.cells[c].result);
+    }
+  }
+}
+
 // One engine-generated uniform instance at a size where most sender and
 // receiver cells pool (the 20-link engine tests above barely pool at all):
 // BuildGeometry's min-decay pairing, the instance's own config and zeta.

@@ -25,6 +25,7 @@
 #include "geom/rng.h"
 #include "geom/samplers.h"
 #include "obs/registry.h"
+#include "oracles/oracles.h"
 #include "sinr/power.h"
 #include "spaces/samplers.h"
 
@@ -514,7 +515,8 @@ TEST_P(CachedAlgorithmAgreement, RunAlgorithm1MatchesNaive) {
       const core::DecaySpace space = core::DecaySpace::Geometric(pts, alpha);
       const LinkSystem system(space, PairedLinks(24), {1.0, 1e-4});
       const double zeta = alpha;
-      const auto cached = capacity::RunAlgorithm1(system, zeta);
+      const KernelCache kernel(system, UniformPower(system));
+      const auto cached = capacity::RunAlgorithm1(kernel, zeta);
       const auto naive = capacity::RunAlgorithm1Naive(system, zeta);
       EXPECT_EQ(cached.admitted, naive.admitted)
           << "alpha=" << alpha << " box=" << box;
@@ -541,7 +543,8 @@ TEST_P(CachedAlgorithmAgreement, GreedyFeasibleMatchesNaiveReference) {
     if (!system.IsFeasible(reference, power)) reference.pop_back();
   }
 
-  EXPECT_EQ(capacity::GreedyFeasible(system), reference);
+  const KernelCache kernel(system, power);
+  EXPECT_EQ(capacity::GreedyFeasible(kernel, AllLinks(system)), reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CachedAlgorithmAgreement,

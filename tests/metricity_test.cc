@@ -10,6 +10,7 @@
 #include "geom/rng.h"
 #include "geom/samplers.h"
 #include "obs/registry.h"
+#include "oracles/oracles.h"
 #include "spaces/constructions.h"
 #include "spaces/samplers.h"
 

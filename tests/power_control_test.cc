@@ -18,17 +18,19 @@ TEST(PowerControlTest, EmptyAndSingletonAreFeasible) {
   core::DecaySpace space(2, 5.0);
   space.SetSymmetric(0, 1, 2.0);
   const LinkSystem system(space, {{0, 1}}, {2.0, 0.0});
+  const KernelCache kernel(system, UniformPower(system));
   const std::vector<int> empty;
-  EXPECT_TRUE(FeasibleWithPowerControl(system, empty).feasible);
+  EXPECT_TRUE(FeasibleWithPowerControl(kernel, empty).feasible);
   const std::vector<int> one{0};
-  EXPECT_TRUE(FeasibleWithPowerControl(system, one).feasible);
+  EXPECT_TRUE(FeasibleWithPowerControl(kernel, one).feasible);
 }
 
 TEST(PowerControlTest, WellSeparatedPairFeasible) {
   const std::vector<geom::Vec2> pts{{0, 0}, {1, 0}, {50, 0}, {51, 0}};
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 2.0);
   const LinkSystem system(space, {{0, 1}, {2, 3}}, {2.0, 0.0});
-  const auto result = FeasibleWithPowerControl(system, AllLinks(system));
+  const KernelCache kernel(system, UniformPower(system));
+  const auto result = FeasibleWithPowerControl(kernel, AllLinks(system));
   EXPECT_TRUE(result.feasible);
   EXPECT_LT(result.spectral_radius_estimate, 1.0);
 }
@@ -42,9 +44,10 @@ TEST(PowerControlTest, CrossedPairInfeasibleUnderAnyPower) {
   space.Set(0, 3, 1.0);             // s0 close to r1
   space.Set(2, 1, 1.0);             // s1 close to r0
   const LinkSystem system(space, {{0, 1}, {2, 3}}, {1.0, 0.0});
-  EXPECT_GT(PairwiseAffectanceProduct(system, 0, 1), 1.0);
-  EXPECT_TRUE(HasPairwiseObstruction(system, AllLinks(system)));
-  const auto result = FeasibleWithPowerControl(system, AllLinks(system));
+  const KernelCache kernel(system, UniformPower(system));
+  EXPECT_GT(PairwiseAffectanceProduct(kernel, 0, 1), 1.0);
+  EXPECT_TRUE(HasPairwiseObstruction(kernel, AllLinks(system)));
+  const auto result = FeasibleWithPowerControl(kernel, AllLinks(system));
   EXPECT_FALSE(result.feasible);
 }
 
@@ -55,9 +58,10 @@ TEST(PowerControlTest, NestedLinksNeedPowerControl) {
   const std::vector<geom::Vec2> pts{{0, 0}, {20, 0}, {10, 0}, {10.5, 0}};
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
   const LinkSystem system(space, {{0, 1}, {2, 3}}, {1.0, 0.0});
+  const KernelCache kernel(system, UniformPower(system));
   const std::vector<int> both{0, 1};
   EXPECT_FALSE(system.IsSinrFeasible(both, UniformPower(system)));
-  const auto result = FeasibleWithPowerControl(system, both);
+  const auto result = FeasibleWithPowerControl(kernel, both);
   EXPECT_TRUE(result.feasible);
   // The returned power favours the long link.
   ASSERT_EQ(result.power.size(), 2u);
@@ -72,6 +76,7 @@ TEST(PowerControlTest, UniformFeasibleImpliesPowerControlFeasible) {
     std::vector<Link> links;
     for (int i = 0; i < 6; ++i) links.push_back({2 * i, 2 * i + 1});
     const LinkSystem system(space, links, {1.0, 0.0});
+    const KernelCache kernel(system, UniformPower(system));
     // Find a uniform-feasible subset greedily.
     const PowerAssignment uniform = UniformPower(system);
     std::vector<int> S;
@@ -80,7 +85,7 @@ TEST(PowerControlTest, UniformFeasibleImpliesPowerControlFeasible) {
       if (!system.IsFeasible(S, uniform)) S.pop_back();
     }
     if (S.size() >= 2) {
-      EXPECT_TRUE(FeasibleWithPowerControl(system, S).feasible)
+      EXPECT_TRUE(FeasibleWithPowerControl(kernel, S).feasible)
           << "trial " << trial;
     }
   }
@@ -90,7 +95,8 @@ TEST(PowerControlTest, ReturnedPowerIsNormalized) {
   const std::vector<geom::Vec2> pts{{0, 0}, {1, 0}, {30, 0}, {31, 0}};
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 2.0);
   const LinkSystem system(space, {{0, 1}, {2, 3}}, {2.0, 0.0});
-  const auto result = FeasibleWithPowerControl(system, AllLinks(system));
+  const KernelCache kernel(system, UniformPower(system));
+  const auto result = FeasibleWithPowerControl(kernel, AllLinks(system));
   ASSERT_TRUE(result.feasible);
   double top = 0.0;
   for (double p : result.power) top = std::max(top, p);
@@ -101,7 +107,8 @@ TEST(PowerControlTest, WithNoiseConvergesToFiniteAssignment) {
   const std::vector<geom::Vec2> pts{{0, 0}, {1, 0}, {40, 0}, {41, 0}};
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 2.0);
   const LinkSystem system(space, {{0, 1}, {2, 3}}, {2.0, 1e-4});
-  const auto result = FeasibleWithPowerControl(system, AllLinks(system));
+  const KernelCache kernel(system, UniformPower(system));
+  const auto result = FeasibleWithPowerControl(kernel, AllLinks(system));
   EXPECT_TRUE(result.feasible);
   // The fixed point must actually satisfy the SINR constraints.
   PowerAssignment full(2, 0.0);
@@ -119,15 +126,41 @@ TEST(PairwiseObstructionTest, CleanPairHasNoObstruction) {
   const std::vector<geom::Vec2> pts{{0, 0}, {1, 0}, {50, 0}, {51, 0}};
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 2.0);
   const LinkSystem system(space, {{0, 1}, {2, 3}}, {2.0, 0.0});
-  EXPECT_FALSE(HasPairwiseObstruction(system, AllLinks(system)));
+  const KernelCache kernel(system, UniformPower(system));
+  EXPECT_FALSE(HasPairwiseObstruction(kernel, AllLinks(system)));
 }
 
-// --- cached (KernelCache) power control vs the naive LinkSystem path -------
+// --- the kernel oracles vs per-query LinkSystem references ----------------
 //
-// The cached oracles run on the kernel's normalised-gain / cross-decay
-// matrices; the contract is bit-for-bit agreement with the naive versions
-// (EXPECT_EQ on doubles), on random instances across noise regimes and
-// subset sizes.
+// The oracles run on the kernel's normalised-gain / cross-decay matrices;
+// the contract is bit-for-bit agreement with the same expressions built
+// from the LinkSystem methods (EXPECT_EQ on doubles), on random instances
+// across noise regimes and subset sizes.
+
+// The fixed point with (B, c) built from the LinkSystem and one row at a
+// time (defined below).
+PowerControlResult ReferenceFixedPoint(const LinkSystem& system,
+                                       std::span<const int> S,
+                                       int max_iterations = 10000,
+                                       double tol = 1e-9);
+
+double ReferencePairwiseProduct(const LinkSystem& system, int v, int w) {
+  const double beta = system.config().beta;
+  return beta * beta * system.LinkDecay(v) * system.LinkDecay(w) /
+         (system.CrossDecay(v, w) * system.CrossDecay(w, v));
+}
+
+bool ReferenceObstruction(const LinkSystem& system, std::span<const int> S) {
+  const double beta = system.config().beta;
+  for (std::size_t i = 0; i < S.size(); ++i) {
+    for (std::size_t j = i + 1; j < S.size(); ++j) {
+      if (ReferencePairwiseProduct(system, S[i], S[j]) > beta * beta) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
 
 TEST(CachedPowerControlTest, MatchesNaiveOnRandomInstances) {
   geom::Rng rng(7);
@@ -145,7 +178,7 @@ TEST(CachedPowerControlTest, MatchesNaiveOnRandomInstances) {
     for (int v = 0; v < link_count; ++v) {
       for (int w = 0; w < link_count; ++w) {
         if (v == w) continue;
-        EXPECT_EQ(PairwiseAffectanceProduct(system, v, w),
+        EXPECT_EQ(ReferencePairwiseProduct(system, v, w),
                   PairwiseAffectanceProduct(kernel, v, w))
             << "trial " << trial << " pair " << v << "," << w;
       }
@@ -155,10 +188,10 @@ TEST(CachedPowerControlTest, MatchesNaiveOnRandomInstances) {
     std::vector<int> S;
     for (int v = 0; v < link_count; ++v) {
       S.push_back(v);
-      EXPECT_EQ(HasPairwiseObstruction(system, S),
+      EXPECT_EQ(ReferenceObstruction(system, S),
                 HasPairwiseObstruction(kernel, S))
           << "trial " << trial << " |S|=" << S.size();
-      const PowerControlResult naive = FeasibleWithPowerControl(system, S);
+      const PowerControlResult naive = ReferenceFixedPoint(system, S);
       const PowerControlResult cached = FeasibleWithPowerControl(kernel, S);
       EXPECT_EQ(naive.feasible, cached.feasible)
           << "trial " << trial << " |S|=" << S.size();
@@ -185,7 +218,7 @@ TEST(CachedPowerControlTest, MatchesNaiveThroughArenaRebuild) {
   arena.Rebuild(system, UniformPower(system));  // dirty the slot
   const KernelCache& kernel = arena.Rebuild(system, UniformPower(system));
   const std::vector<int> all = AllLinks(system);
-  const PowerControlResult naive = FeasibleWithPowerControl(system, all);
+  const PowerControlResult naive = ReferenceFixedPoint(system, all);
   const PowerControlResult cached = FeasibleWithPowerControl(kernel, all);
   EXPECT_EQ(naive.feasible, cached.feasible);
   EXPECT_EQ(naive.iterations, cached.iterations);
@@ -193,16 +226,15 @@ TEST(CachedPowerControlTest, MatchesNaiveThroughArenaRebuild) {
   for (std::size_t i = 0; i < naive.power.size(); ++i) {
     EXPECT_EQ(naive.power[i], cached.power[i]) << "entry " << i;
   }
-  EXPECT_EQ(HasPairwiseObstruction(system, all),
+  EXPECT_EQ(ReferenceObstruction(system, all),
             HasPairwiseObstruction(kernel, all));
 }
 
 // --- the interleaved fixed point vs a one-row-at-a-time loop ---------------
 //
-// Both front ends share the fixed-point loop, so the cached-vs-naive tests
-// above cannot see a fault in its four-row matvec.  ReferenceFixedPoint is
-// that loop with one row at a time: the same expression per entry, the same
-// exits.  Every field must agree bitwise for every row count mod 4.
+// ReferenceFixedPoint is the library's loop with one row at a time: the
+// same expression per entry, the same exits.  Every field of the four-row
+// matvec's result must agree bitwise for every row count mod 4.
 
 PowerControlResult ReferenceFixedPoint(const LinkSystem& system,
                                        std::span<const int> S,
@@ -302,6 +334,7 @@ TEST(PowerControlFixedPointTest, InterleavedRowsMatchOneRowLoopBitwise) {
     for (int i = 0; i < 9; ++i) links.push_back({2 * i, 2 * i + 1});
     for (const double noise : {0.0, 1e-4}) {
       const LinkSystem system(space, links, {1.0, noise});
+      const KernelCache kernel(system, UniformPower(system));
       std::vector<int> S;
       for (int v = 0; v < 9; ++v) {
         S.push_back(v);  // k = 1..9: every row count mod 4
@@ -310,7 +343,7 @@ TEST(PowerControlFixedPointTest, InterleavedRowsMatchOneRowLoopBitwise) {
           const PowerControlResult ref =
               ReferenceFixedPoint(system, S, cap, 1e-9);
           const PowerControlResult got =
-              FeasibleWithPowerControl(system, S, cap, 1e-9);
+              FeasibleWithPowerControl(kernel, S, cap, 1e-9);
           EXPECT_EQ(got.feasible, ref.feasible)
               << "trial " << trial << " noise " << noise << " k " << S.size();
           EXPECT_EQ(got.iterations, ref.iterations);

@@ -79,8 +79,9 @@ TEST(RayleighTest, FeasibleSetsKeepConstantSuccessProbability) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Fixture fixture(10, 20.0, seed);
     const LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
     const PowerAssignment power = UniformPower(system);
-    const auto S = capacity::GreedyFeasible(system);
+    const auto S = capacity::GreedyFeasible(kernel, sinr::AllLinks(system));
     for (int v : S) {
       const double p = RayleighSuccessProbability(system, v, S, power);
       EXPECT_GE(p, std::exp(-1.0) - 1e-9)

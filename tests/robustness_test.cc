@@ -3,6 +3,9 @@
 // state preconditions, and here enforce them).
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "auction/auction.h"
 #include "core/decay_space.h"
 #include "core/fading.h"
 #include "core/metricity.h"
@@ -10,7 +13,9 @@
 #include "death_test_util.h"
 #include "geom/rng.h"
 #include "graph/graph.h"
+#include "sinr/kernel.h"
 #include "sinr/link_system.h"
+#include "sinr/power.h"
 #include "spaces/constructions.h"
 
 namespace decaylib {
@@ -99,6 +104,18 @@ TEST(LinkSystemDeathTest, NoiseFactorNeedsNoiseMargin) {
   const sinr::LinkSystem system(space, {{0, 1}}, {2.0, 1.0});
   const sinr::PowerAssignment power{1.0};  // signal 0.1 < beta * noise = 2
   EXPECT_DEATH(system.NoiseFactor(0, power), "threshold");
+}
+
+TEST(AuctionDeathTest, CriticalBidNeedsOneBidPerLink) {
+  SKIP_IF_DL_CHECK_OFF();
+  const core::DecaySpace space = spaces::UniformSpace(4);
+  const sinr::LinkSystem system(space, {{0, 1}, {2, 3}}, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  // A short span: bids[1] would be read out of range.
+  const std::vector<double> short_bids{2.0};
+  EXPECT_DEATH(auction::CriticalBid(kernel, short_bids, 1), "one bid per link");
+  const std::vector<double> long_bids{2.0, 1.0, 3.0};
+  EXPECT_DEATH(auction::CriticalBid(kernel, long_bids, 0), "one bid per link");
 }
 
 TEST(StarSpaceDeathTest, RejectsDegenerateParameters) {

@@ -39,7 +39,8 @@ TEST(WeightedTest, TotalWeightSums) {
 TEST(WeightedTest, GreedyIsFeasibleAndCountsWeight) {
   const Fixture fixture(14, 15.0, 1);
   const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
-  const auto result = WeightedGreedy(system, fixture.weights);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto result = WeightedGreedy(kernel, fixture.weights);
   EXPECT_TRUE(system.IsFeasible(result.selected,
                                 sinr::UniformPower(system)));
   EXPECT_NEAR(result.weight, TotalWeight(result.selected, fixture.weights),
@@ -50,8 +51,9 @@ TEST(WeightedTest, GreedyIsFeasibleAndCountsWeight) {
 TEST(WeightedTest, Algorithm1VariantIsFeasible) {
   const Fixture fixture(14, 15.0, 2);
   const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const double zeta = std::max(1.0, core::Metricity(fixture.space));
-  const auto result = WeightedAlgorithm1(system, fixture.weights, zeta);
+  const auto result = WeightedAlgorithm1(kernel, fixture.weights, zeta);
   EXPECT_TRUE(system.IsFeasible(result.selected,
                                 sinr::UniformPower(system)));
 }
@@ -60,10 +62,11 @@ TEST(WeightedTest, ExactDominatesHeuristics) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Fixture fixture(12, 10.0, seed);
     const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
     const auto exact = ExactWeightedCapacity(system, fixture.weights);
-    const auto greedy = WeightedGreedy(system, fixture.weights);
+    const auto greedy = WeightedGreedy(kernel, fixture.weights);
     const double zeta = std::max(1.0, core::Metricity(fixture.space));
-    const auto alg1 = WeightedAlgorithm1(system, fixture.weights, zeta);
+    const auto alg1 = WeightedAlgorithm1(kernel, fixture.weights, zeta);
     EXPECT_GE(exact.weight, greedy.weight - 1e-9) << "seed " << seed;
     EXPECT_GE(exact.weight, alg1.weight - 1e-9) << "seed " << seed;
     EXPECT_TRUE(system.IsFeasible(exact.selected,
@@ -96,9 +99,10 @@ TEST(WeightedTest, HeavyLinkDominatesWhenConflicting) {
 TEST(WeightedTest, ZeroWeightLinksNeverSelected) {
   const Fixture fixture(8, 12.0, 9);
   const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   std::vector<double> weights(8, 0.0);
   weights[3] = 2.0;
-  const auto greedy = WeightedGreedy(system, weights);
+  const auto greedy = WeightedGreedy(kernel, weights);
   EXPECT_EQ(greedy.selected, (std::vector<int>{3}));
   const auto exact = ExactWeightedCapacity(system, weights);
   EXPECT_EQ(exact.selected, (std::vector<int>{3}));

@@ -162,6 +162,12 @@ const std::vector<RuleDef>& RuleTable() {
        "decay-lint allow annotation",
        {"src/obs/"},
        {}},
+      {"oracle-in-src",
+       "naive reference oracles (identifiers ending in Naive or Rescan) "
+       "live with the tests in tests/oracles/, not in the library under "
+       "src/",
+       {},
+       {}},
   };
   return kRules;
 }
@@ -205,6 +211,11 @@ const std::regex& ClockRe() {
       R"(|\b(?:clock_gettime|gettimeofday|localtime|gmtime|mktime)\b)"
       R"(|\bstd\s*::\s*time\b|\btime\s*\(\s*(?:nullptr|NULL|0)\s*\))"
       R"(|\bclock\s*\(\s*\))");
+  return re;
+}
+
+const std::regex& OracleRe() {
+  static const std::regex re(R"(\b[A-Za-z_]\w*(?:Naive|Rescan)\b)");
   return re;
 }
 
@@ -327,6 +338,12 @@ std::vector<Finding> LintContent(const std::string& label,
       report(i, "clock-read",
              "clock read outside src/obs/; wall time in algorithm code "
              "breaks checkpoint/resume replay determinism");
+    }
+    if (effective.rfind("src/", 0) == 0 &&
+        std::regex_search(code, OracleRe())) {
+      report(i, "oracle-in-src",
+             "naive reference oracle in src/; move it to tests/oracles/ "
+             "(shared drivers go in the module header's detail section)");
     }
 
     // unordered-iteration: remember declared names, then flag any loop or

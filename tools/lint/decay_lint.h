@@ -29,6 +29,10 @@
 //                        inside algorithm code would make checkpoint/resume
 //                        and replay non-deterministic.  Timing surfaces in
 //                        the engine/sweep layers carry explicit annotations.
+//   oracle-in-src        no identifier ending in Naive or Rescan under src/:
+//                        the naive reference oracles live with the tests
+//                        (tests/oracles/), so the library holds only
+//                        production code.
 //
 // Suppression works at two granularities, always inside comments:
 //   // decay-lint: allow(<rule>) -- <reason>            same or previous line

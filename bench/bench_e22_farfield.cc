@@ -13,8 +13,9 @@
 //   (d) engine instances (BuildGeometry, uniform, min-decay pairing) at n
 //       and n-large: the tasks kernel_mode=farfield runs -- Algorithm 1,
 //       scheduling by repeated extraction, and schedule validation -- with
-//       each run's refined cells and exact fallbacks; at n every result is
-//       asserted equal to the dense one.
+//       each run's exact fallbacks and pyramid nodes visited per check
+//       (validation: per member set-feasibility check); at n every result
+//       is asserted equal to the dense one.
 // Certified-decision hit rates (accepts/rejects decided by the pooled
 // interval vs exact fallbacks) and the cell-pyramid nodes visited per check
 // are read from the sinr.farfield_* obs counters and also land in the BENCH
@@ -24,7 +25,8 @@
 // needs no timing.
 //
 // Flags: --n <links> (default 1024), --n-large <links> (default 4096),
-//        --n-xl <links> (default 16384), --epsilon <eps> (default 1e-3),
+//        --n-xl <links> (default 16384), --epsilon <eps> (default 1e-3;
+//        0 runs every query exact, any value above 0 pools),
 //        plus the obs::BenchHarness flags --json (write BENCH_E22.json,
 //        schema v2), --reps/--warmup/--min-time-ms (sampling control).
 //
@@ -69,7 +71,6 @@ struct FarFieldCounters {
   long long accepts = 0;
   long long rejects = 0;
   long long fallbacks = 0;
-  long long refined = 0;
   long long visited = 0;
 
   static FarFieldCounters Snapshot() {
@@ -77,17 +78,16 @@ struct FarFieldCounters {
             CounterValue("sinr.farfield_certified_accepts"),
             CounterValue("sinr.farfield_certified_rejects"),
             CounterValue("sinr.farfield_exact_fallbacks"),
-            CounterValue("sinr.farfield_refined_cells"),
             CounterValue("sinr.farfield_cells_visited")};
   }
   FarFieldCounters Delta(const FarFieldCounters& before) const {
     return {checks - before.checks,   accepts - before.accepts,
             rejects - before.rejects, fallbacks - before.fallbacks,
-            refined - before.refined, visited - before.visited};
+            visited - before.visited};
   }
   // Pyramid nodes visited per certified decision (accept, reject or exact
   // fallback).  A greedy admission check settles exactly one; a validated
-  // slot settles one per member and walks no pyramid.
+  // slot settles one per member, each from its own sender-pyramid walk.
   double VisitedPerCheck() const {
     const long long decisions = accepts + rejects + fallbacks;
     return decisions > 0 ? static_cast<double>(visited) /
@@ -100,12 +100,11 @@ void PrintHitRates(const char* tag, const FarFieldCounters& d) {
   const double denom = d.checks > 0 ? static_cast<double>(d.checks) : 1.0;
   std::printf(
       "%s: %lld certified checks (%.1f%% accept / %.1f%% reject via the "
-      "pooled interval, %.1f%% exact fallbacks), %lld cells refined, "
-      "%.1f cells visited per check\n",
+      "pooled interval, %.1f%% exact fallbacks), %.1f cells visited per "
+      "check\n",
       tag, d.checks, 100.0 * static_cast<double>(d.accepts) / denom,
       100.0 * static_cast<double>(d.rejects) / denom,
-      100.0 * static_cast<double>(d.fallbacks) / denom, d.refined,
-      d.VisitedPerCheck());
+      100.0 * static_cast<double>(d.fallbacks) / denom, d.VisitedPerCheck());
 }
 
 }  // namespace
@@ -322,7 +321,7 @@ int main(int argc, char** argv) {
                 "schedule, validate\n\n",
                 epsilon);
     bench::Table table({"phase", "n", "far-field ms", "dense ms",
-                        "refined cells", "exact fallbacks", "visited/check"});
+                        "exact fallbacks", "visited/check"});
     for (const bool small : {true, false}) {
       const int n = small ? n_small : n_large;
       const std::string tag = small ? "_small" : "_large";
@@ -354,7 +353,6 @@ int main(int argc, char** argv) {
         delta.accepts = d["sinr.farfield_certified_accepts"];
         delta.rejects = d["sinr.farfield_certified_rejects"];
         delta.fallbacks = d["sinr.farfield_exact_fallbacks"];
-        delta.refined = d["sinr.farfield_refined_cells"];
         delta.visited = d["sinr.farfield_cells_visited"];
         return std::make_pair(std::move(result), delta);
       };
@@ -414,7 +412,7 @@ int main(int argc, char** argv) {
                            const FarFieldCounters& c) {
         table.AddRow({phase, std::to_string(n), bench::Fmt(ff_ms, 2),
                       small ? bench::Fmt(dense_ms, 2) : "-",
-                      std::to_string(c.refined), std::to_string(c.fallbacks),
+                      std::to_string(c.fallbacks),
                       bench::Fmt(c.VisitedPerCheck(), 1)});
       };
       row("Algorithm 1", alg1_ms, dense_alg1_ms, alg1_counts);
@@ -445,7 +443,8 @@ int main(int argc, char** argv) {
       "\nExpected shape: the build + admission row clears 5x over dense at "
       "n ~ 4k (growing\nwith n), with certified decisions deciding almost "
       "every check and exact fallbacks\nrare; tier (c) runs where the dense "
-      "kernel cannot allocate; in (d) validation refines\nno cell on "
-      "uniform instances.\n");
+      "kernel cannot allocate; in (d) validation decides\neach member "
+      "from a sender-pyramid walk of a few dozen nodes, with no exact "
+      "fallback on\nuniform instances.\n");
   return report.Close();
 }

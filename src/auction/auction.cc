@@ -35,8 +35,15 @@ double CriticalBid(const sinr::KernelCache& kernel,
   // the smaller id (stable tie-break on original index).  That predicate is
   // monotone along `others` (sorted by bid desc, ties by id asc), so p(bid)
   // is a partition point.
+  //
+  // Others with a non-positive bid never win, and never precede the link at
+  // a positive bid (the only bids probed past the first check), so they are
+  // dropped up front.
   std::vector<int> others = detail::BidOrder(bids);
   others.erase(std::find(others.begin(), others.end(), link));
+  std::erase_if(others, [&](int o) {
+    return bids[static_cast<std::size_t>(o)] <= 0.0;
+  });
   const int m = static_cast<int>(others.size());
 
   // Forward-only admission snapshot over the first base_pos others.  A
@@ -48,18 +55,6 @@ double CriticalBid(const sinr::KernelCache& kernel,
   int base_pos = 0;
   int known_win = -1;    // largest position with a winning verdict
   int known_lose = m + 1;  // smallest position with a losing verdict
-
-  // Replays DetermineWinners' admission over others[from, to), resuming
-  // from the snapshot's accumulator.
-  const auto advance = [&](sinr::FeasibilityAccumulator& acc, int from,
-                           int to) {
-    for (int i = from; i < to; ++i) {
-      const int o = others[static_cast<std::size_t>(i)];
-      if (bids[static_cast<std::size_t>(o)] <= 0.0) continue;
-      if (!kernel.CanOvercomeNoise(o)) continue;
-      if (acc.CanAddFeasibly(o)) acc.Add(o);
-    }
-  };
 
   return detail::BisectCriticalBid(bids, tol, [&](double bid) {
     // Same per-link skips DetermineWinners applies when it reaches the link.
@@ -77,8 +72,15 @@ double CriticalBid(const sinr::KernelCache& kernel,
     // affectance sums only grow, so admission can only flip win -> lose.
     if (p <= known_win) return true;
     if (p >= known_lose) return false;
+    // Replays DetermineWinners' admission over others[base_pos, p),
+    // resuming from the snapshot's accumulator.
     probe = base;
-    advance(probe, base_pos, p);
+    sinr::AdmitWhileFeasible(
+        kernel,
+        std::span<const int>(others).subspan(
+            static_cast<std::size_t>(base_pos),
+            static_cast<std::size_t>(p - base_pos)),
+        probe);
     const bool win = probe.CanAddFeasibly(link);
     if (win) {
       known_win = p;

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/check.h"
+#include "sinr/admission.h"
 
 namespace decaylib::dynamics {
 
@@ -115,32 +116,26 @@ QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
   std::vector<int> lqf_scratch;
   std::vector<int> senders;
 
-  // Greedy admission against the running raw in-sums: O(|S|) per probe and
-  // O(n) per admission, deciding exactly as the naive push-IsFeasible-pop
-  // loop (kernel.h's CanAddFeasibly contract; the noise check is the
-  // candidate's own clause of the naive feasibility scan).
-  const auto admit = [&](int v) {
-    if (kernel.CanOvercomeNoise(v) && admitted.CanAddFeasibly(v)) {
-      admitted.Add(v);
-    }
-  };
-
+  // Each slot's greedy admission runs sinr::AdmitWhileFeasible over the
+  // backlogged links into one reused accumulator: O(|S|) per probe and O(n)
+  // per admission, deciding exactly as the naive push-IsFeasible-pop loop.
   const auto schedule = [&](const std::vector<long long>& queue,
                             geom::Rng& slot_rng, std::vector<int>& chosen) {
     switch (config.scheduler) {
       case Scheduler::kLongestQueueFirst: {
         LongestQueueFirst(queue, backlogged, lqf_scratch);
         admitted.Clear();
-        for (int v : backlogged) admit(v);
+        sinr::AdmitWhileFeasible(kernel, backlogged, admitted);
         chosen.assign(admitted.members().begin(), admitted.members().end());
         break;
       }
       case Scheduler::kGreedyByDecay: {
-        admitted.Clear();
+        backlogged.clear();
         for (int v : decay_order) {
-          if (queue[static_cast<std::size_t>(v)] == 0) continue;
-          admit(v);
+          if (queue[static_cast<std::size_t>(v)] > 0) backlogged.push_back(v);
         }
+        admitted.Clear();
+        sinr::AdmitWhileFeasible(kernel, backlogged, admitted);
         chosen.assign(admitted.members().begin(), admitted.members().end());
         break;
       }

@@ -85,12 +85,13 @@ struct DynamicsSpec {
 //     bit-exactness reference every other mode is gated against).
 //   * kFarField: the matrix-free sinr::FarFieldKernel for the tasks that
 //     support it (algorithm1, greedy, schedule) -- O(n) memory, pooled
-//     distant-cell affectance with certified relative error
-//     farfield_epsilon; at epsilon == 0 every query is exact and results
-//     are bit-identical to dense.  Requires a coordinate-backed,
+//     distant-cell affectance certified per decision; farfield_epsilon is
+//     a switch: 0 makes every query exact (results bit-identical to
+//     dense), any value above 0 pools.  Requires a coordinate-backed,
 //     shadowing-free spec with uniform base power (sigma_db == 0,
 //     power_tau == 0; ValidateScenarioSpec rejects the rest).  Tasks
-//     without a far-field path still build the dense kernel lazily (its
+//     without a far-field path (weighted, partitions, power_control, queue,
+//     regret) still build the dense kernel lazily (its
 //     private link planes fill the decay matrix and gather from it), and
 //     the matrix is filled only when something reads it (BuildGeometry),
 //     so an instance whose tasks all run far-field stays O(n) end to end.
@@ -130,9 +131,9 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
 
   // Kernel path (non-geometric: two specs differing only here share a
-  // GeometryKey).  farfield_epsilon is the certified relative error bound
-  // of pooled far-field affectance queries; 0 forces every query exact
-  // (dense-bit-identical results).  Ignored under kDense.
+  // GeometryKey).  farfield_epsilon is a switch: 0 makes every far-field
+  // query exact (dense-bit-identical results), any value above 0 pools;
+  // decisions equal dense either way.  Ignored under kDense.
   KernelMode kernel_mode = KernelMode::kDense;
   double farfield_epsilon = 1e-3;
 

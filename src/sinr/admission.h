@@ -93,16 +93,25 @@ std::vector<int> DecayOrder(const Kernel& kernel,
 
 // The accumulator check reproduces, bit for bit, the naive
 // push-IsFeasible-pop loop: in-affectance sums accumulate in admission
-// order, and the candidate's own row adds a trailing 0.
+// order, and the candidate's own row adds a trailing 0.  This form admits
+// into a caller-owned accumulator, on top of the members it already holds,
+// so a caller can resume an admission (the auction's critical bid) or
+// reuse one accumulator across rounds (the queue's slots).
 template <class Kernel>
-std::vector<int> AdmitWhileFeasible(const Kernel& kernel,
-                                    std::span<const int> order) {
-  typename Backend<Kernel>::Feasibility acc(kernel);
+void AdmitWhileFeasible(const Kernel& kernel, std::span<const int> order,
+                        typename Backend<Kernel>::Feasibility& acc) {
   for (int v : order) {
     if (acc.Contains(v)) continue;  // duplicate candidate ids admit once
     if (!kernel.CanOvercomeNoise(v)) continue;
     if (acc.CanAddFeasibly(v)) acc.Add(v);
   }
+}
+
+template <class Kernel>
+std::vector<int> AdmitWhileFeasible(const Kernel& kernel,
+                                    std::span<const int> order) {
+  typename Backend<Kernel>::Feasibility acc(kernel);
+  AdmitWhileFeasible(kernel, order, acc);
   return acc.members();
 }
 

@@ -56,12 +56,6 @@ obs::Counter& FarFieldCellsVisitedCounter() {
   return counter;
 }
 
-obs::Counter& FarFieldRefinedCellCounter() {
-  static obs::Counter& counter =
-      obs::Registry::Global().GetCounter("sinr.farfield_refined_cells");
-  return counter;
-}
-
 geom::UniformGrid MakeGrid(std::span<const geom::Vec2> pts, int target) {
   std::vector<int> ids(pts.size());
   std::iota(ids.begin(), ids.end(), 0);
@@ -116,7 +110,6 @@ void FarFieldKernel::Init(FarFieldConfig farfield) {
   DL_CHECK(std::isfinite(farfield.epsilon) && farfield.epsilon >= 0.0,
            "far-field epsilon must be finite and >= 0");
   DL_CHECK(static_cast<int>(power_.size()) == n_, "one power entry per link");
-  epsilon_ = farfield.epsilon;
   alpha_int_ = (alpha_ == std::rint(alpha_) && alpha_ >= 1.0 && alpha_ <= 16.0)
                    ? static_cast<int>(alpha_)
                    : 0;
@@ -132,6 +125,7 @@ void FarFieldKernel::Init(FarFieldConfig farfield) {
       break;
     }
   }
+  pooling_ = uniform_power_ && farfield.epsilon > 0.0;
 
   link_decay_.resize(n);
   can_overcome_.resize(n);
@@ -153,8 +147,7 @@ void FarFieldKernel::Init(FarFieldConfig farfield) {
 
   // Exact near ring radius R0 = diag / (2^{1/alpha} - 1): beyond it,
   // d_hi <= d_lo + diag <= d_lo * 2^{1/alpha}, so a pooled leaf's
-  // upper/lower contribution ratio (d_hi/d_lo)^alpha is at most 2 and
-  // refinement halves the residual width geometrically.
+  // upper/lower contribution ratio (d_hi/d_lo)^alpha is at most 2.
   const double ring =
       std::sqrt(2.0) / (std::pow(2.0, 1.0 / alpha_) - 1.0);
   const geom::UniformGrid sender_grid =
@@ -316,136 +309,33 @@ double FarFieldKernel::InAffectanceRawExact(std::span<const int> S,
   return total;
 }
 
-FarFieldKernel::SenderGroups FarFieldKernel::GroupBySenderCell(
-    std::span<const int> S) const {
-  const std::size_t num_cells =
-      static_cast<std::size_t>(senders_py_.leaves);
-  SenderGroups g;
-  g.offset.assign(num_cells + 1, 0);
-  for (int w : S) {
-    ++g.offset[static_cast<std::size_t>(
-                   senders_py_.leaf_of[static_cast<std::size_t>(w)]) +
-               1];
-  }
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    if (g.offset[c + 1] > 0) g.cells.push_back(static_cast<int>(c));
-    g.offset[c + 1] += g.offset[c];
-  }
-  g.ids.resize(S.size());
-  std::vector<int> cursor(g.offset.begin(), g.offset.end() - 1);
-  for (int w : S) {
-    const std::size_t c =
-        static_cast<std::size_t>(senders_py_.leaf_of[static_cast<std::size_t>(w)]);
-    g.ids[static_cast<std::size_t>(cursor[c]++)] = w;
-  }
-  return g;
-}
-
-template <class Done>
-FarFieldKernel::Interval FarFieldKernel::RefineInAffectance(
-    const SenderGroups& groups, int v, Done done,
-    std::vector<PooledCell>* far) const {
-  const std::size_t sv = static_cast<std::size_t>(v);
-  const geom::Vec2 p = receivers_[sv];
-  const double k = cf_[sv];
-  const int own = senders_py_.leaf_of[sv];
-  // Near + refined cells, summed pairwise through the cheap bound spelling
-  // (AffectanceNear): the sum only feeds the guarded certified interval,
-  // and undecided callers re-fold with the exact path anyway.
-  const auto pairwise = [&](int c) {
-    double sum = 0.0;
-    for (int i = groups.offset[static_cast<std::size_t>(c)];
-         i < groups.offset[static_cast<std::size_t>(c) + 1]; ++i) {
-      sum += AffectanceNear(groups.ids[static_cast<std::size_t>(i)], v);
-    }
-    return sum;
-  };
-  double near_sum = 0.0;
-  far->clear();
-  for (int c : groups.cells) {
-    double lo = 0.0;
-    double hi = 0.0;
-    BoxDistance(senders_py_.nodes[static_cast<std::size_t>(c)], p, &lo, &hi);
-    // v's own sender cell is never pooled: its entries equal to v must
-    // contribute 0, as in the dense row, and AffectanceNear says so.
-    if (lo <= senders_py_.near || c == own) {
-      near_sum += pairwise(c);
-      continue;
-    }
-    const double cnt =
-        static_cast<double>(groups.offset[static_cast<std::size_t>(c) + 1] -
-                            groups.offset[static_cast<std::size_t>(c)]);
-    far->push_back({c, cnt * (k / BoundPow(hi)), cnt * (k / BoundPow(lo))});
-  }
-
-  // Adaptive refinement: convert the widest pooled cell to pairwise terms
-  // until the caller's stop condition holds.  Totals are resummed per
-  // round so the bounds never inherit subtraction cancellation.
-  Interval out;
-  for (;;) {
-    double far_lo = 0.0;
-    double far_hi = 0.0;
-    for (const PooledCell& f : *far) {
-      far_lo += f.lo;
-      far_hi += f.hi;
-    }
-    out.lower = (near_sum + far_lo) * (1.0 - kGuard);
-    out.upper = (near_sum + far_hi) * (1.0 + kGuard);
-    if (far->empty() || done(out)) break;
-    std::size_t widest = 0;
-    for (std::size_t i = 1; i < far->size(); ++i) {
-      if ((*far)[i].hi - (*far)[i].lo >
-          (*far)[widest].hi - (*far)[widest].lo) {
-        widest = i;
-      }
-    }
-    near_sum += pairwise((*far)[widest].cell);
-    (*far)[widest] = far->back();
-    far->pop_back();
-    FarFieldRefinedCellCounter().Add();
-  }
-  return out;
-}
-
-FarFieldKernel::Interval FarFieldKernel::CertifiedInAffectance(
-    std::span<const int> S, int v) const {
-  const std::size_t sv = static_cast<std::size_t>(v);
-  if (!can_overcome_[sv]) return {0.0, 0.0};
-  if (!uniform_power_ || epsilon_ == 0.0) {
-    const double e = InAffectanceRawExact(S, v);
-    return {e, e};
-  }
-  const auto narrow_enough = [&](const Interval& b) {
-    return b.upper - b.lower <= epsilon_ * b.lower;
-  };
-  std::vector<PooledCell> far;
-  return RefineInAffectance(GroupBySenderCell(S), v, narrow_enough, &far);
-}
-
 bool FarFieldKernel::IsFeasibleCertified(std::span<const int> S) const {
-  const bool pooled = epsilon_ > 0.0 && uniform_power_;
-  SenderGroups groups;
-  std::vector<PooledCell> far;
-  if (pooled) groups = GroupBySenderCell(S);
-  // Refine only while the interval straddles the decision band: no width
-  // beyond that changes the decision.
-  const auto decided = [](const Interval& b) {
-    return b.upper <= 1.0 - kBand || b.lower > 1.0 + kBand;
-  };
   for (int v : S) {
     if (!CanOvercomeNoise(v)) return false;
-    if (pooled) {
-      const Interval b = RefineInAffectance(groups, v, decided, &far);
-      if (b.upper <= 1.0 - kBand) {
-        FarFieldCertifiedAcceptCounter().Add();
-        continue;
+  }
+  if (pooling_) {
+    // One accumulator over S in S order: each member's in-sum is then
+    // certified by the sender-pyramid walk candidates use, and its in-band
+    // CatchUp replays exactly the S-order fold below.
+    FarFieldAccumulator acc(*this);
+    bool repeats = false;
+    for (int w : S) {
+      if (acc.Contains(w)) {
+        repeats = true;
+        break;
       }
-      if (b.lower > 1.0 + kBand) {
-        FarFieldCertifiedRejectCounter().Add();
-        return false;
-      }
-      FarFieldExactFallbackCounter().Add();
+      acc.Add(w);
     }
+    if (!repeats) {
+      for (int v : S) {
+        if (!acc.InRawWithinOne(v)) return false;
+      }
+      return true;
+    }
+  }
+  // The exact fold: epsilon = 0, non-uniform power, or a set that repeats
+  // an id (the dense row fold counts each repeat).
+  for (int v : S) {
     if (InAffectanceRawExact(S, v) > 1.0) return false;
   }
   return true;
@@ -554,15 +444,22 @@ void FarFieldAccumulator::CatchUp(int w) const {
   upto_[sw] = static_cast<int>(end);
 }
 
+FarFieldKernel::Interval FarFieldAccumulator::MemberInRawBounds(
+    int v, bool (*done)(const FarFieldKernel::Interval&)) const {
+  DL_CHECK(Contains(v), "far-field sums are member-only");
+  DL_CHECK(Pooling(), "member bounds pool: uniform power and epsilon > 0");
+  constexpr Term kTerms[] = {Term::kInRaw};
+  return CandidateBounds(v, kTerms, done);
+}
+
 bool FarFieldAccumulator::InWithinOne(int v) const {
   DL_CHECK(Contains(v), "far-field sums are member-only");
   const std::size_t sv = static_cast<std::size_t>(v);
   if (Pooling()) {
     // Clamped sum <= raw sum <= upper: v's raw in-sum interval certifies
     // acceptance only (a raw sum above 1 may still clamp to at most 1).
-    constexpr Term kTerms[] = {Term::kInRaw};
     const FarFieldKernel::Interval b =
-        CandidateBounds(v, kTerms, [](const FarFieldKernel::Interval& i) {
+        MemberInRawBounds(v, [](const FarFieldKernel::Interval& i) {
           return i.upper <= 1.0 - FarFieldKernel::kBand;
         });
     if (b.upper <= 1.0 - FarFieldKernel::kBand) {
@@ -573,6 +470,28 @@ bool FarFieldAccumulator::InWithinOne(int v) const {
   }
   CatchUp(v);
   return in_m_[sv] <= 1.0;
+}
+
+bool FarFieldAccumulator::InRawWithinOne(int v) const {
+  DL_CHECK(Contains(v), "far-field sums are member-only");
+  if (Pooling()) {
+    const FarFieldKernel::Interval b =
+        MemberInRawBounds(v, [](const FarFieldKernel::Interval& i) {
+          return i.upper <= 1.0 - FarFieldKernel::kBand ||
+                 i.lower > 1.0 + FarFieldKernel::kBand;
+        });
+    if (b.upper <= 1.0 - FarFieldKernel::kBand) {
+      FarFieldCertifiedAcceptCounter().Add();
+      return true;
+    }
+    if (b.lower > 1.0 + FarFieldKernel::kBand) {
+      FarFieldCertifiedRejectCounter().Add();
+      return false;
+    }
+    FarFieldExactFallbackCounter().Add();
+  }
+  CatchUp(v);
+  return in_raw_m_[static_cast<std::size_t>(v)] <= 1.0;
 }
 
 // --- FarFieldFeasibilityAccumulator --------------------------------------
@@ -657,19 +576,27 @@ bool FarFieldAccumulator::Open(Term term, int node, int v,
   const bool out = term == Term::kOutClamped;
   const FarFieldKernel::Pyramid& py = out ? k.receivers_py_ : k.senders_py_;
   const std::size_t sn = static_cast<std::size_t>(node);
-  const int members = out ? rnode_count_[sn] : snode_count_[sn];
+  const std::size_t sv = static_cast<std::size_t>(v);
+  int members = out ? rnode_count_[sn] : snode_count_[sn];
+  // A member's in-sum leaves the member out, as its 0 self-term in the
+  // dense row does: its own sender leaf runs pairwise, and every ancestor
+  // of that leaf pools one member fewer.  Parents are laid out above their
+  // children, so the chain reaches `node` or passes it.
+  bool own = false;
+  if (!out && members > 0 && in_set_[sv]) {
+    int a = py.leaf_of[sv];
+    while (a < node) a = py.parent[static_cast<std::size_t>(a)];
+    own = a == node;
+    if (own) --members;
+  }
   if (members == 0) return true;
   ++visited_;
-  const std::size_t sv = static_cast<std::size_t>(v);
   double lo = 0.0;
   double hi = 0.0;
   FarFieldKernel::BoxDistance(py.nodes[sn], out ? k.senders_[sv] : k.receivers_[sv],
                               &lo, &hi);
   const bool leaf = py.IsLeaf(node);
-  // A member's own sender leaf always runs pairwise, where its self-term is
-  // 0 as in the dense row (pooled, the leaf would count it).
-  if (leaf && (lo <= py.near ||
-               (!out && in_set_[sv] && node == k.senders_py_.leaf_of[sv]))) {
+  if (leaf && (lo <= py.near || own)) {
     // The cheap bound spelling; in-band callers re-fold exact.
     double sum = 0.0;
     if (term == Term::kInRaw) {

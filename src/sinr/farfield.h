@@ -21,17 +21,13 @@
 //     evaluated pairwise with geom::GeometricDecay -- the same expression
 //     DecaySpace::Geometric feeds the dense path, so the exact terms are
 //     bit-identical to the dense matrix entries.  Beyond R0 a cell's
-//     upper/lower contribution ratio is at most (1 + diag/d_lo)^alpha <= 2,
-//     so adaptive refinement (converting the widest pooled cell to exact)
-//     converges geometrically to any requested width.
-//   * CertifiedInAffectance refines until upper - lower <= epsilon * lower;
-//     the guard adds at most ~3e-9 * upper of slack on top.  Decisions
-//     never ask for that width: IsFeasibleCertified runs the same
-//     refinement loop but stops as soon as the interval clears the
-//     decision band (below), which on typical inputs is before any cell
-//     is refined at all.
+//     upper/lower contribution ratio is at most (1 + diag/d_lo)^alpha <= 2.
+//   * No query asks for a width: each stops as soon as its interval clears
+//     the decision band (below), and one that cannot falls back to the
+//     exact fold.
 //
-// The cell pyramid (candidate queries of FarFieldAccumulator):
+// The cell pyramid (every certified query: FarFieldAccumulator's candidate
+// checks, its member queries and IsFeasibleCertified):
 //   * Each endpoint grid carries a static pyramid, an implicit quadtree:
 //     level 0 holds the occupied cells, each level above merges the 2 x 2
 //     blocks of the level below, up to one root, and every node keeps the
@@ -60,8 +56,10 @@
 //     when it does not; bench_e22_farfield prints the visited nodes per
 //     check (sinr.farfield_cells_visited).  The same walk, with its own
 //     stop rule, seeds a new member's in-sum bracket for the headroom test
-//     and certifies Algorithm 1's final filter over the whole set, so the
-//     budget role keeps no per-member bracket and its Add is O(levels).
+//     and certifies Algorithm 1's final filter and set feasibility over the
+//     whole set, so the budget role keeps no per-member bracket and its Add
+//     is O(levels).  A member's walk leaves the member itself out: its own
+//     sender leaf runs pairwise and each ancestor pools count - 1.
 //     Separation prunes every node whose box lies beyond the separation
 //     radius from both endpoints, so it visits the ancestors of the few
 //     leaves near the candidate.
@@ -76,18 +74,18 @@
 //   * epsilon = 0: every query below runs the exact expressions in the
 //     dense iteration order -- results are bit-identical to KernelCache and
 //     the dense accumulators, and so are RunAlgorithm1 / ScheduleLinks.
-//   * epsilon > 0: threshold *decisions* (feasibility vs 1, Algorithm 1's
-//     budget vs 0.5 and its final a_X(v) <= 1 filter, separation) are taken
-//     from the certified interval only when it clears the threshold by an
-//     absolute 1e-9 band; otherwise the decision falls back to the exact
-//     dense expression in the dense summation order.  The final filter
-//     reads the member's eagerly maintained raw in-sum bracket and can only
-//     certify acceptance (the clamped sum is at most the raw one); a member
-//     whose bracket reaches the band is caught up to its exact fold.
-//     Decisions therefore still match the dense path except for inputs
-//     engineered to sit within ~1e-9 of a threshold (the same caveat
-//     SeparationOracle already carries), while the *reported aggregate
-//     sums* may differ by the certified epsilon.
+//   * epsilon > 0 pools (its value is not read: 0 is the exact oracle,
+//     anything above it the pooled mode).  Threshold *decisions*
+//     (feasibility vs 1, Algorithm 1's budget vs 0.5 and its final
+//     a_X(v) <= 1 filter, separation) are taken from the certified
+//     interval only when it clears the threshold by an absolute 1e-9 band;
+//     otherwise the decision falls back to the exact dense expression in
+//     the dense summation order.  The final filter can only certify
+//     acceptance from the member's raw in-sum interval (the clamped sum is
+//     at most the raw one).  Decisions equal dense, and so does every
+//     aggregate built from them, except for inputs engineered to sit within
+//     ~1e-9 of a threshold (the same caveat SeparationOracle already
+//     carries).
 //
 // Pooling requires uniform power (the per-pair factor P_w / P_v would
 // otherwise vary inside a cell); non-uniform assignments silently use the
@@ -108,8 +106,8 @@
 namespace decaylib::sinr {
 
 struct FarFieldConfig {
-  // Certified relative width target for bound queries; 0 disables pooling
-  // entirely and makes every path exact (bit-identical to dense).
+  // A switch: 0 makes every query exact (bit-identical to dense), and any
+  // value above 0 pools.  Only whether it is 0 is read.
   double epsilon = 1e-3;
   // Grid occupancy target; coarser cells mean fewer cells to pool but a
   // larger exact near ring.
@@ -134,7 +132,6 @@ class FarFieldKernel {
 
   int NumLinks() const noexcept { return n_; }
   double alpha() const noexcept { return alpha_; }
-  double epsilon() const noexcept { return epsilon_; }
   const SinrConfig& config() const noexcept { return config_; }
   const PowerAssignment& power() const noexcept { return power_; }
   bool HasUniformPower() const noexcept { return uniform_power_; }
@@ -166,22 +163,17 @@ class FarFieldKernel {
     double upper = 0.0;
   };
 
-  // Certified interval for the raw in-affectance sum_{w in S} a_w(v)
-  // (entries equal to v contribute 0, as in the dense row).  Pools whole
-  // sender cells beyond the near ring and adaptively refines the widest
-  // pooled cell until the interval meets the epsilon width target.
-  Interval CertifiedInAffectance(std::span<const int> S, int v) const;
-
   // Raw in-affectance summed exactly in S order: bit-identical to the dense
   // IsKFeasible row fold over S.
   double InAffectanceRawExact(std::span<const int> S, int v) const;
 
-  // Feasibility of S (every member's raw in-sum <= 1) decided through the
-  // certified interval: S is grouped by sender cell once, each member's
-  // interval is refined only while it straddles the 1e-9 threshold band,
-  // and a member still straddling it with every cell refined falls back to
-  // the exact fold.  epsilon = 0 runs the exact fold unconditionally and is
-  // bit-identical to KernelCache::IsFeasible.
+  // Feasibility of S (every member's raw in-sum <= 1), bit-identical in
+  // decision to KernelCache::IsFeasible.  A member that cannot overcome
+  // noise rejects.  Pooled, S is added to one FarFieldAccumulator in S
+  // order and each member decides through FarFieldAccumulator::
+  // InRawWithinOne: the sender-pyramid walk outside the 1e-9 band, the
+  // exact S-order fold inside it.  epsilon = 0, non-uniform power and a set
+  // that repeats an id run the exact fold for every member.
   bool IsFeasibleCertified(std::span<const int> S) const;
 
   long long MemoryBytes() const noexcept;
@@ -232,30 +224,7 @@ class FarFieldKernel {
   // widened by this factor before use so certificates stay honest.
   static constexpr double kGuard = 1e-9;
 
-  // A link set grouped by occupied sender cell (CSR over the compact cell
-  // index), built once per set and read by every member's query.
-  struct SenderGroups {
-    std::vector<int> offset;  // one entry per sender leaf, plus one
-    std::vector<int> ids;     // the set's entries, cell by cell
-    std::vector<int> cells;   // cells holding an entry, ascending
-  };
-  // One pooled cell's contribution bounds during refinement.
-  struct PooledCell {
-    int cell = 0;
-    double lo = 0.0;
-    double hi = 0.0;
-  };
-
   void Init(FarFieldConfig farfield);
-  SenderGroups GroupBySenderCell(std::span<const int> S) const;
-  // Certified interval for the raw in-affectance of v from the grouped
-  // set, pooling cells beyond the near ring and converting the widest
-  // pooled cell to pairwise terms until done(interval) holds or nothing is
-  // left to refine.  `far` is caller-owned scratch.  Uniform power and
-  // epsilon > 0 only.
-  template <class Done>
-  Interval RefineInAffectance(const SenderGroups& groups, int v, Done done,
-                              std::vector<PooledCell>* far) const;
   // The pyramid over `grid`'s occupied cells, with leaf near ring `near`.
   static Pyramid BuildPyramid(const geom::UniformGrid& grid,
                               std::span<const geom::Vec2> pts, double near);
@@ -296,10 +265,10 @@ class FarFieldKernel {
   int n_ = 0;
   double alpha_ = 0.0;
   int alpha_int_ = 0;  // alpha when integral in [1, 16], else 0 (use pow)
-  double epsilon_ = 0.0;
   SinrConfig config_;
   PowerAssignment power_;
   bool uniform_power_ = true;
+  bool pooling_ = false;  // uniform power and epsilon > 0
   std::vector<geom::Vec2> senders_;
   std::vector<geom::Vec2> receivers_;
   std::vector<double> link_decay_;    // f_vv
@@ -349,6 +318,20 @@ class FarFieldAccumulator {
   // bit-identical to the dense accumulator's -- and compared exactly.
   bool InWithinOne(int v) const;
 
+  // Set feasibility for a member v (DL_CHECKed): the dense InRaw(v) <= 1.0
+  // over the members, decided as InWithinOne does but from both ends of
+  // the raw interval (certified accept or reject outside the 1e-9 band),
+  // then the caught-up raw fold.  FarFieldKernel::IsFeasibleCertified
+  // calls it once per member.
+  bool InRawWithinOne(int v) const;
+
+  // The interval both member queries decide from: v's raw in-sum over the
+  // other members, walked over the sender pyramid from the root and opened
+  // while done(interval) fails and an internal node is pooled.  Pooled
+  // mode only (DL_CHECKed).
+  FarFieldKernel::Interval MemberInRawBounds(
+      int v, bool (*done)(const FarFieldKernel::Interval&)) const;
+
   // Algorithm 1's admission budget a_v(X) + a_X(v) <= 0.5 (the dense
   // Out(v) + In(v)), certified from clamped sums pooled per pyramid node
   // with clamp-safe bounds, one walk over both pyramids; the exact dense
@@ -379,23 +362,21 @@ class FarFieldAccumulator {
     double hi = 0.0;
   };
 
-  bool Pooling() const noexcept {
-    return kernel_->uniform_power_ && kernel_->epsilon_ > 0.0;
-  }
+  bool Pooling() const noexcept { return kernel_->pooling_; }
   // Certified interval for the sum of `terms` at v over the members.  The
   // walk starts from the pyramid roots and, while done(interval) fails,
   // opens the widest pooled internal node; it stops once done holds or
   // only leaves are pooled.  A budget clamp (some member's pressure from v
   // certainly clamps to 1) returns the certified reject interval [1, inf)
-  // at once.  For a member v (the final filter) only the upper end is a
-  // certificate: a pooled node above v's own sender leaf counts v itself,
-  // whose dense self-term is 0.
+  // at once.  For a member v both ends are certificates: its own sender
+  // leaf runs pairwise and its ancestors pool the other members only.
   template <class Done>
   FarFieldKernel::Interval CandidateBounds(int v, std::span<const Term> terms,
                                            Done done) const;
   // Opens `node` for `term`: a leaf within the near ring (or, for a
   // member's in-sum, the leaf holding its own sender) runs pairwise into
-  // *near, any other node is pooled onto frontier_.  Returns false when
+  // *near, any other node is pooled onto frontier_ (a member's in-sum
+  // leaving the member itself out).  Returns false when
   // the node certifies a budget clamp.  Counts one visited node.
   bool Open(Term term, int node, int v, double* near) const;
   FarFieldKernel::Interval FrontierInterval(double near) const;

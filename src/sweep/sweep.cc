@@ -113,8 +113,8 @@ const std::vector<FieldEntry>& FieldTable() {
          return Status::Ok();
        },
        false},
-      // Certified error bound of the far-field kernel (kernel_mode is set
-      // on the base spec; 0 means every query exact).  Non-geometric, like
+      // The far-field kernel's switch (kernel_mode is set on the base spec):
+      // 0 makes every query exact, above 0 pools.  Non-geometric, like
       // the dynamics knobs: an epsilon row reuses one sampled geometry.
       {"farfield_epsilon",
        [](engine::ScenarioSpec& s, double v) {

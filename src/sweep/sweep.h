@@ -44,7 +44,8 @@ struct SweepSpec {
 // The ScenarioSpec fields an axis may name, in canonical order:
 // links, instances, alpha, sigma_db, power_tau, beta, noise, zeta,
 // lambda, regret_penalty (these two write spec.dynamics), and
-// farfield_epsilon (the far-field kernel's certified error bound).
+// farfield_epsilon (the far-field kernel's switch: 0 = exact, above 0 =
+// pooled).
 std::vector<std::string> SweepableFields();
 bool IsSweepableField(const std::string& field);
 

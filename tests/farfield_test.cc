@@ -1,20 +1,20 @@
 // Property tests for the certified far-field kernel (sinr/farfield.h).
 //
 // Three contracts under test:
-//  * the certificate itself -- for every queried in-affectance sum,
-//    CertifiedInAffectance's lower <= exact <= upper with relative width
-//    at most epsilon (plus the documented ~3e-9 fp guard), across
-//    topologies, seeds, decay exponents and subset shapes;
+//  * the certificate itself -- for every member of a set, the pyramid
+//    walk's raw in-sum interval (the one set feasibility decides from)
+//    brackets the exact fold, with only the roots pooled and fully
+//    opened, across topologies, seeds, decay exponents and subset shapes;
 //  * exactness anchoring -- the far-field exact expressions are
 //    bit-identical to the dense KernelCache entries over the same
 //    geometry (EXPECT_EQ on doubles, not EXPECT_NEAR), and every admission
 //    loop run on the far-field kernel reproduces its dense run verbatim --
 //    at epsilon = 0, and at epsilon > 0 even on inputs built to drive the
-//    refinement, exact-fallback, clamped-cell and separation knife-edge
+//    node-opening, exact-fallback, clamped-cell and separation knife-edge
 //    paths;
 //  * engine integration -- kernel_mode = kFarField at epsilon = 0 yields
 //    the dense batch and sweep signatures bit-for-bit, at epsilon > 0 every
-//    aggregate stays within epsilon of dense and a 1024-link engine
+//    aggregate equals dense and a 1024-link engine
 //    instance's Algorithm 1, schedule and validation equal the dense
 //    results, a far-field-only task set
 //    never fills the geometry's decay matrix, and ValidateScenarioSpec
@@ -96,33 +96,45 @@ std::vector<int> AllLinks(int n) {
   return all;
 }
 
-TEST(FarFieldCertificateTest, BoundsBracketExactWithinEpsilon) {
+// Stop rules for FarFieldAccumulator::MemberInRawBounds: the roots only,
+// and every internal node opened.
+bool RootsOnly(const FarFieldKernel::Interval&) { return true; }
+bool FullyOpened(const FarFieldKernel::Interval&) { return false; }
+
+// The interval IsFeasibleCertified decides member v of S from, under `done`.
+FarFieldKernel::Interval MemberBounds(
+    const FarFieldKernel& ff, const std::vector<int>& S, int v,
+    bool (*done)(const FarFieldKernel::Interval&)) {
+  FarFieldAccumulator acc(ff);
+  for (int w : S) acc.Add(w);
+  return acc.MemberInRawBounds(v, done);
+}
+
+TEST(FarFieldCertificateTest, MemberBoundsBracketExact) {
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     for (const double alpha : {2.5, 3.5}) {
       for (const bool clustered : {false, true}) {
-        for (const double eps : {1e-2, 1e-3}) {
-          geom::Rng rng(seed);
-          const int n = 48;
-          Deployment dep = MakeDeployment(n, 28.0, clustered, rng);
-          const SinrConfig config{1.0, 0.0};
-          const PowerAssignment power(static_cast<std::size_t>(n), 1.0);
-          const FarFieldKernel ff(dep.points, dep.links, alpha, config, power,
-                                  {eps, 4});
-          SCOPED_TRACE("seed=" + std::to_string(seed) +
-                       " alpha=" + std::to_string(alpha) +
-                       " clustered=" + std::to_string(clustered) +
-                       " eps=" + std::to_string(eps));
-          geom::Rng sets(seed * 7 + 1);
-          for (int round = 0; round < 6; ++round) {
-            const std::vector<int> S = RandomSubset(n, 0.5, sets);
-            for (int v = 0; v < n; v += 5) {
-              const double exact = ff.InAffectanceRawExact(S, v);
-              const auto bounds = ff.CertifiedInAffectance(S, v);
-              EXPECT_LE(bounds.lower, exact);
-              EXPECT_GE(bounds.upper, exact);
-              // Relative width target plus the documented fp guard slack.
-              EXPECT_LE(bounds.upper - bounds.lower,
-                        eps * bounds.lower + 1e-8 * bounds.upper + 1e-300);
+        geom::Rng rng(seed);
+        const int n = 48;
+        Deployment dep = MakeDeployment(n, 28.0, clustered, rng);
+        const SinrConfig config{1.0, 0.0};
+        const PowerAssignment power(static_cast<std::size_t>(n), 1.0);
+        const FarFieldKernel ff(dep.points, dep.links, alpha, config, power,
+                                {1e-3, 4});
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " alpha=" + std::to_string(alpha) +
+                     " clustered=" + std::to_string(clustered));
+        geom::Rng sets(seed * 7 + 1);
+        for (int round = 0; round < 6; ++round) {
+          const std::vector<int> S = RandomSubset(n, 0.5, sets);
+          FarFieldAccumulator acc(ff);
+          for (int w : S) acc.Add(w);
+          for (int v : S) {
+            const double exact = ff.InAffectanceRawExact(S, v);
+            for (const auto done : {&RootsOnly, &FullyOpened}) {
+              const FarFieldKernel::Interval b = acc.MemberInRawBounds(v, done);
+              EXPECT_LE(b.lower, exact);
+              EXPECT_GE(b.upper, exact);
             }
           }
         }
@@ -336,9 +348,9 @@ TEST_F(FarFieldFallbackTest, StraddlingIntervalRefinesThenFallsBackToExact) {
   // the exact near ring, so every member's interval starts out pooled.
   // Rescaling beta (noise 0: every affectance is beta * f_vv / f_wv) puts a
   // slot's most affected member on the feasibility threshold within a few
-  // ulps: its interval straddles the 1e-9 band however far it is refined,
-  // so IsFeasibleCertified refines pooled cells and then falls back to the
-  // exact fold.  Every decision must still equal the dense one.
+  // ulps: its interval straddles the 1e-9 band however far the pyramid is
+  // opened, so IsFeasibleCertified opens it to the leaves and then falls
+  // back to the exact fold.  Every decision must still equal the dense one.
   geom::Rng rng(71);
   const int n = 200;
   const double alpha = 3.0;
@@ -383,27 +395,14 @@ TEST_F(FarFieldFallbackTest, StraddlingIntervalRefinesThenFallsBackToExact) {
   for (int w : slot) fold += dense.AffectanceRaw(w, worst);
   ASSERT_LT(std::abs(fold - 1.0), 1e-12);  // on the threshold
 
-  const long long refined = Count("sinr.farfield_refined_cells");
   const long long fallbacks = Count("sinr.farfield_exact_fallbacks");
   EXPECT_EQ(ff.IsFeasibleCertified(slot), dense.IsFeasible(slot));
-  EXPECT_GT(Count("sinr.farfield_refined_cells") - refined, 0);
   EXPECT_GT(Count("sinr.farfield_exact_fallbacks") - fallbacks, 0);
   for (const std::vector<int>& other : sched.slots) {
     EXPECT_EQ(ff.IsFeasibleCertified(other), dense.IsFeasible(other));
   }
   EXPECT_EQ(scheduling::ValidateSchedule(ff, sched, all),
             scheduling::ValidateSchedule(dense, sched, all));
-
-  // The public query keeps its epsilon-width contract: a width target
-  // below the fp guard's own width refines every pooled cell.
-  const FarFieldKernel fine(dep.points, dep.links, alpha, config,
-                            UniformPower(system), {1e-12, 1});
-  const long long before = Count("sinr.farfield_refined_cells");
-  const FarFieldKernel::Interval b = fine.CertifiedInAffectance(slot, worst);
-  EXPECT_GT(Count("sinr.farfield_refined_cells") - before, 0);
-  EXPECT_LE(b.lower, fold);
-  EXPECT_GE(b.upper, fold);
-  EXPECT_LE(b.upper - b.lower, 1e-12 * b.lower + 1e-8 * b.upper);
 }
 
 TEST_F(FarFieldFallbackTest, SeparationKnifeEdgeMatchesDense) {
@@ -531,7 +530,6 @@ TEST(FarFieldCertificateTest, OwnSenderCellNeverPoolsTheLinkItself) {
   const SinrConfig config{1.0, 0.0};
   const LinkSystem system(space, dep.links, config);
   const KernelCache dense(system, UniformPower(system));
-  // epsilon = 1: no width refinement could repair a wrong pooled bound.
   const FarFieldKernel ff(dep.points, dep.links, alpha, config,
                           UniformPower(system), {1.0, 1});
 
@@ -543,11 +541,40 @@ TEST(FarFieldCertificateTest, OwnSenderCellNeverPoolsTheLinkItself) {
   const std::vector<int> S{v, filler};
   const double exact = ff.InAffectanceRawExact(S, v);
   ASSERT_LT(exact, 1.0);
-  const FarFieldKernel::Interval b = ff.CertifiedInAffectance(S, v);
-  EXPECT_LE(b.lower, exact);
-  EXPECT_GE(b.upper, exact);
+  for (const auto done : {&RootsOnly, &FullyOpened}) {
+    const FarFieldKernel::Interval b = MemberBounds(ff, S, v, done);
+    EXPECT_LE(b.lower, exact);
+    EXPECT_GE(b.upper, exact);
+  }
   EXPECT_TRUE(dense.IsFeasible(S));
   EXPECT_TRUE(ff.IsFeasibleCertified(S));
+}
+
+TEST(FarFieldCertificateTest, RepeatedIdCountsTwiceAsInDense) {
+  // a_w(v) = 1 / 1.2^3 ~ 0.58: {v, w} is feasible, and the dense row fold
+  // over {v, w, w} adds w's entry twice, ~1.16 > 1.  Repeating v instead
+  // adds only v's own 0 entry and w's in-sum doubles to ~0.14.
+  const std::vector<geom::Vec2> points{{0, 0}, {1, 0}, {1, 1.2}, {1, 2.2}};
+  const std::vector<Link> links{{0, 1}, {2, 3}};
+  const double alpha = 3.0;
+  const core::DecaySpace space = core::DecaySpace::Geometric(points, alpha);
+  const SinrConfig config{1.0, 0.0};
+  const LinkSystem system(space, links, config);
+  const KernelCache dense(system, UniformPower(system));
+  const std::vector<int> once{0, 1};
+  const std::vector<int> twice{0, 1, 1};
+  const std::vector<int> self_twice{0, 0, 1};
+  ASSERT_TRUE(dense.IsFeasible(once));
+  ASSERT_FALSE(dense.IsFeasible(twice));
+  ASSERT_TRUE(dense.IsFeasible(self_twice));
+  for (const double eps : {1e-3, 0.0}) {
+    SCOPED_TRACE(testing::Message() << "epsilon " << eps);
+    const FarFieldKernel ff(points, links, alpha, config, UniformPower(system),
+                            {eps, 1});
+    for (const std::vector<int>& S : {once, twice, self_twice}) {
+      EXPECT_EQ(ff.IsFeasibleCertified(S), dense.IsFeasible(S));
+    }
+  }
 }
 
 TEST_F(FarFieldFallbackTest, FinalFilterNeverPoolsTheMemberItself) {
@@ -839,75 +866,10 @@ TEST(FarFieldEngineTest, DenseBatchFillsACachedFarFieldGeometryOnce) {
             engine::AggregateSignature(fresh));
 }
 
-// |x - y| within `tol` relative to the larger magnitude (absolute 1e-12
-// floor for zeros; equal values cover the +-inf sentinels of empty
-// summaries).
-bool WithinRelative(double x, double y, double tol) {
-  return x == y ||
-         std::abs(x - y) <= tol * std::max(std::abs(x), std::abs(y)) + 1e-12;
-}
-
-// Every aggregate of `farfield` has the dense count, and its sum, min and
-// max agree with dense within the certified `eps`.
-void ExpectAggregatesWithinEpsilon(const engine::ScenarioResult& dense,
-                                   const engine::ScenarioResult& farfield,
-                                   double eps) {
-  ASSERT_EQ(dense.aggregate.size(), farfield.aggregate.size());
-  for (std::size_t i = 0; i < dense.aggregate.size(); ++i) {
-    const auto& [name, ds] = dense.aggregate[i];
-    const auto& [fname, fs] = farfield.aggregate[i];
-    EXPECT_EQ(name, fname);
-    EXPECT_EQ(ds.count, fs.count) << name;
-    EXPECT_NEAR(ds.sum, fs.sum, eps * std::max(std::abs(ds.sum), 1.0))
-        << name;
-    EXPECT_TRUE(WithinRelative(ds.sum, fs.sum, eps)) << name;
-    EXPECT_TRUE(WithinRelative(ds.min, fs.min, eps)) << name;
-    EXPECT_TRUE(WithinRelative(ds.max, fs.max, eps)) << name;
-  }
-}
-
-TEST(FarFieldEngineTest, CertifiedModeAggregatesStayWithinEpsilon) {
-  constexpr double kEps = 1e-3;
-  engine::ScenarioSpec spec;
-  spec.name = "farfield_engine_eps";
-  spec.topology = "uniform";
-  spec.links = 20;
-  spec.instances = 2;
-  spec.seed = 778;
-  const engine::BatchRunner runner({.threads = 1});
-
-  engine::ScenarioSpec ff_spec = spec;
-  ff_spec.kernel_mode = engine::KernelMode::kFarField;
-  ff_spec.farfield_epsilon = kEps;
-
-  const std::vector<engine::ScenarioResult> dense =
-      runner.Run(std::vector<engine::ScenarioSpec>{spec});
-  const std::vector<engine::ScenarioResult> farfield =
-      runner.Run(std::vector<engine::ScenarioSpec>{ff_spec});
-  ASSERT_EQ(dense.size(), farfield.size());
-  EXPECT_EQ(engine::ViolationCount(dense), 0);
-  EXPECT_EQ(engine::ViolationCount(farfield), 0);
-  ExpectAggregatesWithinEpsilon(dense[0], farfield[0], kEps);
-
-  // The same bound through the sweep layer, cell by cell.
-  const sweep::SweepResult dense_grid =
-      RunPooled(FarFieldGrid(engine::KernelMode::kDense, 0.0));
-  const sweep::SweepResult ff_grid =
-      RunPooled(FarFieldGrid(engine::KernelMode::kFarField, kEps));
-  EXPECT_EQ(sweep::SweepViolationCount(dense_grid), 0);
-  EXPECT_EQ(sweep::SweepViolationCount(ff_grid), 0);
-  ASSERT_EQ(dense_grid.cells.size(), ff_grid.cells.size());
-  for (std::size_t c = 0; c < dense_grid.cells.size(); ++c) {
-    SCOPED_TRACE(dense_grid.cells[c].cell.spec.name);
-    ExpectAggregatesWithinEpsilon(dense_grid.cells[c].result,
-                                  ff_grid.cells[c].result, kEps);
-  }
-}
-
 // Every far-field aggregate is a count or a flag (alg1_size, alg1_admitted,
 // greedy_size, schedule_slots, the feasibility flags), each from decisions
 // that equal dense outside the 1e-9 band, so at epsilon > 0 the aggregates
-// of the epsilon-bounded test above equal dense exactly, spec and grid.
+// equal dense exactly, spec and grid.
 void ExpectAggregatesEqual(const engine::ScenarioResult& dense,
                            const engine::ScenarioResult& farfield) {
   ASSERT_EQ(dense.aggregate.size(), farfield.aggregate.size());
@@ -932,8 +894,10 @@ TEST(FarFieldEngineTest, CertifiedModeAggregatesEqualDense) {
   const engine::BatchRunner runner({.threads = 1});
   const std::vector<engine::ScenarioResult> dense =
       runner.Run(std::vector<engine::ScenarioSpec>{spec});
+  EXPECT_EQ(engine::ViolationCount(dense), 0);
   const sweep::SweepResult dense_grid =
       RunPooled(FarFieldGrid(engine::KernelMode::kDense, 0.0));
+  EXPECT_EQ(sweep::SweepViolationCount(dense_grid), 0);
   for (const double eps : {1e-3, 1e-1}) {
     SCOPED_TRACE(testing::Message() << "epsilon " << eps);
     engine::ScenarioSpec ff_spec = spec;
@@ -942,10 +906,12 @@ TEST(FarFieldEngineTest, CertifiedModeAggregatesEqualDense) {
     const std::vector<engine::ScenarioResult> farfield =
         runner.Run(std::vector<engine::ScenarioSpec>{ff_spec});
     ASSERT_EQ(dense.size(), farfield.size());
+    EXPECT_EQ(engine::ViolationCount(farfield), 0);
     ExpectAggregatesEqual(dense[0], farfield[0]);
 
     const sweep::SweepResult ff_grid =
         RunPooled(FarFieldGrid(engine::KernelMode::kFarField, eps));
+    EXPECT_EQ(sweep::SweepViolationCount(ff_grid), 0);
     ASSERT_EQ(dense_grid.cells.size(), ff_grid.cells.size());
     for (std::size_t c = 0; c < dense_grid.cells.size(); ++c) {
       SCOPED_TRACE(dense_grid.cells[c].cell.spec.name);

@@ -63,7 +63,7 @@ void BM_AffectanceMatrix(benchmark::State& state) {
     double total = 0.0;
     for (int v = 0; v < links; ++v) {
       for (int w = 0; w < links; ++w) {
-        total += system.Affectance(w, v, power);
+        total += sinr::AffectanceNaive(system, w, v, power);
       }
     }
     benchmark::DoNotOptimize(total);

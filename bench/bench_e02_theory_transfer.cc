@@ -87,8 +87,9 @@ int main() {
         const double zeta = std::max(1.0, core::Metricity(space));
         zeta_sum += zeta;
         const sinr::LinkSystem system(space, dep.links, {1.0, 0.0});
-        const auto opt = capacity::ExactCapacityUniform(system);
         const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+        const auto opt =
+            capacity::ExactCapacity(kernel, sinr::AllLinks(system));
         const auto alg1 = capacity::RunAlgorithm1(kernel, zeta).selected;
         const auto greedy =
             capacity::GreedyFeasible(kernel, sinr::AllLinks(system));

@@ -36,10 +36,11 @@ int main() {
                                     sinr::LinksFromPairs(instance.links),
                                     {1.0, 0.0});
       const auto mis = graph::MaxIndependentSet(g);
-      const auto cap = capacity::ExactCapacityUniform(system);
+      const sinr::KernelCache kernel(system, sinr::UniformPower(system));
       const auto all = sinr::AllLinks(system);
+      const auto cap = capacity::ExactCapacity(kernel, all);
       const auto pc = n <= 16
-                          ? capacity::ExactCapacityPowerControl(system, all)
+                          ? capacity::ExactCapacityPowerControl(kernel, all)
                           : cap;  // power-control solver is the slow one
       const double zeta = core::Metricity(instance.space);
       const bool match = cap.size() == mis.size() && pc.size() == mis.size();
@@ -70,8 +71,9 @@ int main() {
           const sinr::LinkSystem system(instance.space,
                                         sinr::LinksFromPairs(instance.links),
                                         {1.0, 0.0});
-          const auto opt = capacity::ExactCapacityUniform(system);
           const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+          const auto opt =
+              capacity::ExactCapacity(kernel, sinr::AllLinks(system));
           const auto greedy =
               capacity::GreedyFeasible(kernel, sinr::AllLinks(system));
           worst = std::max(worst, static_cast<double>(opt.size()) /

@@ -45,7 +45,7 @@ int main() {
         const sinr::KernelCache kernel(system, sinr::UniformPower(system));
         const auto S = capacity::GreedyFeasible(kernel, sinr::AllLinks(system));
         const auto witness =
-            capacity::BuildAmicabilityWitness(system, S, zeta);
+            capacity::BuildAmicabilityWitness(kernel, S, zeta);
         zeta_acc += zeta;
         s_acc += static_cast<double>(S.size());
         sp_acc += static_cast<double>(witness.s_prime.size());

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
         const sinr::KernelCache kernel(system, sinr::UniformPower(system));
         const auto all = sinr::AllLinks(system);
         opt_acc += static_cast<double>(
-            capacity::ExactCapacityUniform(system).size());
+            capacity::ExactCapacity(kernel, all).size());
         alg1_acc += static_cast<double>(
             capacity::RunAlgorithm1(kernel, alpha).selected.size());
         half_acc += static_cast<double>(

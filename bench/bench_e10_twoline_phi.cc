@@ -36,9 +36,10 @@ int main() {
                                     sinr::LinksFromPairs(instance.links),
                                     {1.0, 0.0});
       const auto mis = graph::MaxIndependentSet(g);
-      const auto cap = capacity::ExactCapacityUniform(system);
+      const sinr::KernelCache kernel(system, sinr::UniformPower(system));
       const auto all = sinr::AllLinks(system);
-      const auto pc = capacity::ExactCapacityPowerControl(system, all);
+      const auto cap = capacity::ExactCapacity(kernel, all);
+      const auto pc = capacity::ExactCapacityPowerControl(kernel, all);
       const core::PhiResult phi = core::ComputePhi(instance.space);
       const int dim = core::IndependenceDimension(instance.space);
       const bool match = cap.size() == mis.size() && pc.size() == mis.size();
@@ -63,8 +64,8 @@ int main() {
                                     sinr::LinksFromPairs(instance.links),
                                     {1.0, 0.0});
       const core::PhiResult phi = core::ComputePhi(instance.space);
-      const auto opt = capacity::ExactCapacityUniform(system);
       const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+      const auto opt = capacity::ExactCapacity(kernel, sinr::AllLinks(system));
       const auto greedy =
           capacity::GreedyFeasible(kernel, sinr::AllLinks(system));
       table.AddRow({bench::FmtInt(n), bench::Fmt(phi.phi_factor, 2),

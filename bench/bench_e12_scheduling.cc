@@ -73,7 +73,7 @@ int main() {
       contention.max_slots = 200000;
       geom::Rng crng(31);
       const auto result =
-          distributed::RunContentionResolution(system, contention, crng);
+          distributed::RunContentionResolution(kernel, contention, crng);
       table.AddRow({bench::FmtInt(rooms), bench::Fmt(zeta),
                     bench::FmtInt(schedule.Length()),
                     bench::FmtInt(result.slots),

@@ -49,8 +49,7 @@ int main() {
     // below.
     const sinr::KernelCache kernel(system, sinr::UniformPower(system));
     const double zeta = std::max(1.0, core::Metricity(c.space));
-    const auto rho = capacity::EstimateInductiveIndependence(
-        system, sinr::UniformPower(system));
+    const auto rho = capacity::EstimateInductiveIndependence(kernel);
     std::printf("\n%s: zeta = %.2f, rho in [%.2f, %.2f]\n", c.name, zeta,
                 rho.greedy_lower, rho.upper);
     bench::Table table({"lambda/link", "offered", "LQF tput", "LQF queue",

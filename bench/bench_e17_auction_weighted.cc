@@ -40,8 +40,8 @@ int main() {
         std::vector<double> weights;
         for (int i = 0; i < 14; ++i) weights.push_back(rng.Uniform(1.0, 10.0));
         const double zeta = std::max(1.0, core::Metricity(space));
-        opt += capacity::ExactWeightedCapacity(system, weights).weight;
         const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+        opt += capacity::ExactWeightedCapacity(kernel, weights).weight;
         greedy += capacity::WeightedGreedy(kernel, weights).weight;
         alg1 += capacity::WeightedAlgorithm1(kernel, weights, zeta).weight;
       }

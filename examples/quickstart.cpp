@@ -49,24 +49,24 @@ int main() {
   std::printf("variant phi    = %.3f (phi_factor %.2f)\n", phi.phi,
               phi.phi_factor);
 
-  // 3. Links + SINR machinery (beta = 1.5, noiseless).
+  // 3. Links (beta = 1.5, noiseless) and the SINR kernel over them: one
+  //    cached KernelCache under uniform power answers every affectance and
+  //    feasibility query below.
   const sinr::LinkSystem system(space, links, {1.5, 0.0});
-  const sinr::PowerAssignment power = sinr::UniformPower(system);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const auto everyone = sinr::AllLinks(system);
   std::printf("all %d links at once feasible? %s\n", system.NumLinks(),
-              system.IsFeasible(everyone, power) ? "yes" : "no");
+              kernel.IsFeasible(everyone) ? "yes" : "no");
 
   // 4. Algorithm 1 (Theorem 5): a zeta^{O(1)}-approximate feasible subset.
   //    Its separation test is deliberately conservative -- that is what buys
   //    the worst-case guarantee; the greedy baseline shows the typical-case
   //    headroom.
-  //    Both run on one cached kernel (uniform power).
-  const sinr::KernelCache kernel(system, power);
   const auto result = capacity::RunAlgorithm1(kernel, zeta);
   std::printf("Algorithm 1 selected %zu links:", result.selected.size());
   for (int v : result.selected) std::printf(" %d", v);
   std::printf("\nmax in-affectance of the selection: %.3f (must be <= 1)\n",
-              system.MaxInAffectance(result.selected, power));
+              kernel.MaxInAffectance(result.selected));
   const auto greedy = capacity::GreedyFeasible(kernel, everyone);
   std::printf("greedy baseline selected %zu links (no worst-case guarantee "
               "in decay spaces)\n",

@@ -14,6 +14,7 @@
 #include "env/propagation.h"
 #include "geom/rng.h"
 #include "measurement/rssi.h"
+#include "sinr/kernel.h"
 #include "sinr/power.h"
 
 using namespace decaylib;
@@ -64,20 +65,20 @@ int main() {
   // secondaries in order of increasing decay while the union stays feasible
   // with a protection margin (K = 2 on the primaries).
   const sinr::LinkSystem system(measured, links, {2.0, 0.0});
-  const sinr::PowerAssignment power = sinr::UniformPower(system);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   std::vector<int> active{0, 1, 2, 3, 4};
   std::printf("\nprimary set {0..4} feasible: %s\n",
-              system.IsFeasible(active, power) ? "yes" : "no");
+              kernel.IsFeasible(active) ? "yes" : "no");
 
-  const auto order = system.OrderByDecay();
+  const auto order = kernel.OrderByDecay();
   int admitted = 0;
   for (int v : order) {
     if (v <= 4) continue;  // already primary
     active.push_back(v);
-    const bool secondary_ok = system.IsFeasible(active, power);
+    const bool secondary_ok = kernel.IsFeasible(active);
     bool primary_protected = true;
     for (int p = 0; p <= 4; ++p) {
-      if (system.InAffectance(active, p, power) > 0.5) {
+      if (kernel.InAffectance(active, p) > 0.5) {
         primary_protected = false;
       }
     }
@@ -94,6 +95,6 @@ int main() {
   std::printf("\nadmitted %d of %d secondary links; final set of %zu "
               "links remains feasible: %s\n",
               admitted, system.NumLinks() - 5, active.size(),
-              system.IsFeasible(active, power) ? "yes" : "no");
+              kernel.IsFeasible(active) ? "yes" : "no");
   return 0;
 }

@@ -16,7 +16,7 @@
 #include <span>
 #include <vector>
 
-#include "sinr/link_system.h"
+#include "sinr/kernel.h"
 
 namespace decaylib::capacity {
 
@@ -27,8 +27,9 @@ struct AmicabilityWitness {
   double max_out_affectance = 0.0; // max over all links v of a_v(S')
 };
 
-// Builds the Theorem 4 witness for a feasible set S under uniform power.
-AmicabilityWitness BuildAmicabilityWitness(const sinr::LinkSystem& system,
+// Builds the Theorem 4 witness for a feasible set S; `kernel` must have
+// uniform power (KernelCache(system, UniformPower(system))).
+AmicabilityWitness BuildAmicabilityWitness(const sinr::KernelCache& kernel,
                                            std::span<const int> S,
                                            double zeta);
 

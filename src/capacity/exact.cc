@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sinr/kernel.h"
-#include "sinr/power.h"
 #include "sinr/power_control.h"
 
 namespace decaylib::capacity {
@@ -47,12 +45,8 @@ class Solver {
 
 }  // namespace
 
-std::vector<int> ExactCapacity(const sinr::LinkSystem& system,
-                               const sinr::PowerAssignment& power,
+std::vector<int> ExactCapacity(const sinr::KernelCache& kernel,
                                std::span<const int> candidates) {
-  // The branch and bound calls the feasibility oracle on every explored
-  // node; the cached kernel turns each affectance term into a lookup.
-  const sinr::KernelCache kernel(system, power);
   // Links that cannot even overcome noise alone can never appear.
   std::vector<int> universe;
   for (int v : candidates) {
@@ -64,23 +58,17 @@ std::vector<int> ExactCapacity(const sinr::LinkSystem& system,
   return Solver(std::move(universe), feasible).Solve();
 }
 
-std::vector<int> ExactCapacityUniform(const sinr::LinkSystem& system) {
-  const std::vector<int> all = sinr::AllLinks(system);
-  return ExactCapacity(system, sinr::UniformPower(system), all);
-}
-
-std::vector<int> ExactCapacityPowerControl(const sinr::LinkSystem& system,
+std::vector<int> ExactCapacityPowerControl(const sinr::KernelCache& kernel,
                                            std::span<const int> candidates) {
   std::vector<int> universe(candidates.begin(), candidates.end());
-  // Every oracle below is power-invariant; the kernel only caches decays.
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   // Precompute pairwise obstructions: pairs that no power assignment can
   // serve together.  They turn most infeasible branches into O(1) rejections
   // before the iterative oracle runs.
-  const int n = system.NumLinks();
+  const int n = kernel.NumLinks();
   std::vector<std::vector<char>> blocked(
       static_cast<std::size_t>(n), std::vector<char>(static_cast<std::size_t>(n), 0));
-  const double beta2 = system.config().beta * system.config().beta;
+  const double beta = kernel.system().config().beta;
+  const double beta2 = beta * beta;
   for (std::size_t i = 0; i < universe.size(); ++i) {
     for (std::size_t j = i + 1; j < universe.size(); ++j) {
       const int v = universe[i];

@@ -13,20 +13,19 @@
 #include <span>
 #include <vector>
 
-#include "sinr/link_system.h"
+#include "sinr/kernel.h"
 
 namespace decaylib::capacity {
 
-// Maximum feasible subset of `candidates` under the fixed `power`.
-std::vector<int> ExactCapacity(const sinr::LinkSystem& system,
-                               const sinr::PowerAssignment& power,
+// Maximum feasible subset of `candidates` under the kernel's power
+// (build it with UniformPower for the paper's setting).
+std::vector<int> ExactCapacity(const sinr::KernelCache& kernel,
                                std::span<const int> candidates);
 
-// Convenience overload over all links with uniform power.
-std::vector<int> ExactCapacityUniform(const sinr::LinkSystem& system);
-
 // Maximum subset of `candidates` feasible under *some* power assignment.
-std::vector<int> ExactCapacityPowerControl(const sinr::LinkSystem& system,
+// Every oracle it runs is power-invariant, so any kernel over the system
+// serves.
+std::vector<int> ExactCapacityPowerControl(const sinr::KernelCache& kernel,
                                            std::span<const int> candidates);
 
 }  // namespace decaylib::capacity

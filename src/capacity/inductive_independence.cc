@@ -6,9 +6,9 @@
 namespace decaylib::capacity {
 
 InductiveIndependence EstimateInductiveIndependence(
-    const sinr::LinkSystem& system, const sinr::PowerAssignment& power) {
+    const sinr::KernelCache& kernel) {
   InductiveIndependence result;
-  const std::vector<int> order = system.OrderByDecay();
+  const std::vector<int> order = kernel.OrderByDecay();
   for (std::size_t pos = 0; pos < order.size(); ++pos) {
     const int v = order[pos];
     const std::vector<int> longer(order.begin() + static_cast<long>(pos) + 1,
@@ -18,7 +18,7 @@ InductiveIndependence EstimateInductiveIndependence(
     // Upper bound: ignore feasibility altogether (clamped affectances).
     double upper = 0.0;
     for (int w : longer) {
-      upper += system.Affectance(v, w, power) + system.Affectance(w, v, power);
+      upper += kernel.Affectance(v, w) + kernel.Affectance(w, v);
     }
     result.upper = std::max(result.upper, upper);
 
@@ -26,19 +26,16 @@ InductiveIndependence EstimateInductiveIndependence(
     // while the witness set stays feasible.
     std::vector<int> by_weight = longer;
     std::stable_sort(by_weight.begin(), by_weight.end(), [&](int a, int b) {
-      const double wa =
-          system.Affectance(v, a, power) + system.Affectance(a, v, power);
-      const double wb =
-          system.Affectance(v, b, power) + system.Affectance(b, v, power);
+      const double wa = kernel.Affectance(v, a) + kernel.Affectance(a, v);
+      const double wb = kernel.Affectance(v, b) + kernel.Affectance(b, v);
       return wa > wb;
     });
     std::vector<int> witness;
     double exchanged = 0.0;
     for (int w : by_weight) {
       witness.push_back(w);
-      if (system.IsFeasible(witness, power)) {
-        exchanged += system.Affectance(v, w, power) +
-                     system.Affectance(w, v, power);
+      if (kernel.IsFeasible(witness)) {
+        exchanged += kernel.Affectance(v, w) + kernel.Affectance(w, v);
       } else {
         witness.pop_back();
       }

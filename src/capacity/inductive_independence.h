@@ -19,7 +19,7 @@
 
 #include <vector>
 
-#include "sinr/link_system.h"
+#include "sinr/kernel.h"
 
 namespace decaylib::capacity {
 
@@ -29,7 +29,8 @@ struct InductiveIndependence {
   int arg_link = -1;          // link attaining the greedy lower bound
 };
 
+// Both bounds under the kernel's power assignment.
 InductiveIndependence EstimateInductiveIndependence(
-    const sinr::LinkSystem& system, const sinr::PowerAssignment& power);
+    const sinr::KernelCache& kernel);
 
 }  // namespace decaylib::capacity

@@ -6,7 +6,6 @@
 #include "core/check.h"
 #include "sinr/admission.h"
 #include "sinr/kernel.h"
-#include "sinr/power.h"
 
 namespace decaylib::capacity {
 
@@ -80,11 +79,11 @@ namespace {
 
 class WeightedSolver {
  public:
-  WeightedSolver(const sinr::LinkSystem& system,
+  WeightedSolver(const sinr::KernelCache& kernel,
                  std::span<const double> weights)
-      : kernel_(system, sinr::UniformPower(system)), weights_(weights) {
+      : kernel_(kernel), weights_(weights) {
     // Heavy-first order makes the remaining-weight bound effective.
-    order_.resize(static_cast<std::size_t>(system.NumLinks()));
+    order_.resize(static_cast<std::size_t>(kernel.NumLinks()));
     std::iota(order_.begin(), order_.end(), 0);
     std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
       return weights_[static_cast<std::size_t>(a)] >
@@ -124,7 +123,7 @@ class WeightedSolver {
     Recurse(index + 1, current, weight);
   }
 
-  sinr::KernelCache kernel_;
+  const sinr::KernelCache& kernel_;
   std::span<const double> weights_;
   std::vector<int> order_;
   std::vector<double> suffix_weight_;
@@ -133,11 +132,11 @@ class WeightedSolver {
 
 }  // namespace
 
-WeightedResult ExactWeightedCapacity(const sinr::LinkSystem& system,
+WeightedResult ExactWeightedCapacity(const sinr::KernelCache& kernel,
                                      std::span<const double> weights) {
-  DL_CHECK(static_cast<int>(weights.size()) == system.NumLinks(),
+  DL_CHECK(static_cast<int>(weights.size()) == kernel.NumLinks(),
            "one weight per link");
-  return WeightedSolver(system, weights).Solve();
+  return WeightedSolver(kernel, weights).Solve();
 }
 
 }  // namespace decaylib::capacity

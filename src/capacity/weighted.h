@@ -14,16 +14,15 @@
 //   * ExactWeightedCapacity -- branch and bound (hereditary feasibility with
 //                            a weight-sum bound).
 //
-// WeightedGreedy and WeightedAlgorithm1 run on a prebuilt sinr::KernelCache
-// (reused, e.g., across the tasks of a batched scenario run; build it with
-// UniformPower for the paper's setting).
+// All three run on a prebuilt sinr::KernelCache (reused, e.g., across the
+// tasks of a batched scenario run; build it with UniformPower for the
+// paper's setting).
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "sinr/kernel.h"
-#include "sinr/link_system.h"
 
 namespace decaylib::capacity {
 
@@ -44,8 +43,9 @@ WeightedResult WeightedAlgorithm1(const sinr::KernelCache& kernel,
                                   std::span<const double> weights,
                                   double zeta);
 
-// Exact maximum-weight feasible subset; intended for n <= ~22.
-WeightedResult ExactWeightedCapacity(const sinr::LinkSystem& system,
+// Exact maximum-weight feasible subset under the kernel's power; intended
+// for n <= ~22.
+WeightedResult ExactWeightedCapacity(const sinr::KernelCache& kernel,
                                      std::span<const double> weights);
 
 }  // namespace decaylib::capacity

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/check.h"
+#include "sinr/kernel.h"
 #include "sinr/power.h"
 
 namespace decaylib::connectivity {
@@ -76,7 +77,7 @@ AggregationSchedule ScheduleAggregation(const core::DecaySpace& space,
   const int n = space.size();
 
   const sinr::LinkSystem system(space, result.tree.uplinks, config);
-  const sinr::PowerAssignment power = sinr::UniformPower(system);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
 
   // children_left[v] = number of v's children whose uplink is unscheduled.
   std::vector<int> children_left(static_cast<std::size_t>(n), 0);
@@ -86,7 +87,7 @@ AggregationSchedule ScheduleAggregation(const core::DecaySpace& space,
   }
   std::vector<char> done(static_cast<std::size_t>(system.NumLinks()), 0);
   int remaining = system.NumLinks();
-  const std::vector<int> decay_order = system.OrderByDecay();
+  const std::vector<int> decay_order = kernel.OrderByDecay();
 
   while (remaining > 0) {
     std::vector<int> slot;
@@ -104,7 +105,7 @@ AggregationSchedule ScheduleAggregation(const core::DecaySpace& space,
         continue;
       }
       slot.push_back(id);
-      if (system.IsFeasible(slot, power)) {
+      if (kernel.IsFeasible(slot)) {
         senders_this_slot.push_back(link.sender);
       } else {
         slot.pop_back();
@@ -145,7 +146,7 @@ AggregationSchedule ScheduleAggregation(const core::DecaySpace& space,
   }
   result.convergecast_valid = true;
   for (const auto& slot : result.schedule.slots) {
-    if (slot.size() > 1 && !system.IsFeasible(slot, power)) {
+    if (slot.size() > 1 && !kernel.IsFeasible(slot)) {
       result.convergecast_valid = false;
     }
     for (int id : slot) {

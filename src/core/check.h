@@ -8,8 +8,8 @@
 //
 // In release builds (NDEBUG defined) DL_CHECK compiles to a no-op so hot
 // paths pay nothing for their precondition guards -- e.g. the
-// CanOvercomeNoise re-check inside LinkSystem::NoiseFactor runs on every
-// naive affectance evaluation.  The default ("Assert") build type of the
+// noise-test check inside LinkSystem::NoiseFactor runs on every naive
+// affectance evaluation of the tests/oracles references.  The default ("Assert") build type of the
 // root CMakeLists keeps the checks on, and the tier-1 test suite (including
 // the robustness death-tests) runs against that configuration.
 //

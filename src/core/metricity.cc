@@ -1,17 +1,12 @@
 #include "core/metricity.h"
 
-// decay-lint: allowlist-file(naked-thread) -- ComputePhi's fork-join scan
-// joins every worker before returning; the split is a pure index partition,
-// so results are bitwise independent of scheduling.  ComputeMetricity runs
-// serially and forks nothing.
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "core/check.h"
+#include "core/workers.h"
 #include "obs/registry.h"
 
 namespace decaylib::core {
@@ -37,31 +32,27 @@ MetricityCounters& Counters() {
 // Number of worker threads for an n-sized outer loop: never more threads
 // than rows, and only one for small inputs where spawn overhead dominates.
 int WorkerCount(int n) {
-  const unsigned hc = std::thread::hardware_concurrency();
-  int workers = static_cast<int>(hc == 0 ? 1 : hc);
-  workers = std::min(workers, n);
+  int workers = std::min(HardwareThreads(), n);
   if (n < 64) workers = 1;
   return std::max(1, workers);
 }
 
-// Splits [0, n) into `workers` contiguous chunks and runs fn(chunk_index,
-// begin, end) on each, inline when there is a single worker.
+// Splits [0, n) into at most `workers` contiguous non-empty chunks and runs
+// fn(chunk_index, begin, end) on each, one RunWorkers worker per chunk
+// (inline when there is a single one).  The split is a pure index
+// partition, so results are bitwise independent of scheduling.
 template <typename Fn>
 void ParallelChunks(int n, int workers, Fn fn) {
   if (workers <= 1) {
     fn(0, 0, n);
     return;
   }
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(workers));
   const int per = (n + workers - 1) / workers;
-  for (int t = 0; t < workers; ++t) {
+  const int chunks = (n + per - 1) / per;
+  RunWorkers(chunks, [&](int t) {
     const int begin = t * per;
-    const int end = std::min(n, begin + per);
-    if (begin >= end) break;
-    threads.emplace_back([=] { fn(t, begin, end); });
-  }
-  for (auto& thread : threads) thread.join();
+    fn(t, begin, std::min(n, begin + per));
+  });
 }
 
 }  // namespace

@@ -3,18 +3,17 @@
 #include <algorithm>
 
 #include "core/check.h"
-#include "sinr/power.h"
 
 namespace decaylib::distributed {
 
-ContentionResult RunContentionResolution(const sinr::LinkSystem& system,
+ContentionResult RunContentionResolution(const sinr::KernelCache& kernel,
                                          const ContentionConfig& config,
                                          geom::Rng& rng) {
   DL_CHECK(config.initial_probability > 0.0 &&
                config.initial_probability <= 1.0,
            "initial probability must be in (0,1]");
-  const int n = system.NumLinks();
-  const sinr::PowerAssignment power = sinr::UniformPower(system);
+  const int n = kernel.NumLinks();
+  const double beta = kernel.system().config().beta;
 
   ContentionResult result;
   result.success_slot.assign(static_cast<std::size_t>(n), -1);
@@ -31,9 +30,9 @@ ContentionResult RunContentionResolution(const sinr::LinkSystem& system,
     }
     result.transmissions += static_cast<long long>(senders.size());
     for (int v : senders) {
-      const double sinr = system.Sinr(v, senders, power);
+      const double sinr = kernel.Sinr(v, senders);
       auto& p = prob[static_cast<std::size_t>(v)];
-      if (sinr >= system.config().beta) {
+      if (sinr >= beta) {
         result.success_slot[static_cast<std::size_t>(v)] = slot;
         --active;
         p = std::min(2.0 * p, config.max_probability);

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "geom/rng.h"
-#include "sinr/link_system.h"
+#include "sinr/kernel.h"
 
 namespace decaylib::distributed {
 
@@ -31,9 +31,10 @@ struct ContentionResult {
   std::vector<int> success_slot;  // per link, slot of first success (-1 if none)
 };
 
-// Runs the protocol with uniform power until every link has had one
-// successful transmission (raw SINR >= beta rule) or max_slots elapsed.
-ContentionResult RunContentionResolution(const sinr::LinkSystem& system,
+// Runs the protocol under the kernel's power (the paper's setting: build it
+// with UniformPower) until every link has had one successful transmission
+// (raw SINR >= beta rule, KernelCache::Sinr) or max_slots elapsed.
+ContentionResult RunContentionResolution(const sinr::KernelCache& kernel,
                                          const ContentionConfig& config,
                                          geom::Rng& rng);
 

@@ -18,8 +18,8 @@
 // non-finite sum) by the exact KernelCache::Sinr sender-order sum, which
 // also re-anchors the running sum.  The band dwarfs the exact sum's own
 // rounding, so the certified decision is the exact one by construction:
-// every trajectory is bit-identical to the per-round LinkSystem::Sinr
-// reference (tests/oracles), which shares the game driver in `detail` below.
+// every trajectory is bit-identical to the per-round SinrNaive reference
+// (tests/oracles), which shares the game driver in `detail` below.
 // The counters distributed.regret_checks / _certified_accepts /
 // _certified_rejects / _exact_fallbacks record how each check was decided.
 //

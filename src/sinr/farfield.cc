@@ -116,8 +116,6 @@ void FarFieldKernel::Init(FarFieldConfig farfield) {
   FarFieldBuildCounter().Add();
 
   const std::size_t n = static_cast<std::size_t>(n_);
-  const double beta = config_.beta;
-  const double noise = config_.noise;
   uniform_power_ = true;
   for (std::size_t v = 1; v < n; ++v) {
     if (power_[v] != power_[0]) {
@@ -129,20 +127,17 @@ void FarFieldKernel::Init(FarFieldConfig farfield) {
 
   link_decay_.resize(n);
   can_overcome_.resize(n);
-  noise_factor_.assign(n, 0.0);
-  cf_.assign(n, 0.0);
+  noise_factor_.resize(n);
+  cf_.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
-    // Same expressions as KernelCache::Build, with the decay read from
+    // KernelCache::Build's per-link arrays, with the decay read from
     // geometry through the shared GeometricDecay helper instead of the
     // materialised space -- bit-identical over the same points.
     link_decay_[v] = geom::GeometricDecay(senders_[v], receivers_[v], alpha_);
     DL_CHECK(link_decay_[v] > 0.0, "coincident link endpoints");
-    const double signal = power_[v] / link_decay_[v];
-    can_overcome_[v] = signal > beta * noise ? 1 : 0;
-    if (can_overcome_[v]) {
-      noise_factor_[v] = beta / (1.0 - beta * noise / signal);
-      cf_[v] = noise_factor_[v] * link_decay_[v];
-    }
+    noise_factor_[v] = NoiseFactorOrZero(power_[v], link_decay_[v], config_);
+    can_overcome_[v] = noise_factor_[v] > 0.0 ? 1 : 0;
+    cf_[v] = noise_factor_[v] * link_decay_[v];
   }
 
   // Exact near ring radius R0 = diag / (2^{1/alpha} - 1): beyond it,
@@ -374,33 +369,12 @@ void FarFieldAccumulator::Add(int v) {
   DL_CHECK(!Contains(v), "link already in the accumulator");
   const FarFieldKernel& k = *kernel_;
   const std::size_t sv = static_cast<std::size_t>(v);
-  if (Pooling()) {
-    // Lazily-exact sums: the new member starts with an empty fold prefix
-    // (CatchUp replays the dense accumulator's additions on demand), and
-    // the existing members' exact folds are simply left behind.
-    in_raw_m_[sv] = 0.0;
-    in_m_[sv] = 0.0;
-    upto_[sv] = 0;
-  } else {
-    // Fold the new member's in-sums over the existing members in insertion
-    // order, and push its pressure onto each existing member's running
-    // sums -- the same association order the dense accumulator produces
-    // (the dense version also adds the member's own +0.0 entry, which
-    // cannot change an IEEE sum of non-negative terms).
-    double in_raw = 0.0;
-    double in = 0.0;
-    for (int w : members_) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      const double aw_v = k.AffectanceExact(w, v);  // w's pressure on v
-      const double av_w = k.AffectanceExact(v, w);  // v's pressure on w
-      in_raw += aw_v;
-      in += aw_v < 1.0 ? aw_v : 1.0;
-      in_raw_m_[sw] += av_w;
-      in_m_[sw] += av_w < 1.0 ? av_w : 1.0;
-    }
-    in_raw_m_[sv] = in_raw;
-    in_m_[sv] = in;
-  }
+  // Lazily-exact sums: the new member starts with an empty fold prefix
+  // (CatchUp replays the dense accumulator's additions on demand), and the
+  // existing members' exact folds are simply left behind.
+  in_raw_m_[sv] = 0.0;
+  in_m_[sv] = 0.0;
+  upto_[sv] = 0;
   members_.push_back(v);
   in_set_[sv] = 1;
 
@@ -426,7 +400,6 @@ void FarFieldAccumulator::Add(int v) {
 }
 
 void FarFieldAccumulator::CatchUp(int w) const {
-  if (!Pooling()) return;  // eager modes
   const FarFieldKernel& k = *kernel_;
   const std::size_t sw = static_cast<std::size_t>(w);
   const std::size_t end = members_.size();
@@ -762,36 +735,27 @@ bool FarFieldFeasibilityAccumulator::CanAddFeasibly(int v) const {
   // InRaw(w) + AffectanceRaw(v, w) > 1.0).  The pooled path certifies each
   // member through its precomputed d^2 thresholds -- pow-free unless the
   // pressure lands inside the 1e-9 band of the member's headroom.
-  if (pooled) {
-    const geom::Vec2 s = k.senders_[static_cast<std::size_t>(v)];
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      const int w = members_[i];
-      const geom::Vec2 r = k.receivers_[static_cast<std::size_t>(w)];
+  const geom::Vec2 s = k.senders_[static_cast<std::size_t>(v)];
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    const int w = members_[i];
+    const std::size_t sw = static_cast<std::size_t>(w);
+    if (pooled) {
+      const geom::Vec2 r = k.receivers_[sw];
       const double d2 = (s - r).NormSq();
-      const std::size_t sw = static_cast<std::size_t>(w);
       if (in_hi_[sw] > pass_limit_[i]) RefreshHeadroom(i);
       if (d2 > t2_pass_[i]) continue;
       if (d2 < t2_fail_[i]) return false;
-      // Inside the certification band: the dense comparison, on the
-      // caught-up exact fold.  The exact fold is the tightest certificate
-      // there is, so the member's bracket collapses onto it (the decision
-      // band absorbs fold-vs-real rounding) and its thresholds are
-      // refreshed -- they may have been conservative from bracket slack.
-      CatchUp(w);
-      in_lo_[sw] = in_raw_m_[sw];
-      in_hi_[sw] = in_raw_m_[sw];
-      if (in_raw_m_[sw] + k.AffectanceExact(v, w) > 1.0) {
-        return false;
-      }
-      RefreshHeadroom(i);
     }
-  } else {
-    for (int w : members_) {
-      if (in_raw_m_[static_cast<std::size_t>(w)] + k.AffectanceExact(v, w) >
-          1.0) {
-        return false;
-      }
-    }
+    // Unpooled, or inside the certification band: the dense comparison, on
+    // the caught-up exact fold.  The exact fold is the tightest certificate
+    // there is, so a pooled member's bracket collapses onto it (the
+    // decision band absorbs fold-vs-real rounding) and its thresholds are
+    // refreshed -- they may have been conservative from bracket slack.
+    CatchUp(w);
+    in_lo_[sw] = in_raw_m_[sw];
+    in_hi_[sw] = in_raw_m_[sw];
+    if (in_raw_m_[sw] + k.AffectanceExact(v, w) > 1.0) return false;
+    if (pooled) RefreshHeadroom(i);
   }
   return true;
 }

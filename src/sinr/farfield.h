@@ -298,10 +298,8 @@ class FarFieldAccumulator {
  public:
   explicit FarFieldAccumulator(const FarFieldKernel& kernel);
 
-  // O(|members|) exact updates (one distance + pow per member and
-  // direction) in the exact modes; O(levels) pyramid counts in the pooled
-  // mode, where member sums fold lazily.  The caller must have checked
-  // kernel.CanOvercomeNoise(v).
+  // O(levels) pyramid counts in every mode; member sums fold lazily
+  // (CatchUp).  The caller must have checked kernel.CanOvercomeNoise(v).
   void Add(int v);
 
   const std::vector<int>& members() const noexcept { return members_; }
@@ -385,17 +383,17 @@ class FarFieldAccumulator {
   // Extends member w's exact in-sums over the members appended since the
   // last catch-up, replaying the same additions in the same order the
   // dense accumulator performs eagerly -- the folded values are
-  // bit-identical.  No-op in the exact (non-pooled) modes, where Add
-  // maintains the sums eagerly.
+  // bit-identical.  Every mode reads the exact sums through it: the
+  // unpooled ones on every decision, the pooled one inside the band.
   void CatchUp(int w) const;
 
   const FarFieldKernel* kernel_;
   std::vector<int> members_;
   std::vector<char> in_set_;
   // Member in-sums (clamped and raw), indexed by link id (valid only for
-  // members).  In the pooled mode they are lazily exact: each fold is
-  // current only through the first upto_[w] entries of members_, and
-  // CatchUp(w) extends it on demand (mutable for that reason).
+  // members).  They are lazily exact: each fold is current only through
+  // the first upto_[w] entries of members_, and CatchUp(w) extends it on
+  // demand (mutable for that reason).
   mutable std::vector<double> in_m_, in_raw_m_;
   mutable std::vector<int> upto_;
   // Members grouped by pyramid leaf, and per-node member counts (on the

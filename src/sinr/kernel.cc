@@ -62,8 +62,6 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
   n_ = system.NumLinks();
   DL_CHECK(static_cast<int>(power_.size()) == n_, "one power entry per link");
   const std::size_t n = static_cast<std::size_t>(n_);
-  const double beta = system.config().beta;
-  const double noise = system.config().noise;
 
   uniform_power_ = true;
   for (std::size_t v = 1; v < n; ++v) {
@@ -78,16 +76,13 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
   // the same bits as a fresh construction.
   link_decay_.resize(n);
   can_overcome_.resize(n);
-  noise_factor_.assign(n, 0.0);
+  noise_factor_.resize(n);
   for (int v = 0; v < n_; ++v) {
     const std::size_t sv = static_cast<std::size_t>(v);
     link_decay_[sv] = system.LinkDecay(v);
-    // Same expressions as LinkSystem::CanOvercomeNoise / NoiseFactor.
-    const double signal = power_[sv] / link_decay_[sv];
-    can_overcome_[sv] = signal > beta * noise ? 1 : 0;
-    if (can_overcome_[sv]) {
-      noise_factor_[sv] = beta / (1.0 - beta * noise / signal);
-    }
+    noise_factor_[sv] =
+        NoiseFactorOrZero(power_[sv], link_decay_[sv], system.config());
+    can_overcome_[sv] = noise_factor_[sv] > 0.0 ? 1 : 0;
   }
 
   // The link planes: the system's shared ones, else private ones built by
@@ -108,9 +103,9 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
   cross_decay_ = planes->cross.data();
   min_pair_decay_ = planes->min_pair.data();
 
-  // aff_raw_[w*n + v] = a_w(v), the same expression as
-  // LinkSystem::AffectanceRaw with c_v and f_vv hoisted (tests/kernel_test.cc
-  // checks every entry).  Under uniform power the P_w / P_v factor equals
+  // aff_raw_[w*n + v] = a_w(v) = c_v * (P_w / P_v * f_vv / f_wv), with c_v
+  // and f_vv hoisted (tests/kernel_test.cc checks every entry against the
+  // per-query reference).  Under uniform power the P_w / P_v factor equals
   // exactly 1.0 (IEEE x / x == 1.0), so the two extra ops can be skipped
   // without changing the rounded result.  Both n x n matrices write their
   // zero entries explicitly instead of pre-clearing with assign: on a warm
@@ -196,8 +191,8 @@ bool KernelCache::IsKFeasible(std::span<const int> S, double K) const {
 }
 
 double KernelCache::Sinr(int v, std::span<const int> S) const {
-  // Same expression and summation order as LinkSystem::Sinr, with the decay
-  // lookups served from the cached matrices.
+  // Signal over noise plus the interference of S in order, with the decay
+  // lookups served from the cached arrays and cross plane.
   const double signal =
       power_[static_cast<std::size_t>(v)] / LinkDecay(v);
   double interference = system_->config().noise;

@@ -1,20 +1,18 @@
-// Cached SINR kernel layer: precompute-once, reuse-everywhere.
+// Cached SINR kernel layer: the library's one implementation of the SINR
+// math over a LinkSystem.
 //
 // Every algorithm in the library (Algorithm 1 capacity, weighted capacity,
 // partitions, scheduling, exact solvers) reduces to dense pairwise kernels
 // over the decay space: affectances a_w(v), link quasi-distances
 // d(l_v, l_w) = min-endpoint-decay^{1/zeta}, and running in/out-affectance
-// sums.  The naive LinkSystem methods recompute every kernel entry on every
-// query -- AffectanceRaw re-derives the noise factor c_v per pair, and
-// LinkDistance performs four std::pow calls per pair per call.  KernelCache
-// holds the n x n matrices once so that queries become O(1) lookups;
-// two running-sum accumulators turn the O(|S|) re-summations of greedy
-// admission loops into O(1) reads with O(n) per-admission updates --
-// FeasibilityAccumulator keeps the raw in-sums the admit-while-feasible
-// loops read, AffectanceAccumulator the clamped in/out-sums of Algorithm
-// 1's 1/2-budget, and each Add streams only its own arrays; SeparationOracle
-// evaluates eta/zeta separation predicates in the decay domain without any
-// pow on the hot path.
+// sums.  KernelCache holds the n x n matrices once so that queries become
+// O(1) lookups; two running-sum accumulators turn the O(|S|) re-summations
+// of greedy admission loops into O(1) reads with O(n) per-admission
+// updates -- FeasibilityAccumulator keeps the raw in-sums the
+// admit-while-feasible loops read, AffectanceAccumulator the clamped
+// in/out-sums of Algorithm 1's 1/2-budget, and each Add streams only its
+// own arrays; SeparationOracle evaluates eta/zeta separation predicates in
+// the decay domain without any pow on the hot path.
 //
 // The matrices fall into two kinds:
 //   * the link planes (LinkPlanes, link_system.h): the cross decays
@@ -34,13 +32,18 @@
 // KernelArena rebuilds a cache slot in place so batched/swept runs stop
 // paying the allocator per instance.
 //
-// Bit-exactness contract: for the same (system, power), every query method
-// here returns *bit-for-bit* the same double as the corresponding naive
-// LinkSystem method.  The cached entries are computed with the identical
-// floating-point expression (same association order), and aggregate sums run
-// in the same iteration order.  Two non-obvious points:
-//   * LinkDistance takes one pow of the min endpoint decay, where the naive
-//     method takes the min of four pows.  The two agree whenever
+// Bit-exactness contract: the naive per-query references in
+// tests/oracles/oracles.h (AffectanceRawNaive, InAffectanceNaive, SinrNaive,
+// ...) recompute every quantity from the space on every call -- the noise
+// factor c_v per pair, four pows per link distance.  For the same (system,
+// power), every query method here returns *bit-for-bit* the double its
+// reference returns: the cached entries are computed with the identical
+// floating-point expression (same association order; c_v from
+// NoiseFactorOrZero here, from the references' own NoiseFactorNaive there),
+// and aggregate sums run in the same iteration order.
+// The tests compare with EXPECT_EQ.  Two non-obvious points:
+//   * LinkDistance takes one pow of the min endpoint decay, where the
+//     reference takes the min of four pows.  The two agree whenever
 //     pow(., 1/zeta) keeps the order of the four decays; IEEE does not
 //     promise that of pow, so it is not assumed -- tests/kernel_test.cc
 //     checks the equality on every pair of its instance sweep (zeta 1, 2.2
@@ -53,8 +56,8 @@
 // The only deliberate deviation is SeparationOracle's fast path, which
 // compares in the decay domain (m >= eta^zeta * f_vv instead of
 // m^{1/zeta} >= eta * f_vv^{1/zeta}); the two forms are equivalent in exact
-// arithmetic and the oracle falls back to the naive pow expression inside a
-// 1e-9 relative guard band, so decisions match the naive path except for
+// arithmetic and the oracle falls back to the pow expression inside a
+// 1e-9 relative guard band, so decisions match the reference except for
 // inputs engineered to sit within ~1e-9 of a separation threshold.
 #pragma once
 
@@ -95,9 +98,13 @@ class KernelCache {
     return noise_factor_[static_cast<std::size_t>(v)];
   }
 
-  // a_w(v) without the min(1, .) clamp; 0 when w == v or when l_v cannot
-  // overcome noise (the naive path aborts on the latter; callers check
-  // CanOvercomeNoise first, as every algorithm in the library does).
+  // a_w(v) = c_v * (P_w / P_v) * f_vv / f_wv (Sec. 2.4) without the
+  // min(1, .) clamp; 0 when w == v or when l_v cannot overcome noise
+  // (callers check CanOvercomeNoise first, as every algorithm in the
+  // library does).  The unclamped form is what feasibility sums: sum_w
+  // raw-a_w(v) <= 1 is *exactly* SINR_v >= beta, whereas the clamp can
+  // under-count a single overwhelming interferer (e.g. the edge pairs of
+  // the Theorem 3/6 constructions, whose affectance is 1 + epsilon).
   double AffectanceRaw(int w, int v) const {
     return aff_raw_[static_cast<std::size_t>(w) * static_cast<std::size_t>(n_) +
                     static_cast<std::size_t>(v)];
@@ -125,10 +132,9 @@ class KernelCache {
 
   // Normalised-gain kernel of the power-control fixed point (Foschini-
   // Miljanic): B(v, w) = beta * f_vv / f(s_w, r_v), zero diagonal.
-  // Computed on demand from the cached decays and the cross plane, with the
-  // expression the LinkSystem methods give (beta * LinkDecay / CrossDecay)
-  // -- without charging every KernelCache build an n x n matrix only the
-  // power-control oracle reads.
+  // Computed on demand from the cached decays and the cross plane
+  // (beta * LinkDecay / CrossDecay) -- without charging every KernelCache
+  // build an n x n matrix only the power-control oracle reads.
   double NormalizedGain(int v, int w) const {
     if (w == v) return 0.0;
     return system_->config().beta * LinkDecay(v) / CrossDecay(w, v);
@@ -144,23 +150,31 @@ class KernelCache {
                            static_cast<std::size_t>(w)];
   }
 
-  // --- aggregate queries, bit-identical to the LinkSystem versions -------
+  // --- aggregate queries ---------------------------------------------------
 
+  // a_S(v) and a_v(S), clamped; links equal to v inside S contribute 0.
   double InAffectance(std::span<const int> S, int v) const;
   double OutAffectance(int v, std::span<const int> S) const;
+  // Feasibility: the unclamped a_S(v) <= 1 for every v in S (equivalent to
+  // SINR_v >= beta for every link), and false when some v in S cannot
+  // overcome noise.  K-feasibility: a_S(v) <= 1/K.
   bool IsFeasible(std::span<const int> S) const;
   bool IsKFeasible(std::span<const int> S, double K) const;
+  // max_{v in S} a_S(v); 0 for sets of size < 2.
   double MaxInAffectance(std::span<const int> S) const;
 
   // Raw SINR of l_v when exactly the links in S transmit, against the
-  // cache's power assignment: the interference sum runs over S in order,
-  // reading the cached cross-decay row instead of the decay matrix, so the
-  // result is bit-identical to LinkSystem::Sinr(v, S, power()).  The per-
-  // slot success checks of the dynamics simulators (random access, the
-  // regret game) run on this.
+  // cache's power assignment (v need not be in S; its own entry is skipped
+  // if present): P_v / f_vv over N plus the interference of S, summed in S
+  // order from the cached cross-decay row.  Infinity when noise and
+  // interference are both zero.  The per-slot success checks of the
+  // contention and dynamics simulators (random access, the regret game)
+  // run on this.
   double Sinr(int v, std::span<const int> S) const;
 
-  // d_vv^{1/zeta} and d(l_v, l_w); one pow per call against cached decays.
+  // d_vv = f_vv^{1/zeta} and d(l_v, l_w); one pow per call against cached
+  // decays.  l_v is eta-separated from L iff d(l_v, l_w) >= eta * d_vv for
+  // every w in L (v's own entry, if present, is skipped).
   double LinkLength(int v, double zeta) const;
   double LinkDistance(int v, int w, double zeta) const;
   bool IsSeparatedFrom(int v, std::span<const int> L, double eta,
@@ -274,7 +288,7 @@ class AccumulatorMembers {
 // array; queries are O(1) and CanAddFeasibly O(|members|).  Sums accumulate
 // in insertion order, so after Add(s_1), ..., Add(s_k):
 //     InRaw(v) == ((0 + a_{s_1}(v)) + a_{s_2}(v)) + ... + a_{s_k}(v),
-// unclamped: bit-for-bit the sum LinkSystem::IsFeasible forms.  Clear
+// unclamped: bit-for-bit the sum KernelCache::IsFeasible forms.  Clear
 // empties the set in O(n) without freeing, so a per-slot loop reuses one.
 class FeasibilityAccumulator : public AccumulatorMembers {
  public:
@@ -302,8 +316,8 @@ class FeasibilityAccumulator : public AccumulatorMembers {
 // form Algorithm 1's 1/2-budget loop reads.  Add is O(n) over two arrays;
 // queries are O(1).  Sums accumulate in insertion order, so after
 // Add(s_1), ..., Add(s_k):
-//     In(v)  == system.InAffectance({s_1..s_k}, v, power)   bit-for-bit,
-//     Out(v) == system.OutAffectance(v, {s_1..s_k}, power)  bit-for-bit.
+//     In(v)  == kernel.InAffectance({s_1..s_k}, v)   bit-for-bit,
+//     Out(v) == kernel.OutAffectance(v, {s_1..s_k})  bit-for-bit.
 class AffectanceAccumulator : public AccumulatorMembers {
  public:
   explicit AffectanceAccumulator(const KernelCache& kernel);
@@ -327,8 +341,8 @@ class AffectanceAccumulator : public AccumulatorMembers {
 // Separation predicates for fixed (eta, zeta), evaluated in the decay
 // domain: d(l_v, l_w) >= eta * d_vv  <=>  MinPairDecay >= eta^zeta * f_vv
 // (exact arithmetic).  No pow on the hot path; a 1e-9 relative guard band
-// around the threshold falls back to the naive pow comparison, so decisions
-// are bit-compatible with LinkSystem::IsSeparatedFrom except for inputs
+// around the threshold falls back to the pow comparison, so decisions
+// are bit-compatible with KernelCache::IsSeparatedFrom except for inputs
 // within the band of a threshold.
 class SeparationOracle {
  public:

@@ -78,13 +78,31 @@ struct LinkPlanes {
 void BuildLinkPlanes(const core::DecaySpace& space, std::span<const Link> links,
                      LinkPlanes& out);
 
-// A set of links over a decay space, with the SINR machinery.
-// Holds a reference to the space: the space must outlive the system.
+// The per-link noise test and noise factor of Sec. 2.4, from P_v and f_vv:
+// l_v overcomes noise alone iff its signal P_v / f_vv exceeds beta N, and
+// then c_v = beta / (1 - beta N f_vv / P_v) (= beta when N = 0).  Returns
+// c_v, or 0 when l_v cannot overcome noise (c_v >= beta >= 1 otherwise).
+// The one spelling of both: LinkSystem, KernelCache and FarFieldKernel
+// call it.
+inline double NoiseFactorOrZero(double power, double link_decay,
+                                const SinrConfig& config) {
+  const double signal = power / link_decay;
+  if (!(signal > config.beta * config.noise)) return 0.0;
+  return config.beta / (1.0 - config.beta * config.noise / signal);
+}
+
+// A set of links over a decay space: the problem's data (links, decays,
+// SINR config, optional shared planes).  The SINR math over it -- the
+// affectances, sums, feasibility and separation queries -- is KernelCache
+// (kernel.h) and, from the points, FarFieldKernel (farfield.h); the naive
+// per-query references the tests compare them with live in
+// tests/oracles/oracles.h.  Holds a reference to the space: the space must
+// outlive the system.
 class LinkSystem {
  public:
   // `planes`, when given, must be BuildLinkPlanes(space, links): every
   // KernelCache built on this system then shares them instead of building
-  // its own (the naive methods here never read them).
+  // its own.
   LinkSystem(const core::DecaySpace& space, std::vector<Link> links,
              SinrConfig config = {},
              std::shared_ptr<const LinkPlanes> planes = nullptr);
@@ -105,67 +123,21 @@ class LinkSystem {
   // f_wv = f(s_w, r_v): decay from w's sender to v's receiver.
   double CrossDecay(int w, int v) const;
 
-  // True iff l_v alone meets the SINR threshold: P_v / f_vv >= beta * N.
-  // (With noise 0 this is always true.)  Affectance requires strict >.
+  // True iff l_v alone meets the SINR threshold: P_v / f_vv > beta * N.
+  // (With noise 0 this is always true.)
   bool CanOvercomeNoise(int v, const PowerAssignment& power) const;
 
   // c_v = beta / (1 - beta N f_vv / P_v); equals beta when N = 0.
-  // Requires CanOvercomeNoise strictly.
+  // Requires CanOvercomeNoise.
   double NoiseFactor(int v, const PowerAssignment& power) const;
 
-  // a_w(v) per Sec. 2.4; a_v(v) = 0 by definition.
-  double Affectance(int w, int v, const PowerAssignment& power) const;
-
-  // a_w(v) without the min(1, .) clamp.  Feasibility checks use this form:
-  // sum_w raw-a_w(v) <= 1 is *exactly* SINR_v >= beta, whereas the clamp can
-  // under-count a single overwhelming interferer (e.g. the edge pairs of the
-  // Theorem 3/6 constructions, whose affectance is 1 + epsilon).
-  double AffectanceRaw(int w, int v, const PowerAssignment& power) const;
-
-  // a_S(v) and a_v(S); links equal to v inside S contribute 0.
-  double InAffectance(std::span<const int> S, int v,
-                      const PowerAssignment& power) const;
-  double OutAffectance(int v, std::span<const int> S,
-                       const PowerAssignment& power) const;
-
-  // Raw SINR of l_v when exactly the links in S transmit (v need not be in S;
-  // its own entry is skipped if present).  Infinity when noise and
-  // interference are both zero.
-  double Sinr(int v, std::span<const int> S,
-              const PowerAssignment& power) const;
-
-  // Feasibility in the affectance form: a_S(v) <= 1 for all v in S, summing
-  // *unclamped* affectances (equivalent to SINR_v >= beta for every link).
+  // Feasibility in the affectance form, recomputed per query from the
+  // space: a_S(v) = sum_{w in S} c_v (P_w / P_v) f_vv / f_wv, unclamped
+  // (w = v contributes 0), at most 1 for every v in S.  Bit-identical to
+  // KernelCache::IsFeasible.  Kept on the system only because the
+  // benchmark's traced contract check of far-field sets
+  // (perfbench/src/traced_pass.cc), which holds no kernel, calls it.
   bool IsFeasible(std::span<const int> S, const PowerAssignment& power) const;
-
-  // K-feasibility: a_S(v) <= 1/K for all v in S (unclamped sums).
-  bool IsKFeasible(std::span<const int> S, double K,
-                   const PowerAssignment& power) const;
-
-  // Feasibility in the raw SINR >= beta form (used to cross-check, and by
-  // the distributed simulator).
-  bool IsSinrFeasible(std::span<const int> S,
-                      const PowerAssignment& power) const;
-
-  // max_{v in S} a_S(v); 0 for sets of size < 2.
-  double MaxInAffectance(std::span<const int> S,
-                         const PowerAssignment& power) const;
-
-  // --- quasi-distance geometry of links ---------------------------------
-
-  // d_vv = d(s_v, r_v) = f_vv^{1/zeta}.
-  double LinkLength(int v, double zeta) const;
-
-  // d(l_v, l_w): min over the four endpoint quasi-distances.
-  double LinkDistance(int v, int w, double zeta) const;
-
-  // True iff d(l_v, l_w) >= eta * d_vv for all w in L (v's own entry,
-  // if present, is skipped).
-  bool IsSeparatedFrom(int v, std::span<const int> L, double eta,
-                       double zeta) const;
-
-  // True iff every link of L is eta-separated from the rest of L.
-  bool IsSeparatedSet(std::span<const int> L, double eta, double zeta) const;
 
   // Link ids 0..NumLinks()-1 sorted by non-decreasing link decay f_vv --
   // the total order "prec" of Sec. 2.4 (ties by id).

@@ -181,4 +181,26 @@ bool HasPairwiseObstruction(const KernelCache& kernel,
   return false;
 }
 
+std::vector<int> GreedyPowerControlFeasible(const KernelCache& kernel) {
+  const double beta = kernel.system().config().beta;
+  std::vector<int> S;
+  for (const int v : kernel.OrderByDecay()) {
+    bool obstructed = false;
+    for (const int w : S) {
+      if (PairwiseAffectanceProduct(kernel, v, w) > beta * beta) {
+        obstructed = true;
+        break;
+      }
+    }
+    if (obstructed) continue;
+    S.push_back(v);
+    if (!FeasibleWithPowerControl(kernel, S, kGreedyPowerControlIterations,
+                                  kGreedyPowerControlTol)
+             .feasible) {
+      S.pop_back();
+    }
+  }
+  return S;
+}
+
 }  // namespace decaylib::sinr

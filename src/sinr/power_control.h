@@ -18,12 +18,13 @@
 //
 // Every oracle runs on a prebuilt sinr::KernelCache: the normalised-gain
 // and cross-decay kernels turn the per-call matrix build into O(1) loads.
-// All three are power-invariant, so any kernel over the system serves
+// All four are power-invariant, so any kernel over the system serves
 // (KernelCache(system, UniformPower(system)) when there is no other).
 #pragma once
 
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "sinr/kernel.h"
 
@@ -53,5 +54,20 @@ double PairwiseAffectanceProduct(const KernelCache& kernel, int v, int w);
 // True iff some pair in S has PairwiseAffectanceProduct > threshold
 // (defaults to beta^2): a certificate that S is infeasible under any power.
 bool HasPairwiseObstruction(const KernelCache& kernel, std::span<const int> S);
+
+// Iteration/tolerance budget of the greedy's oracle calls (and of the
+// engine's full-set check beside it): enough to settle well-separated sets
+// in tens of iterations while bounding the near-threshold worst case (the
+// verdict at the cap -- judge by the last growth rate -- is deterministic
+// either way).
+inline constexpr int kGreedyPowerControlIterations = 300;
+inline constexpr double kGreedyPowerControlTol = 1e-7;
+
+// Greedy admission in decay order with the power-control oracle: a link
+// joins when the grown set has no pairwise obstruction (the O(|S|)
+// certificate runs first) and FeasibleWithPowerControl, at the budget
+// above, contracts.  The power-control analogue of GreedyFeasible;
+// comparing the two sizes is the uniform-vs-power-control feasibility gap.
+std::vector<int> GreedyPowerControlFeasible(const KernelCache& kernel);
 
 }  // namespace decaylib::sinr

@@ -9,6 +9,7 @@
 #include "core/decay_space.h"
 #include "core/metricity.h"
 #include "geom/rng.h"
+#include "oracles/oracles.h"
 #include "sinr/power.h"
 
 namespace decaylib::capacity {
@@ -40,7 +41,7 @@ TEST(AmicabilityTest, WitnessStructure) {
   const double zeta = std::max(1.0, core::Metricity(inst.space));
   const auto S = GreedyFeasible(kernel, sinr::AllLinks(system));
   ASSERT_GE(S.size(), 3u);
-  const auto witness = BuildAmicabilityWitness(system, S, zeta);
+  const auto witness = BuildAmicabilityWitness(kernel, S, zeta);
 
   // S' subseteq S-hat subseteq S.
   const std::set<int> in_s(S.begin(), S.end());
@@ -49,7 +50,7 @@ TEST(AmicabilityTest, WitnessStructure) {
   for (int v : witness.s_prime) EXPECT_TRUE(in_hat.count(v));
 
   // S-hat is zeta-separated (guaranteed by Lemma 4.1 partition).
-  EXPECT_TRUE(system.IsSeparatedSet(witness.s_hat, zeta, zeta));
+  EXPECT_TRUE(sinr::IsSeparatedSetNaive(system, witness.s_hat, zeta, zeta));
 
   // At least half of S-hat survives the out-affectance filter (Markov step
   // in the Theorem 4 proof).
@@ -71,7 +72,7 @@ TEST(AmicabilityTest, OutAffectanceBoundedByTheorem4Constant) {
     const double zeta = std::max(1.0, core::Metricity(inst.space));
     const auto S = GreedyFeasible(kernel, sinr::AllLinks(system));
     if (S.size() < 2) continue;
-    const auto witness = BuildAmicabilityWitness(system, S, zeta);
+    const auto witness = BuildAmicabilityWitness(kernel, S, zeta);
     EXPECT_LE(witness.max_out_affectance, kBound) << "seed " << seed;
   }
 }
@@ -79,8 +80,9 @@ TEST(AmicabilityTest, OutAffectanceBoundedByTheorem4Constant) {
 TEST(AmicabilityTest, EmptyFeasibleSetYieldsEmptyWitness) {
   const Instance inst(5, 10.0, 3.0, 9);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const std::vector<int> empty;
-  const auto witness = BuildAmicabilityWitness(system, empty, 3.0);
+  const auto witness = BuildAmicabilityWitness(kernel, empty, 3.0);
   EXPECT_TRUE(witness.s_hat.empty());
   EXPECT_TRUE(witness.s_prime.empty());
   EXPECT_DOUBLE_EQ(witness.shrink_factor, 0.0);
@@ -95,7 +97,7 @@ TEST(AmicabilityTest, ShrinkFactorIsModest) {
   const double zeta = std::max(1.0, core::Metricity(inst.space));
   const auto S = GreedyFeasible(kernel, sinr::AllLinks(system));
   ASSERT_GE(S.size(), 4u);
-  const auto witness = BuildAmicabilityWitness(system, S, zeta);
+  const auto witness = BuildAmicabilityWitness(kernel, S, zeta);
   ASSERT_FALSE(witness.s_prime.empty());
   EXPECT_LE(witness.shrink_factor, static_cast<double>(S.size()));
   EXPECT_GE(witness.shrink_factor, 1.0);

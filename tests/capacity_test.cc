@@ -14,6 +14,7 @@
 #include "geom/samplers.h"
 #include "graph/generators.h"
 #include "graph/independent_set.h"
+#include "oracles/oracles.h"
 #include "sinr/power.h"
 #include "spaces/constructions.h"
 
@@ -78,7 +79,8 @@ TEST(Algorithm1Test, AdmittedSetIsSeparated) {
   const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const double zeta = 3.0;
   const auto result = RunAlgorithm1(kernel, zeta);
-  EXPECT_TRUE(system.IsSeparatedSet(result.admitted, zeta / 2.0, zeta));
+  EXPECT_TRUE(
+      sinr::IsSeparatedSetNaive(system, result.admitted, zeta / 2.0, zeta));
 }
 
 TEST(Algorithm1Test, EmptyCandidatesGiveEmptyResult) {
@@ -131,7 +133,7 @@ TEST(ExactTest, SmallInstanceDominatesHeuristics) {
     const Instance inst(12, 10.0, 3.0, seed);
     const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
     const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-    const auto opt = ExactCapacityUniform(system);
+    const auto opt = ExactCapacity(kernel, sinr::AllLinks(system));
     EXPECT_TRUE(system.IsFeasible(opt, sinr::UniformPower(system)));
     EXPECT_GE(opt.size(),
               GreedyFeasible(kernel, sinr::AllLinks(system)).size());
@@ -142,7 +144,8 @@ TEST(ExactTest, SmallInstanceDominatesHeuristics) {
 TEST(ExactTest, SingleLinkInstance) {
   const Instance inst(1, 5.0, 3.0, 9);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-  EXPECT_EQ(ExactCapacityUniform(system).size(), 1u);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  EXPECT_EQ(ExactCapacity(kernel, sinr::AllLinks(system)).size(), 1u);
 }
 
 // Theorem 3 / Appendix A: on the graph construction, feasible sets (uniform
@@ -158,8 +161,9 @@ TEST_P(Theorem3Correspondence, CapacityEqualsMaxIndependentSet) {
   const sinr::LinkSystem system(instance.space,
                                 sinr::LinksFromPairs(instance.links),
                                 {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const auto mis = graph::MaxIndependentSet(g);
-  const auto cap = ExactCapacityUniform(system);
+  const auto cap = ExactCapacity(kernel, sinr::AllLinks(system));
   EXPECT_EQ(cap.size(), mis.size());
   // The MIS itself is feasible as a link set, and any feasible set is
   // independent in g.
@@ -181,8 +185,9 @@ TEST(Theorem3PowerControlTest, PowerControlDoesNotHelp) {
   const sinr::LinkSystem system(instance.space,
                                 sinr::LinksFromPairs(instance.links),
                                 {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const auto all = sinr::AllLinks(system);
-  const auto pc = ExactCapacityPowerControl(system, all);
+  const auto pc = ExactCapacityPowerControl(kernel, all);
   const auto mis = graph::MaxIndependentSet(g);
   EXPECT_EQ(pc.size(), mis.size());
 }
@@ -198,8 +203,9 @@ TEST_P(Theorem6Correspondence, CapacityEqualsMaxIndependentSet) {
   const sinr::LinkSystem system(instance.space,
                                 sinr::LinksFromPairs(instance.links),
                                 {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const auto mis = graph::MaxIndependentSet(g);
-  const auto cap = ExactCapacityUniform(system);
+  const auto cap = ExactCapacity(kernel, sinr::AllLinks(system));
   EXPECT_EQ(cap.size(), mis.size()) << "alpha=" << alpha;
   EXPECT_TRUE(g.IsIndependentSet(cap));
 }
@@ -214,8 +220,9 @@ TEST(Theorem6PowerControlTest, PowerControlDoesNotHelp) {
   const sinr::LinkSystem system(instance.space,
                                 sinr::LinksFromPairs(instance.links),
                                 {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const auto all = sinr::AllLinks(system);
-  const auto pc = ExactCapacityPowerControl(system, all);
+  const auto pc = ExactCapacityPowerControl(kernel, all);
   EXPECT_EQ(pc.size(), graph::MaxIndependentSet(g).size());
 }
 

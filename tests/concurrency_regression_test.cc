@@ -21,9 +21,13 @@
 //   * core::DecaySpace lazy fill -- N threads make the first entry reads of
 //     one shared, unfilled geometric space; exactly one fill may run and
 //     every reader must see the same, complete matrix.
+//   * core::RunWorkers, the one spawn site -- every index runs exactly once
+//     on its own thread, and a worker's exception surfaces on the caller
+//     after the join (the lowest index's, whatever the schedule).
 #include <barrier>
 #include <cstddef>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +36,7 @@
 
 #include "core/decay_space.h"
 #include "core/status.h"
+#include "core/workers.h"
 #include "engine/batch_runner.h"
 #include "engine/scenario.h"
 #include "geom/point.h"
@@ -233,6 +238,26 @@ TEST_F(ConcurrencyRegressionTest, PooledErrorCaptureIsScheduleDeterministic) {
   // independent of worker interleaving.
   for (int round = 0; round < 3; ++round) {
     EXPECT_EQ(capture(kThreads), serial) << "round " << round;
+  }
+}
+
+TEST_F(ConcurrencyRegressionTest, RunWorkersRunsEachIndexAndForwardsErrors) {
+  std::vector<int> hits(kThreads, 0);
+  core::RunWorkers(kThreads,
+                   [&](int t) { ++hits[static_cast<std::size_t>(t)]; });
+  EXPECT_EQ(hits, std::vector<int>(kThreads, 1));
+
+  for (int round = 0; round < 3; ++round) {
+    std::barrier sync(kThreads);
+    try {
+      core::RunWorkers(kThreads, [&](int t) {
+        sync.arrive_and_wait();  // every worker is live before any throws
+        if (t % 3 == 2) throw std::runtime_error(std::to_string(t));
+      });
+      ADD_FAILURE() << "expected a worker's exception to surface";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "2") << "round " << round;
+    }
   }
 }
 

@@ -142,10 +142,11 @@ struct LinkFixture {
 TEST(ContentionTest, CompletesOnSparseInstance) {
   const LinkFixture fixture(6, 12.0);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   ContentionConfig config;
   geom::Rng rng(5);
   const ContentionResult result =
-      RunContentionResolution(system, config, rng);
+      RunContentionResolution(kernel, config, rng);
   EXPECT_TRUE(result.completed);
   for (int slot : result.success_slot) EXPECT_GE(slot, 0);
   EXPECT_LE(result.slots, config.max_slots);
@@ -156,11 +157,13 @@ TEST(ContentionTest, DenseInstanceTakesLonger) {
   const LinkFixture dense(6, 2.0);
   const sinr::LinkSystem sys_sparse(sparse.space, sparse.links, {2.0, 0.0});
   const sinr::LinkSystem sys_dense(dense.space, dense.links, {2.0, 0.0});
+  const sinr::KernelCache k_sparse(sys_sparse, sinr::UniformPower(sys_sparse));
+  const sinr::KernelCache k_dense(sys_dense, sinr::UniformPower(sys_dense));
   ContentionConfig config;
   geom::Rng rng_a(6);
   geom::Rng rng_b(6);
-  const auto slow = RunContentionResolution(sys_dense, config, rng_a);
-  const auto fast = RunContentionResolution(sys_sparse, config, rng_b);
+  const auto slow = RunContentionResolution(k_dense, config, rng_a);
+  const auto fast = RunContentionResolution(k_sparse, config, rng_b);
   ASSERT_TRUE(fast.completed);
   if (slow.completed) {
     EXPECT_GE(slow.slots, fast.slots);

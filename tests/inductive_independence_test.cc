@@ -33,7 +33,7 @@ TEST(InductiveIndependenceTest, LowerAtMostUpper) {
   const Fixture fixture(16, 15.0, 3.0, 1);
   const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
   const auto result = EstimateInductiveIndependence(
-      system, sinr::UniformPower(system));
+      sinr::KernelCache(system, sinr::UniformPower(system)));
   EXPECT_LE(result.greedy_lower, result.upper + 1e-9);
   EXPECT_GE(result.greedy_lower, 0.0);
   EXPECT_GE(result.arg_link, 0);
@@ -43,7 +43,7 @@ TEST(InductiveIndependenceTest, SingleLinkIsZero) {
   const Fixture fixture(1, 10.0, 3.0, 2);
   const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
   const auto result = EstimateInductiveIndependence(
-      system, sinr::UniformPower(system));
+      sinr::KernelCache(system, sinr::UniformPower(system)));
   EXPECT_DOUBLE_EQ(result.greedy_lower, 0.0);
   EXPECT_DOUBLE_EQ(result.upper, 0.0);
 }
@@ -60,7 +60,7 @@ TEST(InductiveIndependenceTest, WellSeparatedLinksHaveTinyRho) {
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
   const sinr::LinkSystem system(space, links, {1.0, 0.0});
   const auto result = EstimateInductiveIndependence(
-      system, sinr::UniformPower(system));
+      sinr::KernelCache(system, sinr::UniformPower(system)));
   EXPECT_LT(result.upper, 0.01);
 }
 
@@ -84,9 +84,9 @@ TEST(InductiveIndependenceTest, GrowsWithObstruction) {
   const sinr::LinkSystem sys_clean(clean, links, {1.0, 0.0});
   const sinr::LinkSystem sys_noisy(noisy, links, {1.0, 0.0});
   const auto r_clean = EstimateInductiveIndependence(
-      sys_clean, sinr::UniformPower(sys_clean));
+      sinr::KernelCache(sys_clean, sinr::UniformPower(sys_clean)));
   const auto r_noisy = EstimateInductiveIndependence(
-      sys_noisy, sinr::UniformPower(sys_noisy));
+      sinr::KernelCache(sys_noisy, sinr::UniformPower(sys_noisy)));
   EXPECT_GT(r_noisy.upper, r_clean.upper * 0.5);  // not collapsing
   SUCCEED() << "clean " << r_clean.greedy_lower << " noisy "
             << r_noisy.greedy_lower;
@@ -102,7 +102,7 @@ TEST(InductiveIndependenceTest, Theorem3InstanceHasLargeRho) {
                                 sinr::LinksFromPairs(instance.links),
                                 {1.0, 0.0});
   const auto result = EstimateInductiveIndependence(
-      system, sinr::UniformPower(system));
+      sinr::KernelCache(system, sinr::UniformPower(system)));
   EXPECT_GE(result.upper, 1.0);
 }
 

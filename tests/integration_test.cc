@@ -112,7 +112,7 @@ TEST(HardnessPipelineTest, GreedyGapOnTheorem3Instances) {
                                 sinr::LinksFromPairs(instance.links),
                                 {1.0, 0.0});
   const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  const auto opt = capacity::ExactCapacityUniform(system);
+  const auto opt = capacity::ExactCapacity(kernel, sinr::AllLinks(system));
   const auto greedy = capacity::GreedyFeasible(kernel, sinr::AllLinks(system));
   EXPECT_EQ(opt.size(), graph::MaxIndependentSet(g).size());
   EXPECT_LE(greedy.size(), opt.size());

@@ -160,7 +160,7 @@ TEST(DecayLint, DesignatedHomesStayQuiet) {
                   "double f(double d, double a) { return std::pow(d, a); }")
                   .empty());
   EXPECT_TRUE(decaylint::LintContent(
-                  "src/engine/batch_runner.cc",
+                  "src/core/workers.cc",
                   "void f() { std::thread t([]{}); t.join(); }")
                   .empty());
   EXPECT_TRUE(decaylint::LintContent(

@@ -1,10 +1,137 @@
 #include "oracles/oracles.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/check.h"
 #include "sinr/power.h"
+
+namespace decaylib::sinr {
+
+bool CanOvercomeNoiseNaive(const LinkSystem& system, int v,
+                           const PowerAssignment& power) {
+  const double signal =
+      power[static_cast<std::size_t>(v)] / system.LinkDecay(v);
+  return signal > system.config().beta * system.config().noise;
+}
+
+double NoiseFactorNaive(const LinkSystem& system, int v,
+                        const PowerAssignment& power) {
+  DL_CHECK(CanOvercomeNoiseNaive(system, v, power),
+           "link cannot meet the SINR threshold even alone");
+  const double signal =
+      power[static_cast<std::size_t>(v)] / system.LinkDecay(v);
+  return system.config().beta /
+         (1.0 - system.config().beta * system.config().noise / signal);
+}
+
+double AffectanceNaive(const LinkSystem& system, int w, int v,
+                       const PowerAssignment& power) {
+  return std::min(1.0, AffectanceRawNaive(system, w, v, power));
+}
+
+double AffectanceRawNaive(const LinkSystem& system, int w, int v,
+                          const PowerAssignment& power) {
+  if (w == v) return 0.0;
+  const double cv = NoiseFactorNaive(system, v, power);
+  const double ratio = power[static_cast<std::size_t>(w)] /
+                       power[static_cast<std::size_t>(v)] *
+                       system.LinkDecay(v) / system.CrossDecay(w, v);
+  return cv * ratio;
+}
+
+double InAffectanceNaive(const LinkSystem& system, std::span<const int> S,
+                         int v, const PowerAssignment& power) {
+  double total = 0.0;
+  for (int w : S) total += AffectanceNaive(system, w, v, power);
+  return total;
+}
+
+double OutAffectanceNaive(const LinkSystem& system, int v,
+                          std::span<const int> S,
+                          const PowerAssignment& power) {
+  double total = 0.0;
+  for (int w : S) total += AffectanceNaive(system, v, w, power);
+  return total;
+}
+
+double SinrNaive(const LinkSystem& system, int v, std::span<const int> S,
+                 const PowerAssignment& power) {
+  const double signal =
+      power[static_cast<std::size_t>(v)] / system.LinkDecay(v);
+  double interference = system.config().noise;
+  for (int u : S) {
+    if (u == v) continue;
+    interference +=
+        power[static_cast<std::size_t>(u)] / system.CrossDecay(u, v);
+  }
+  if (interference == 0.0) return std::numeric_limits<double>::infinity();
+  return signal / interference;
+}
+
+bool IsKFeasibleNaive(const LinkSystem& system, std::span<const int> S,
+                      double K, const PowerAssignment& power) {
+  for (int v : S) {
+    if (!CanOvercomeNoiseNaive(system, v, power)) return false;
+    double total = 0.0;
+    for (int w : S) total += AffectanceRawNaive(system, w, v, power);
+    if (total > 1.0 / K) return false;
+  }
+  return true;
+}
+
+bool IsSinrFeasibleNaive(const LinkSystem& system, std::span<const int> S,
+                         const PowerAssignment& power) {
+  for (int v : S) {
+    if (SinrNaive(system, v, S, power) < system.config().beta) return false;
+  }
+  return true;
+}
+
+double MaxInAffectanceNaive(const LinkSystem& system, std::span<const int> S,
+                            const PowerAssignment& power) {
+  double worst = 0.0;
+  for (int v : S) {
+    worst = std::max(worst, InAffectanceNaive(system, S, v, power));
+  }
+  return worst;
+}
+
+double LinkLengthNaive(const LinkSystem& system, int v, double zeta) {
+  return std::pow(system.LinkDecay(v), 1.0 / zeta);
+}
+
+double LinkDistanceNaive(const LinkSystem& system, int v, int w, double zeta) {
+  const Link& lv = system.link(v);
+  const Link& lw = system.link(w);
+  auto d = [&](int p, int q) {
+    return p == q ? 0.0 : std::pow(system.space()(p, q), 1.0 / zeta);
+  };
+  return std::min(std::min(d(lv.sender, lw.receiver), d(lw.sender, lv.receiver)),
+                  std::min(d(lv.sender, lw.sender), d(lv.receiver, lw.receiver)));
+}
+
+bool IsSeparatedFromNaive(const LinkSystem& system, int v,
+                          std::span<const int> L, double eta, double zeta) {
+  const double needed = eta * LinkLengthNaive(system, v, zeta);
+  for (int w : L) {
+    if (w == v) continue;
+    if (LinkDistanceNaive(system, v, w, zeta) < needed) return false;
+  }
+  return true;
+}
+
+bool IsSeparatedSetNaive(const LinkSystem& system, std::span<const int> L,
+                         double eta, double zeta) {
+  for (int v : L) {
+    if (!IsSeparatedFromNaive(system, v, L, eta, zeta)) return false;
+  }
+  return true;
+}
+
+}  // namespace decaylib::sinr
 
 namespace decaylib::capacity {
 
@@ -18,14 +145,16 @@ Algorithm1Result RunAlgorithm1Naive(const sinr::LinkSystem& system,
   Algorithm1Result result;
   std::vector<int>& X = result.admitted;
   for (int v : order) {
-    if (!system.CanOvercomeNoise(v, power)) continue;
-    if (!system.IsSeparatedFrom(v, X, zeta / 2.0, zeta)) continue;
-    const double budget = system.OutAffectance(v, X, power) +
-                          system.InAffectance(X, v, power);
+    if (!sinr::CanOvercomeNoiseNaive(system, v, power)) continue;
+    if (!sinr::IsSeparatedFromNaive(system, v, X, zeta / 2.0, zeta)) continue;
+    const double budget = sinr::OutAffectanceNaive(system, v, X, power) +
+                          sinr::InAffectanceNaive(system, X, v, power);
     if (budget <= 0.5) X.push_back(v);
   }
   for (int v : X) {
-    if (system.InAffectance(X, v, power) <= 1.0) result.selected.push_back(v);
+    if (sinr::InAffectanceNaive(system, X, v, power) <= 1.0) {
+      result.selected.push_back(v);
+    }
   }
   return result;
 }
@@ -112,9 +241,11 @@ std::vector<int> DetermineWinnersNaive(const sinr::LinkSystem& system,
   std::vector<int> winners;
   for (int v : detail::BidOrder(bids)) {
     if (bids[static_cast<std::size_t>(v)] <= 0.0) continue;
-    if (!system.CanOvercomeNoise(v, power)) continue;
+    if (!sinr::CanOvercomeNoiseNaive(system, v, power)) continue;
     winners.push_back(v);
-    if (!system.IsFeasible(winners, power)) winners.pop_back();
+    if (!sinr::IsKFeasibleNaive(system, winners, 1.0, power)) {
+      winners.pop_back();
+    }
   }
   std::sort(winners.begin(), winners.end());
   return winners;
@@ -163,7 +294,9 @@ QueueStats RunQueueSimulationNaive(const sinr::LinkSystem& system,
         LongestQueueFirst(queue, backlogged, lqf_scratch);
         for (int v : backlogged) {
           chosen.push_back(v);
-          if (!system.IsFeasible(chosen, power)) chosen.pop_back();
+          if (!sinr::IsKFeasibleNaive(system, chosen, 1.0, power)) {
+            chosen.pop_back();
+          }
         }
         break;
       }
@@ -171,7 +304,9 @@ QueueStats RunQueueSimulationNaive(const sinr::LinkSystem& system,
         for (int v : decay_order) {
           if (queue[static_cast<std::size_t>(v)] == 0) continue;
           chosen.push_back(v);
-          if (!system.IsFeasible(chosen, power)) chosen.pop_back();
+          if (!sinr::IsKFeasibleNaive(system, chosen, 1.0, power)) {
+            chosen.pop_back();
+          }
         }
         break;
       }
@@ -179,7 +314,8 @@ QueueStats RunQueueSimulationNaive(const sinr::LinkSystem& system,
         detail::SampleRandomAccessSenders(queue, config.random_access_c,
                                           slot_rng, senders);
         for (int v : senders) {
-          if (system.Sinr(v, senders, power) >= system.config().beta) {
+          if (sinr::SinrNaive(system, v, senders, power) >=
+              system.config().beta) {
             chosen.push_back(v);
           }
         }
@@ -202,7 +338,7 @@ RegretResult RunRegretGameNaive(const sinr::LinkSystem& system,
       system.NumLinks(), config, rng,
       [&](const std::vector<int>& senders, std::vector<char>& ok) {
         for (std::size_t i = 0; i < senders.size(); ++i) {
-          ok[i] = system.Sinr(senders[i], senders, power) >= beta;
+          ok[i] = sinr::SinrNaive(system, senders[i], senders, power) >= beta;
         }
       });
 }

@@ -6,9 +6,11 @@
 #include <cmath>
 #include <vector>
 
+#include "capacity/exact.h"
 #include "core/decay_space.h"
 #include "geom/rng.h"
 #include "geom/samplers.h"
+#include "oracles/oracles.h"
 #include "sinr/power.h"
 
 namespace decaylib::sinr {
@@ -60,7 +62,7 @@ TEST(PowerControlTest, NestedLinksNeedPowerControl) {
   const LinkSystem system(space, {{0, 1}, {2, 3}}, {1.0, 0.0});
   const KernelCache kernel(system, UniformPower(system));
   const std::vector<int> both{0, 1};
-  EXPECT_FALSE(system.IsSinrFeasible(both, UniformPower(system)));
+  EXPECT_FALSE(IsSinrFeasibleNaive(system, both, UniformPower(system)));
   const auto result = FeasibleWithPowerControl(kernel, both);
   EXPECT_TRUE(result.feasible);
   // The returned power favours the long link.
@@ -120,6 +122,41 @@ TEST(PowerControlTest, WithNoiseConvergesToFiniteAssignment) {
   (void)scaled;  // positivity is what matters here
   EXPECT_GT(result.power[0], 0.0);
   EXPECT_GT(result.power[1], 0.0);
+}
+
+// The greedy keeps a power-control-feasible set, never larger than the
+// exact power-control optimum, on small random instances crowded enough
+// that the greedy rejects links on some of them.
+TEST(PowerControlTest, GreedyIsFeasibleAndAtMostExact) {
+  int seeds_with_rejections = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    geom::Rng rng(seed);
+    std::vector<geom::Vec2> pts;
+    std::vector<Link> links;
+    for (int i = 0; i < 8; ++i) {
+      const geom::Vec2 s{rng.Uniform(0.0, 8.0), rng.Uniform(0.0, 8.0)};
+      pts.push_back(s);
+      pts.push_back(s + geom::Vec2{rng.Uniform(0.5, 1.5), 0.0}.Rotated(
+                            rng.Uniform(0.0, 6.28)));
+      links.push_back({2 * i, 2 * i + 1});
+    }
+    const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
+    const LinkSystem system(space, links, {1.0, 0.0});
+    const KernelCache kernel(system, UniformPower(system));
+    const std::vector<int> greedy = GreedyPowerControlFeasible(kernel);
+    ASSERT_FALSE(greedy.empty()) << "seed " << seed;
+    EXPECT_TRUE(FeasibleWithPowerControl(kernel, greedy,
+                                         kGreedyPowerControlIterations,
+                                         kGreedyPowerControlTol)
+                    .feasible)
+        << "seed " << seed;
+    EXPECT_LE(greedy.size(),
+              capacity::ExactCapacityPowerControl(kernel, AllLinks(system))
+                  .size())
+        << "seed " << seed;
+    if (greedy.size() < links.size()) ++seeds_with_rejections;
+  }
+  EXPECT_GT(seeds_with_rejections, 0);
 }
 
 TEST(PairwiseObstructionTest, CleanPairHasNoObstruction) {

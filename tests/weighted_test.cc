@@ -63,7 +63,7 @@ TEST(WeightedTest, ExactDominatesHeuristics) {
     const Fixture fixture(12, 10.0, seed);
     const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
     const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-    const auto exact = ExactWeightedCapacity(system, fixture.weights);
+    const auto exact = ExactWeightedCapacity(kernel, fixture.weights);
     const auto greedy = WeightedGreedy(kernel, fixture.weights);
     const double zeta = std::max(1.0, core::Metricity(fixture.space));
     const auto alg1 = WeightedAlgorithm1(kernel, fixture.weights, zeta);
@@ -77,9 +77,10 @@ TEST(WeightedTest, ExactDominatesHeuristics) {
 TEST(WeightedTest, UnitWeightsReduceToCardinality) {
   const Fixture fixture(12, 10.0, 7);
   const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const std::vector<double> unit(12, 1.0);
-  const auto weighted = ExactWeightedCapacity(system, unit);
-  const auto unweighted = ExactCapacityUniform(system);
+  const auto weighted = ExactWeightedCapacity(kernel, unit);
+  const auto unweighted = ExactCapacity(kernel, sinr::AllLinks(system));
   EXPECT_DOUBLE_EQ(weighted.weight,
                    static_cast<double>(unweighted.size()));
 }
@@ -90,8 +91,9 @@ TEST(WeightedTest, HeavyLinkDominatesWhenConflicting) {
   space.SetSymmetric(0, 1, 100.0);
   space.SetSymmetric(2, 3, 100.0);
   const sinr::LinkSystem system(space, {{0, 1}, {2, 3}}, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const std::vector<double> weights{1.0, 5.0};
-  const auto result = ExactWeightedCapacity(system, weights);
+  const auto result = ExactWeightedCapacity(kernel, weights);
   EXPECT_EQ(result.selected, (std::vector<int>{1}));
   EXPECT_DOUBLE_EQ(result.weight, 5.0);
 }
@@ -104,7 +106,7 @@ TEST(WeightedTest, ZeroWeightLinksNeverSelected) {
   weights[3] = 2.0;
   const auto greedy = WeightedGreedy(kernel, weights);
   EXPECT_EQ(greedy.selected, (std::vector<int>{3}));
-  const auto exact = ExactWeightedCapacity(system, weights);
+  const auto exact = ExactWeightedCapacity(kernel, weights);
   EXPECT_EQ(exact.selected, (std::vector<int>{3}));
 }
 

@@ -152,9 +152,10 @@ const std::vector<RuleDef>& RuleTable() {
        {},
        {}},
       {"naked-thread",
-       "std::thread construction outside engine/batch_runner bypasses the "
-       "one place where thread-count determinism is gated",
-       {"src/engine/batch_runner"},
+       "std::thread construction outside core/workers (RunWorkers, the "
+       "library's one fork-join site) bypasses the place where spawning "
+       "and joining are kept scheduling-independent",
+       {"src/core/workers"},
        {}},
       {"clock-read",
        "clock reads outside src/obs/ make checkpoint/resume and replay "
@@ -331,8 +332,8 @@ std::vector<Finding> LintContent(const std::string& label,
     }
     if (std::regex_search(code, ThreadRe())) {
       report(i, "naked-thread",
-             "std::thread outside engine/batch_runner; route pooled work "
-             "through BatchRunner so thread-count determinism stays gated");
+             "std::thread outside core/workers; run forked work through "
+             "core::RunWorkers so there is one spawn-and-join site");
     }
     if (std::regex_search(code, ClockRe())) {
       report(i, "clock-read",

@@ -21,10 +21,11 @@
 //                        AggregateSignature/SweepSignature or report output
 //                        (determinism discipline).
 //   naked-thread         no std::thread/std::jthread construction outside
-//                        engine/batch_runner -- all pooled execution goes
-//                        through BatchRunner so thread-count determinism is
-//                        gated in one place.  (std::thread::hardware_concurrency
-//                        is a static query and stays legal.)
+//                        core/workers -- every fork-join (BatchRunner's
+//                        instance pool, ComputePhi's chunked scan) goes
+//                        through core::RunWorkers, the one spawn-and-join
+//                        site.  (std::thread::hardware_concurrency is a
+//                        static query and stays legal.)
 //   clock-read           no clock reads outside src/obs/: wall time observed
 //                        inside algorithm code would make checkpoint/resume
 //                        and replay non-deterministic.  Timing surfaces in
